@@ -78,11 +78,14 @@ def content_hash(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def load_complex(path: str, hashes: dict):
+def load(path: str, hashes: dict, decode=None):
+    """Read, hash and decode one input document; `decode` defaults to
+    jsonio.complex_from_obj, looked up per call so a wrapped decoder
+    takes effect."""
     label, raw = read_input(path)
     hashes[label] = content_hash(raw)
     try:
-        return jsonio.complex_from_obj(parse_json(raw, label))
+        return (decode or jsonio.complex_from_obj)(parse_json(raw, label))
     except ValueError as exc:
         raise CliError(f"{label}: {exc}")
 
@@ -131,41 +134,27 @@ def run_report(command: str, hashes: dict, parameters: dict, body: dict) -> dict
 
 # --- subcommand implementations -------------------------------------------
 
-def cmd_check_ghs(args) -> int:
+def cmd_check_links(args) -> int:
+    """check-ghs and check-phm: `args.check` is the library test and
+    `args.letter` names its dimension in the text report."""
     hashes: dict = {}
-    K = plain_complex(load_complex(args.input, hashes))
-    report = is_ghs(K, args.dim, jobs=args.jobs)
+    K = plain_complex(load(args.input, hashes))
+    report = args.check(K, args.dim)
     body = ghs_report_obj(report)
-    lines = [f"check-ghs n={args.dim} verdict="
+    lines = [f"{args.command} {args.letter}={args.dim} verdict="
              f"{'PASS' if report.verdict else 'FAIL'} "
              f"links_checked={report.links_checked}"]
     lines += [f"  failure simplex={list(f.simplex.vertices)} degree={f.degree} "
               f"expected={f.expected.describe()} actual={f.actual.describe()}"
               for f in report.failures]
-    emit(run_report("check-ghs", hashes, {"dim": args.dim}, body),
-         args.format, lines)
-    return 0 if report.verdict else 1
-
-
-def cmd_check_phm(args) -> int:
-    hashes: dict = {}
-    K = plain_complex(load_complex(args.input, hashes))
-    report = is_polyhedral_homology_manifold(K, args.dim, jobs=args.jobs)
-    body = ghs_report_obj(report)
-    lines = [f"check-phm m={args.dim} verdict="
-             f"{'PASS' if report.verdict else 'FAIL'} "
-             f"links_checked={report.links_checked}"]
-    lines += [f"  failure simplex={list(f.simplex.vertices)} degree={f.degree} "
-              f"expected={f.expected.describe()} actual={f.actual.describe()}"
-              for f in report.failures]
-    emit(run_report("check-phm", hashes, {"dim": args.dim}, body),
+    emit(run_report(args.command, hashes, {"dim": args.dim}, body),
          args.format, lines)
     return 0 if report.verdict else 1
 
 
 def cmd_check_proper(args) -> int:
     hashes: dict = {}
-    LK = require_labeled(load_complex(args.input, hashes), args.input)
+    LK = require_labeled(load(args.input, hashes), args.input)
     proper, offending = is_proper_labeling(LK)
     body = {"verdict": proper,
             "offending": list(offending.vertices) if offending else None}
@@ -183,11 +172,8 @@ def cmd_check_proper(args) -> int:
 
 def cmd_check_aspherical(args) -> int:
     hashes: dict = {}
-    LK = require_labeled(load_complex(args.input, hashes), args.input)
-    try:
-        verdict = is_aspherical(LK, budget=args.budget)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    LK = require_labeled(load(args.input, hashes), args.input)
+    verdict = is_aspherical(LK, budget=args.budget)
     body = {"verdict": verdict}
     emit(run_report("check-aspherical", hashes, {"budget": args.budget}, body),
          args.format, [f"check-aspherical verdict={'PASS' if verdict else 'FAIL'}"])
@@ -196,7 +182,7 @@ def cmd_check_aspherical(args) -> int:
 
 def cmd_coxeter_nerve(args) -> int:
     hashes: dict = {}
-    LK = require_labeled(load_complex(args.input, hashes), args.input)
+    LK = require_labeled(load(args.input, hashes), args.input)
     nerve = coxeter_nerve(LK, max_rank=args.max_rank, budget=args.budget)
     sys.stdout.write(jsonio.dumps(jsonio.complex_to_obj(nerve)))
     return 0
@@ -204,8 +190,8 @@ def cmd_coxeter_nerve(args) -> int:
 
 def cmd_equiv(args) -> int:
     hashes: dict = {}
-    A = load_complex(args.a, hashes)
-    B = load_complex(args.b, hashes)
+    A = load(args.a, hashes)
+    B = load(args.b, hashes)
     if isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex):
         mapping = None
     else:
@@ -223,7 +209,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_homology(args) -> int:
     hashes: dict = {}
-    K = plain_complex(load_complex(args.input, hashes))
+    K = plain_complex(load(args.input, hashes))
     hom = reduced_homology_all(K)
     degrees = ([args.degree] if args.degree is not None
                else [k for k in sorted(hom) if k >= 0])
@@ -237,14 +223,10 @@ def cmd_homology(args) -> int:
 
 def cmd_solve_obstruction(args) -> int:
     hashes: dict = {}
-    N = plain_complex(load_complex(args.complex, hashes))
-    label, raw = read_input(args.cochain)
-    hashes[label] = content_hash(raw)
+    N = plain_complex(load(args.complex, hashes))
     D = dual_complex(N, args.dim, include_top=not args.no_top)
-    try:
-        c = jsonio.cochain_from_obj(parse_json(raw, label), D)
-    except ValueError as exc:
-        raise CliError(f"{label}: {exc}")
+    c = load(args.cochain, hashes,
+             lambda obj: jsonio.cochain_from_obj(obj, D))
     ok, witness = is_cocycle(D, c)
     params = {"dim": args.dim, "include_top": not args.no_top}
     if not ok:
@@ -270,10 +252,10 @@ def cmd_solve_obstruction(args) -> int:
 
 def cmd_acyclicity(args) -> int:
     hashes: dict = {}
-    N = plain_complex(load_complex(args.input, hashes))
+    N = plain_complex(load(args.input, hashes))
     D = dual_complex(N, args.dim, include_top=not args.no_top)
     report = acyclicity_report(D)
-    ready = is_resolution_ready(D)
+    ready = is_resolution_ready(report)
     body = {"verdict": ready,
             "homology": {str(k): group_obj(report[k]) for k in sorted(report)}}
     lines = [f"acyclicity n={args.dim} resolution-ready="
@@ -287,12 +269,7 @@ def cmd_acyclicity(args) -> int:
 
 def cmd_check_charfun(args) -> int:
     hashes: dict = {}
-    label, raw = read_input(args.input)
-    hashes[label] = content_hash(raw)
-    try:
-        pair = jsonio.pair_from_obj(parse_json(raw, label))
-    except ValueError as exc:
-        raise CliError(f"{label}: {exc}")
+    pair = load(args.input, hashes, jsonio.pair_from_obj)
     ok, offending = is_characteristic(pair)
     pi1 = pi1_orbit_union(pair)
     body = {"verdict": ok,
@@ -308,33 +285,23 @@ def cmd_check_charfun(args) -> int:
 
 def cmd_from_fan(args) -> int:
     hashes: dict = {}
-    label, raw = read_input(args.input)
-    hashes[label] = content_hash(raw)
-    try:
-        fan = jsonio.fan_from_obj(parse_json(raw, label))
-    except ValueError as exc:
-        raise CliError(f"{label}: {exc}")
+    fan = load(args.input, hashes, jsonio.fan_from_obj)
     try:
         pair = from_fan(fan)
     except ValueError as exc:
-        if "singular cones" in str(exc):
-            body = {"verdict": False, "error": str(exc)}
-            emit(run_report("from-fan", hashes, {}, body), args.format,
-                 [f"FAIL: {exc}"])
-            return 1
-        raise CliError(str(exc))
+        if "singular cones" not in str(exc):
+            raise
+        body = {"verdict": False, "error": str(exc)}
+        emit(run_report("from-fan", hashes, {}, body), args.format,
+             [f"FAIL: {exc}"])
+        return 1
     sys.stdout.write(jsonio.dumps(jsonio.pair_to_obj(pair)))
     return 0
 
 
 def cmd_betti(args) -> int:
     hashes: dict = {}
-    label, raw = read_input(args.input)
-    hashes[label] = content_hash(raw)
-    try:
-        pair = jsonio.pair_from_obj(parse_json(raw, label))
-    except ValueError as exc:
-        raise CliError(f"{label}: {exc}")
+    pair = load(args.input, hashes, jsonio.pair_from_obj)
     try:
         h = even_betti_report(pair)
     except ValueError as exc:
@@ -373,14 +340,14 @@ def cmd_construct(args) -> int:
     elif kind == "join":
         if len(args.args) != 2:
             raise CliError("construct join takes exactly two complex files")
-        A = plain_complex(load_complex(args.args[0], hashes))
-        B = plain_complex(load_complex(args.args[1], hashes))
+        A = plain_complex(load(args.args[0], hashes))
+        B = plain_complex(load(args.args[1], hashes))
         out = jsonio.complex_to_obj(join(A, B))
     elif kind in ("cone", "suspension", "barycentric", "barycentric-all-2"):
         if args.args:
             raise CliError(f"construct {kind} reads its complex from "
                            f"--input/stdin and takes no positional arguments")
-        K = plain_complex(load_complex(args.input, hashes))
+        K = plain_complex(load(args.input, hashes))
         if kind == "cone":
             out = jsonio.complex_to_obj(cone(K))
         elif kind == "suspension":
@@ -415,19 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dim", "-n", type=int, required=True,
                            help="dimension parameter")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized operations (reserved; the "
-                            "shipped commands are deterministic)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent link checks")
 
     p = sub.add_parser("check-ghs", help="generalized homology sphere test")
     common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_ghs)
+    p.set_defaults(func=cmd_check_links, check=is_ghs, letter="n")
 
     p = sub.add_parser("check-phm", help="polyhedral homology manifold test")
     common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_phm)
+    p.set_defaults(func=cmd_check_links,
+                   check=is_polyhedral_homology_manifold, letter="m")
 
     p = sub.add_parser("check-proper", help="proper Coxeter labeling test")
     common(p)
@@ -450,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="label-preserving isomorphism search")
     p.add_argument("a", help="first complex file")
     p.add_argument("b", help="second complex file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    common(p, needs_input=False)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("homology", help="reduced integral homology")
@@ -462,14 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-obstruction",
                        help="solve c = δd on the dual-cell complex")
+    common(p, needs_input=False, needs_dim=True)
     p.add_argument("--complex", required=True, help="nerve complex file")
-    p.add_argument("--dim", "-n", type=int, required=True)
     p.add_argument("--cochain", required=True, help="cochain file")
     p.add_argument("--no-top", action="store_true",
                    help="exclude the top cell (model the boundary only)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_solve_obstruction)
 
     p = sub.add_parser("acyclicity",
@@ -495,10 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a constructed complex")
     p.add_argument("kind", choices=CONSTRUCT_KINDS)
     p.add_argument("args", nargs="*", help="kind-specific arguments")
-    p.add_argument("--input", "-i", default="-")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    common(p)
     p.set_defaults(func=cmd_construct)
 
     return parser
@@ -513,13 +468,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (CliError, BudgetExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

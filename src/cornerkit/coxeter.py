@@ -280,6 +280,7 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
         adjacency[v].add(u)
     tested = 0
     finite_sets: list[tuple[int, ...]] = []
+    covered: set[tuple[int, ...]] = set()  # sets with a finite extension
     level = [(v,) for v in range(K.num_vertices)]
     finite_sets.extend(level)  # rank-1 groups are Z/2
     while level and len(level[0]) < max_rank:
@@ -295,14 +296,11 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
                     raise BudgetExceeded(tested, budget)
                 if is_finite(coxeter_matrix(LK, cand)).finite:
                     nxt.append(cand)
+                    covered.update(cand[:i] + cand[i + 1:]
+                                   for i in range(len(cand)))
         finite_sets.extend(nxt)
         level = nxt
-    # a set is maximal iff no enumerated set one rank up contains it
-    by_size: dict[int, list[set[int]]] = {}
-    for T in finite_sets:
-        by_size.setdefault(len(T), []).append(set(T))
-    maximal = [T for T in finite_sets
-               if not any(set(T) < S for S in by_size.get(len(T) + 1, []))]
+    maximal = [T for T in finite_sets if T not in covered]
     return SimplicialComplex(K.num_vertices,
                              tuple(Simplex(T) for T in maximal))
 

@@ -249,10 +249,9 @@ def acyclicity_report(D: DualComplex) -> dict[int, FGAbelianGroup]:
     return homology_all(D.chain_complex())
 
 
-def is_resolution_ready(D: DualComplex) -> bool:
-    """H_0 = Z and H_j = 0 for j >= 1: the acyclicity the obstruction
-    solver relies on."""
-    report = acyclicity_report(D)
+def is_resolution_ready(report: dict[int, FGAbelianGroup]) -> bool:
+    """H_0 = Z and H_j = 0 for j >= 1 in an acyclicity_report: the
+    acyclicity the obstruction solver relies on."""
     for deg, group in report.items():
         if deg == 0:
             if group != Z:

@@ -15,7 +15,6 @@ are complete; fail_fast trades completeness for speed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z, reduced_homology_all
@@ -82,41 +81,29 @@ def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     return out
 
 
-def _link_defects(args):
-    K, s, m = args
+def _link_defects(K: SimplicialComplex, s: Simplex, m: int):
     L, _ = link(K, s)
-    return s, sphere_homology_defects(L, m - s.dim - 1)
+    return sphere_homology_defects(L, m - s.dim - 1)
 
 
-def _check_links(K: SimplicialComplex, m: int, fail_fast: bool,
-                 jobs: int) -> tuple[list[GhsFailure], int]:
+def _check_links(K: SimplicialComplex, m: int,
+                 fail_fast: bool) -> tuple[list[GhsFailure], int]:
     """Link homology of every k-simplex, 0 <= k < m (facet links are
     empty by maximality once purity holds, so k = m is vacuous)."""
-    tasks = [(K, s, m) for k in range(0, m) for s in simplices(K, k)]
     failures: list[GhsFailure] = []
     checked = 0
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for s, defects in pool.map(_link_defects, tasks):
-                checked += 1
-                failures.extend(GhsFailure(s, deg, exp, act)
-                                for deg, exp, act in defects)
-                if failures and fail_fast:
-                    break
-    else:
-        for task in tasks:
-            s, defects = _link_defects(task)
+    for k in range(0, m):
+        for s in simplices(K, k):
             checked += 1
             failures.extend(GhsFailure(s, deg, exp, act)
-                            for deg, exp, act in defects)
+                            for deg, exp, act in _link_defects(K, s, m))
             if failures and fail_fast:
-                break
+                return failures, checked
     return failures, checked
 
 
 def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int,
-                                    fail_fast: bool = False,
-                                    jobs: int = 1) -> GhsReport:
+                                    fail_fast: bool = False) -> GhsReport:
     """Check that every k-simplex link looks homologically like S^{m-k-1}."""
     if m < 0:
         raise ValueError("manifold dimension must be non-negative")
@@ -126,13 +113,13 @@ def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int,
     failures = _purity_failures(K, m)
     checked = 0
     if not failures:
-        failures, checked = _check_links(K, m, fail_fast, jobs)
+        failures, checked = _check_links(K, m, fail_fast)
     return GhsReport(not failures, m, tuple(failures), checked,
                      time.monotonic() - start)
 
 
-def is_ghs(K: SimplicialComplex, n: int, fail_fast: bool = False,
-           jobs: int = 1) -> GhsReport:
+def is_ghs(K: SimplicialComplex, n: int,
+           fail_fast: bool = False) -> GhsReport:
     """Generalized homology (n-1)-sphere test.
 
     The link of the empty simplex is K itself; that clause is the explicit
@@ -151,7 +138,7 @@ def is_ghs(K: SimplicialComplex, n: int, fail_fast: bool = False,
         failures.extend(GhsFailure(EMPTY_SIMPLEX, deg, exp, act)
                         for deg, exp, act in sphere_homology_defects(K, m))
         if not (failures and fail_fast):
-            link_failures, link_checked = _check_links(K, m, fail_fast, jobs)
+            link_failures, link_checked = _check_links(K, m, fail_fast)
             failures.extend(link_failures)
             checked += link_checked
     return GhsReport(not failures, m, tuple(failures), checked,

@@ -280,17 +280,12 @@ def determinant(A: IntegerMatrix) -> int:
 
 
 def unimodular_inverse(A: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    det = determinant(A)
-    if det not in (1, -1):
+    """Exact inverse of a unimodular integer matrix: its Smith form is the
+    identity, so U·A·V = I gives A⁻¹ = V·U."""
+    if determinant(A) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    cols = []
-    for j in range(A.rows):
-        e = [1 if i == j else 0 for i in range(A.rows)]
-        x = solve_integer(A, e)
-        assert x is not None
-        cols.append(x)
-    return IntegerMatrix.from_rows(list(zip(*cols)))
+    res = snf(A)
+    return res.V.mul(res.U)
 
 
 @dataclass(frozen=True)

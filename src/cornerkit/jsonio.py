@@ -35,19 +35,40 @@ def labeled_to_obj(LK: LabeledComplex) -> dict:
     return obj
 
 
-def complex_from_obj(obj: dict) -> SimplicialComplex | LabeledComplex:
+def _document(obj, what: str, *keys: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError("complex document must be a JSON object")
-    if "facets" not in obj:
-        raise ValueError('complex document lacks a "facets" key')
-    K = build_complex(obj["facets"])
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f'{what} lacks "{key}"')
+    return obj
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:  # JSON true/false would pass isinstance
+        raise ValueError(f"{what}: expected an integer")
+    return value
+
+
+def _int_lists(rows, what: str) -> list[list[int]]:
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and all(type(x) is int for x in r)
+            for r in rows)):
+        raise ValueError(f"{what}: expected lists of integers")
+    return rows
+
+
+def complex_from_obj(obj: dict) -> SimplicialComplex | LabeledComplex:
+    _document(obj, "complex document", "facets")
+    K = build_complex(_int_lists(obj["facets"], '"facets"'))
     declared = obj.get("num_vertices")
-    if declared is not None and declared != K.num_vertices:
+    if (declared is not None
+            and _int(declared, '"num_vertices"') != K.num_vertices):
         raise ValueError(f"declared num_vertices {declared} does not match "
                          f"facet support {K.num_vertices}")
     if "labels" in obj:
-        return LabeledComplex(K, tuple((int(u), int(v), int(m))
-                                       for u, v, m in obj["labels"]))
+        return LabeledComplex(K, tuple(map(tuple, _int_lists(obj["labels"],
+                                                             '"labels"'))))
     return K
 
 
@@ -56,8 +77,9 @@ def group_to_obj(G: FGAbelianGroup) -> dict:
 
 
 def group_from_obj(obj: dict) -> FGAbelianGroup:
-    return FGAbelianGroup(int(obj.get("rank", 0)),
-                          tuple(int(q) for q in obj.get("torsion", ())))
+    _document(obj, '"group"')
+    torsion, = _int_lists([obj.get("torsion", [])], '"torsion"')
+    return FGAbelianGroup(_int(obj.get("rank", 0), '"rank"'), tuple(torsion))
 
 
 def pair_to_obj(p: CharacteristicPair) -> dict:
@@ -67,14 +89,13 @@ def pair_to_obj(p: CharacteristicPair) -> dict:
 
 
 def pair_from_obj(obj: dict) -> CharacteristicPair:
-    for key in ("n", "lambda", "nerve"):
-        if key not in obj:
-            raise ValueError(f'characteristic pair document lacks "{key}"')
+    _document(obj, "characteristic pair document", "n", "lambda", "nerve")
     nerve = complex_from_obj(obj["nerve"])
     if isinstance(nerve, LabeledComplex):
         nerve = nerve.complex
-    return CharacteristicPair(nerve, int(obj["n"]),
-                              IntegerMatrix.from_rows(obj["lambda"]))
+    return CharacteristicPair(nerve, _int(obj["n"], '"n"'),
+                              IntegerMatrix.from_rows(
+                                  _int_lists(obj["lambda"], '"lambda"')))
 
 
 def fan_to_obj(f: Fan) -> dict:
@@ -83,11 +104,9 @@ def fan_to_obj(f: Fan) -> dict:
 
 
 def fan_from_obj(obj: dict) -> Fan:
-    for key in ("rays", "cones"):
-        if key not in obj:
-            raise ValueError(f'fan document lacks "{key}"')
-    return Fan(tuple(tuple(int(x) for x in r) for r in obj["rays"]),
-               tuple(tuple(int(i) for i in c) for c in obj["cones"]))
+    _document(obj, "fan document", "rays", "cones")
+    return Fan(tuple(map(tuple, _int_lists(obj["rays"], '"rays"'))),
+               tuple(map(tuple, _int_lists(obj["cones"], '"cones"'))))
 
 
 def _simplex_key(vertices: tuple[int, ...]) -> str:
@@ -107,13 +126,12 @@ def cochain_to_obj(c) -> dict:
 
 def cochain_from_obj(obj: dict, D) -> "Cochain":
     from .dualcells import Cochain
-    for key in ("degree", "group", "values"):
-        if key not in obj:
-            raise ValueError(f'cochain document lacks "{key}"')
+    _document(obj, "cochain document", "degree", "group", "values")
     group = group_from_obj(obj["group"])
-    assignment = {_parse_simplex_key(k): tuple(int(x) for x in v)
-                  for k, v in obj["values"].items()}
-    return Cochain.build(D, int(obj["degree"]), group, assignment)
+    values = _document(obj["values"], '"values"')
+    _int_lists(list(values.values()), '"values"')
+    assignment = {_parse_simplex_key(k): tuple(v) for k, v in values.items()}
+    return Cochain.build(D, _int(obj["degree"], '"degree"'), group, assignment)
 
 
 def matrix_to_obj(A: IntegerMatrix) -> list[list[int]]:

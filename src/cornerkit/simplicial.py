@@ -94,9 +94,10 @@ class SimplicialComplex:
         if seen:
             if max(seen) >= self.num_vertices:
                 raise ValueError("facet vertex id exceeds num_vertices")
-            missing = set(range(self.num_vertices)) - seen
+            missing = sorted(set(range(self.num_vertices)) - seen)
             if missing:
-                raise ValueError(f"vertex ids {sorted(missing)} appear in no facet")
+                raise ValueError(f"{len(missing)} vertex ids appear in no "
+                                 f"facet, first {missing[:5]}")
         elif self.num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
         facet_sets = [set(f.vertices) for f in facets]

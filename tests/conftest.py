@@ -7,10 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import cornerkit.homology
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
 
-cornerkit.homology.VERIFY_EVERY_SNF = True
+# set on the module object: the package rebinds the name cornerkit.homology
+# to the homology() function, so an attribute set through it misses
+sys.modules["cornerkit.homology"].VERIFY_EVERY_SNF = True
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 

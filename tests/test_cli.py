@@ -289,3 +289,52 @@ def test_subprocess_determinism_across_hash_seeds(hashseed):
         runs[0].stdout)
     outs = test_subprocess_determinism_across_hash_seeds.outputs
     assert len(set(outs)) == 1  # identical across different hash seeds too
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-ghs", "-n", "2"), ("check-phm", "-n", "2"), ("check-proper",),
+    ("check-aspherical",), ("coxeter-nerve",), ("equiv", "a.json", "b.json"),
+    ("homology",), ("acyclicity", "-n", "2"), ("check-charfun",),
+    ("from-fan",), ("betti",), ("construct", "boundary-simplex", "2"),
+    ("solve-obstruction", "--complex", "k.json", "-n", "2",
+     "--cochain", "c.json"),
+])
+def test_seed_and_jobs_are_not_options(capsys, argv):
+    for flag in ("--seed", "--jobs"):
+        code, out, err = run_cli(capsys, *argv, flag, "1")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+
+B3 = {"num_vertices": 4, "facets": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
+
+
+@pytest.mark.parametrize("complex_doc,cochain_doc,message", [
+    ({"facets": [1, 2]}, None, '"facets": expected lists of integers'),
+    ({"facets": [["a"]]}, None, '"facets": expected lists of integers'),
+    ({"facets": [[True, 2]]}, None, '"facets": expected lists of integers'),
+    ({"facets": [[0, True]]}, None, '"facets": expected lists of integers'),
+    ({"num_vertices": "2", "facets": [[0, 1]]}, None,
+     '"num_vertices": expected an integer'),
+    ({"facets": [[0, 1000000]]}, None,
+     "999999 vertex ids appear in no facet, first [1, 2, 3, 4, 5]"),
+    (B3, {"degree": 1, "group": {"rank": 1}, "values": [[1]]},
+     '"values" must be a JSON object'),
+    (B3, {"degree": 1, "group": {"rank": None}, "values": {}},
+     '"rank": expected an integer'),
+])
+def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
+                                            cochain_doc, message):
+    kpath = tmp_path / "k.json"
+    kpath.write_text(json.dumps(complex_doc))
+    if cochain_doc is None:
+        argv = ("homology", "-i", str(kpath))
+    else:
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps(cochain_doc))
+        argv = ("solve-obstruction", "--complex", str(kpath), "-n", "3",
+                "--cochain", str(cpath))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert len(err.encode()) < 1024

@@ -30,13 +30,13 @@ def test_dual_of_triangle_boundary_is_a_disk():
     hom = acyclicity_report(D)
     assert hom[0] == Z
     assert hom[1].is_trivial() and hom[2].is_trivial()
-    assert is_resolution_ready(D)
+    assert is_resolution_ready(acyclicity_report(D))
 
 
 def test_dual_of_s0_is_an_interval():
     D = dual_complex(point_complex(2), 1)
     assert {d: len(fs) for d, fs in D.faces.items()} == {0: 2, 1: 1}
-    assert is_resolution_ready(D)
+    assert is_resolution_ready(acyclicity_report(D))
 
 
 def test_boundary_composite_vanishes():
@@ -66,7 +66,7 @@ def test_include_top_flag_models_the_boundary():
     hom = acyclicity_report(D)
     # boundary of the resolution is the sphere: H_0 = Z, H_2 = Z
     assert hom[0] == Z and hom[2] == Z and hom[1].is_trivial()
-    assert not is_resolution_ready(D)
+    assert not is_resolution_ready(acyclicity_report(D))
 
 
 def test_coboundary_of_zero_and_indicator():
@@ -167,7 +167,7 @@ def test_solver_returns_none_on_non_acyclic_complex():
     two_cycles = build_complex([[0, 1], [1, 2], [0, 2],
                                 [3, 4], [4, 5], [3, 5]])
     D = dual_complex(two_cycles, 2)
-    assert not is_resolution_ready(D)
+    assert not is_resolution_ready(acyclicity_report(D))
     unsolved = 0
     for degree in (1, 2):
         for c in all_z2_cochains(D, degree):
@@ -179,7 +179,7 @@ def test_solver_returns_none_on_non_acyclic_complex():
 
 def test_degenerate_disconnected_input_not_ready():
     D = dual_complex(point_complex(3), 1)
-    assert not is_resolution_ready(D)
+    assert not is_resolution_ready(acyclicity_report(D))
 
 
 def test_random_coboundaries_round_trip_many_groups(poincare16):
@@ -202,8 +202,9 @@ def test_random_coboundaries_round_trip_many_groups(poincare16):
 
 
 def test_ghs_dual_complexes_are_resolution_ready(poincare16):
-    assert is_resolution_ready(dual_complex(boundary_simplex(4), 4))
-    assert is_resolution_ready(dual_complex(poincare16, 4))
+    assert is_resolution_ready(acyclicity_report(
+        dual_complex(boundary_simplex(4), 4)))
+    assert is_resolution_ready(acyclicity_report(dual_complex(poincare16, 4)))
 
 
 def test_solver_complete_on_poincare_dual(poincare16):

@@ -98,11 +98,16 @@ def test_bad_arguments():
         is_ghs(EMPTY_COMPLEX, 1)
 
 
-def test_jobs_parameter_agrees_with_serial(poincare16):
-    serial = is_ghs(poincare16, 4, jobs=1)
-    threaded = is_ghs(poincare16, 4, jobs=4)
-    assert serial.verdict == threaded.verdict
-    assert serial.links_checked == threaded.links_checked
+def test_fail_fast_stops_at_the_first_failing_link(rp2_6):
+    bowtie = build_complex([[0, 1, 2], [0, 3, 4]])
+    full = is_polyhedral_homology_manifold(bowtie, 2)
+    fast = is_polyhedral_homology_manifold(bowtie, 2, fail_fast=True)
+    assert not fast.verdict and fast.links_checked == 1
+    assert {f.simplex for f in fast.failures} == {full.failures[0].simplex}
+    assert set(fast.failures) <= set(full.failures)
+    assert full.links_checked == 11
+    # a failing global check ends the sphere test before any link
+    assert is_ghs(rp2_6, 3, fail_fast=True).links_checked == 1
 
 
 def test_seven_vertex_torus_is_manifold_but_not_sphere():

@@ -24,6 +24,11 @@ def test_snf_identity_and_zero():
     assert res.diagonal() == [0, 0]
 
 
+def test_snf_self_check_is_on_in_tests():
+    # conftest turns on the postcondition check inside every snf() call
+    assert snf.__globals__["VERIFY_EVERY_SNF"] is True
+
+
 def test_snf_divisor_chain_example():
     # d1 = gcd of entries = 2, d1*d2 = gcd of 2x2 minors:
     # minors of [[2,4],[6,8]] -> det = -8, so d2 = 4
