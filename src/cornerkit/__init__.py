@@ -7,10 +7,10 @@ from .simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, LabeledComplex, Simplex,
                          euler_characteristic, f_vector, join, label_all, link,
                          point_complex, simplex, simplices, suspension)
 from .homology import (ChainComplex, FGAbelianGroup, IntegerMatrix, SNFResult,
-                       TRIVIAL_GROUP, Z, chain_complex, cokernel, determinant,
-                       homology, homology_all, rank, reduced_homology,
-                       reduced_homology_all, snf, snf_diagonal, solve_integer,
-                       verify_snf)
+                       SparseMatrix, TRIVIAL_GROUP, Z, chain_complex, cokernel,
+                       determinant, homology, homology_all, invariant_factors,
+                       rank, reduced_homology, reduced_homology_all, snf,
+                       snf_diagonal, solve_integer, verify_snf)
 from .ghs import GhsReport, is_ghs, is_polyhedral_homology_manifold
 from .coxeter import (BudgetExceeded, CoxeterMatrix, FinitenessVerdict,
                       coxeter_matrix, coxeter_nerve, is_aspherical, is_finite,

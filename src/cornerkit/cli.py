@@ -72,6 +72,8 @@ def parse_json(raw: bytes, label: str) -> dict:
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {label}: {exc.msg} at line "
                        f"{exc.lineno} column {exc.colno} (char {exc.pos})")
+    except RecursionError:
+        raise CliError(f"malformed JSON in {label}: nested too deeply")
 
 
 def content_hash(raw: bytes) -> str:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                       homology_all, solve_integer, Z)
-from .simplicial import EMPTY_SIMPLEX, Simplex, SimplicialComplex, simplices
+from .homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
+                       homology_all, simplicial_boundary_matrix,
+                       solve_integer, Z)
+from .simplicial import Simplex, SimplicialComplex, simplices
 
 
 @dataclass(frozen=True)
@@ -45,45 +46,18 @@ class DualComplex:
         self.nerve = N
         self.n = n
         self.include_top = include_top
-        faces: dict[int, tuple[DualFace, ...]] = {}
         top = n if include_top else n - 1
-        for d in range(0, top + 1):
-            size = n - d
-            if size == 0:
-                labels = (EMPTY_SIMPLEX,)
-            else:
-                labels = simplices(N, size - 1)
-            faces[d] = tuple(DualFace(s, d) for s in labels)
-        self.faces = faces
+        # label size n - d; simplices(N, -1) is the empty simplex alone
+        self.faces: dict[int, tuple[DualFace, ...]] = {
+            d: tuple(DualFace(s, d) for s in simplices(N, n - d - 1))
+            for d in range(top + 1)}
         self._index = {d: {f.label.vertices: i for i, f in enumerate(fs)}
-                       for d, fs in faces.items()}
-        self.boundary: dict[int, IntegerMatrix] = {}
-        for d in range(1, top + 1):
-            self.boundary[d] = self._boundary_matrix(d)
-        assert all(self.boundary[d - 1].mul(self.boundary[d]).is_zero()
-                   for d in range(2, top + 1)), "∂∘∂ != 0"
-
-    def _boundary_matrix(self, d: int) -> IntegerMatrix:
-        """∂_d: grade-d faces to grade d-1; entry [D_τ : D_σ] is the sign
-        of the added vertex's position in sorted τ."""
-        lower = self.faces[d - 1]
-        upper = self.faces[d]
-        low_index = self._index[d - 1]
-        rows = [[0] * len(upper) for _ in lower]
-        vertex_pool = range(self.nerve.num_vertices)
-        for j, F in enumerate(upper):
-            sigma = F.label.vertices
-            sigma_set = set(sigma)
-            for v in vertex_pool:
-                if v in sigma_set:
-                    continue
-                tau = tuple(sorted(sigma + (v,)))
-                i = low_index.get(tau)
-                if i is None:
-                    continue
-                rows[i][j] = 1 if tau.index(v) % 2 == 0 else -1
-        return IntegerMatrix(len(lower), len(upper),
-                             tuple(tuple(r) for r in rows))
+                       for d, fs in self.faces.items()}
+        # [D_τ : D_σ] for τ = σ ∪ {v} is the simplicial sign of deleting v
+        # from τ, so ∂_d is the transposed augmented ∂_{n-d} of the nerve
+        self.boundary: dict[int, SparseMatrix] = {
+            d: simplicial_boundary_matrix(N, n - d).transpose()
+            for d in range(1, top + 1)}
 
     @property
     def top_dim(self) -> int:
@@ -100,9 +74,8 @@ class DualComplex:
         """[G : F] for G one grade below F."""
         if G.dim != F.dim - 1:
             return 0
-        mat = self.boundary[F.dim]
-        return mat.entries[self._index[G.dim][G.label.vertices]][
-            self._index[F.dim][F.label.vertices]]
+        return self.boundary[F.dim][self._index[G.dim][G.label.vertices],
+                                    self._index[F.dim][F.label.vertices]]
 
     def chain_complex(self) -> ChainComplex:
         return ChainComplex(dict(self.boundary),
@@ -181,13 +154,10 @@ def coboundary(D: DualComplex, d: Cochain) -> Cochain:
     group = d.group
     mat = D.boundary[k]  # rows: grade k-1 faces, cols: grade k faces
     out = {}
-    lower = D.faces[d.degree]
-    for j, F in enumerate(D.faces[k]):
+    for F, col in zip(D.faces[k], mat.columns):
         total = group.zero()
-        for i, G in enumerate(lower):
-            coeff = mat.entries[i][j]
-            if coeff:
-                total = group.add(total, group.scale(coeff, d.values[i][1]))
+        for i, coeff in col:
+            total = group.add(total, group.scale(coeff, d.values[i][1]))
         out[F.label.vertices] = total
     return Cochain.build(D, k, group, out)
 
@@ -222,7 +192,9 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
         raise ValueError(f"input cochain is not a cocycle; δc is nonzero on "
                          f"{witness.label.vertices}")
     group = c.group
-    delta = D.boundary[c.degree].transpose()  # rows: k-faces, cols: (k-1)-faces
+    # rows: k-faces, cols: (k-1)-faces; the solve runs dense Smith form
+    # with transforms, whose elimination order fixes which preimage prints
+    delta = D.boundary[c.degree].transpose().to_dense()
     per_coord: list[list[int]] = []
     for coord in range(group.num_coords):
         b = c.vector(coord)

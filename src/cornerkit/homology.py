@@ -8,10 +8,17 @@ would silently corrupt torsion coefficients, so exactness is not optional.
 
 Homology is always integral.  Torsion is reported in divisor-chain normal
 form (Z/2 ⊕ Z/3 prints as torsion [6]).
+
+Boundary maps are sparse signed columns: a k-simplex has k + 1 faces, so
+a dense grid would be almost all zeros.  Their invariant factors come
+from sparse ±1-pivot elimination followed by a dense Smith reduction of
+the (usually tiny or empty) leftover block.  Smith forms with transforms,
+and everything built on them, stay dense.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -84,6 +91,58 @@ class IntegerMatrix:
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Immutable integer matrix stored by columns: column j holds the
+    (row, value) pairs of its nonzero entries in increasing row order."""
+
+    rows: int
+    cols: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def from_dense(cls, A: IntegerMatrix) -> "SparseMatrix":
+        return cls(A.rows, A.cols, tuple(
+            tuple((i, x) for i, x in enumerate(A.column(j)) if x)
+            for j in range(A.cols)))
+
+    def to_dense(self) -> IntegerMatrix:
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col:
+                grid[i][j] = x
+        return IntegerMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
+
+    def __getitem__(self, ij: tuple[int, int]) -> int:
+        i, j = ij
+        return next((x for r, x in self.columns[j] if r == i), 0)
+
+    def transpose(self) -> "SparseMatrix":
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col:
+                out[i].append((j, x))
+        return SparseMatrix(self.cols, self.rows, tuple(map(tuple, out)))
+
+    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        out = []
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for k, b in col:
+                for i, a in self.columns[k]:
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append(tuple(sorted((i, x) for i, x in acc.items() if x)))
+        return SparseMatrix(self.rows, other.cols, tuple(out))
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -235,6 +294,62 @@ def rank(A: IntegerMatrix) -> int:
     return sum(1 for d in snf_diagonal(A) if d != 0)
 
 
+def invariant_factors(M: SparseMatrix) -> list[int]:
+    """The nonzero invariant factors of M, in divisor-chain order.
+
+    A ±1 entry is a pivot whose row and column split off a Smith factor 1:
+    clearing its row by column operations, then its column by row
+    operations, leaves the rest of the matrix as it was after the column
+    operations.  So unit pivots are eliminated sparsely first, shortest
+    column first and then the shortest row in it, which keeps fill-in
+    small; snf_diagonal runs only on the leftover block, which on
+    boundary matrices is usually empty or a few columns.
+    """
+    cols = {j: dict(col) for j, col in enumerate(M.columns) if col}
+    where: dict[int, set[int]] = {}  # row -> the columns holding it
+    for j, col in cols.items():
+        for i in col:
+            where.setdefault(i, set()).add(j)
+    queue = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        length, j = heapq.heappop(queue)
+        col = cols.get(j)
+        if col is None or len(col) != length:
+            continue  # stale: the column was eliminated or changed since
+        pivots = [i for i, x in col.items() if x == 1 or x == -1]
+        if not pivots:
+            continue  # requeued if a later column operation changes it
+        i = min(pivots, key=lambda r: (len(where[r]), r))
+        p = col.pop(i)
+        del cols[j]
+        for r in col:
+            where[r].discard(j)
+        for c in sorted(where.pop(i) - {j}):
+            target = cols[c]
+            f = target.pop(i) * p  # p = ±1 is its own inverse
+            for r, x in col.items():
+                y = target.get(r, 0) - f * x
+                if y:
+                    target[r] = y
+                    where[r].add(c)
+                elif r in target:
+                    del target[r]
+                    where[r].discard(c)
+            if target:
+                heapq.heappush(queue, (len(target), c))
+            else:
+                del cols[c]
+        units += 1
+    if not cols:
+        return [1] * units
+    rows = sorted({i for col in cols.values() for i in col})
+    leftover = IntegerMatrix(len(rows), len(cols), tuple(
+        tuple(cols[j].get(i, 0) for j in sorted(cols)) for i in rows))
+    return [1] * units + [d for d in snf_diagonal(leftover) if d]
+
+
 def verify_snf(A: IntegerMatrix, result: SNFResult) -> bool:
     """Postcondition check: U·A·V = D, |det U| = |det V| = 1, divisor chain."""
     if result.U.mul(A).mul(result.V).entries != result.D.entries:
@@ -382,11 +497,12 @@ class ChainComplex:
     """Boundary maps keyed by degree, with named bases.
 
     boundary[k] maps C_k -> C_{k-1}: rows index basis[k-1], columns index
-    basis[k].  Degrees run over sorted(basis); consecutive composites must
-    vanish (checked at construction).
+    basis[k].  Degrees run over sorted(basis); a degree without a map has
+    the zero map.  Consecutive composites must vanish (checked at
+    construction, over the sparse columns).
     """
 
-    boundary: dict[int, IntegerMatrix] = field(default_factory=dict)
+    boundary: dict[int, SparseMatrix] = field(default_factory=dict)
     basis: dict[int, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -398,53 +514,42 @@ class ChainComplex:
                                  f"{mat.rows}x{mat.cols}, expected {n_km1}x{n_k}")
         for k in self.boundary:
             if k - 1 in self.boundary:
-                prod = self.boundary[k - 1].mul(self.boundary[k])
-                if not prod.is_zero():
+                if not self.boundary[k - 1].mul(self.boundary[k]).is_zero():
                     raise ValueError(f"∂∘∂ != 0 between degrees {k} and {k-2}")
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
 
-    def boundary_or_zero(self, k: int) -> IntegerMatrix:
-        if k in self.boundary:
-            return self.boundary[k]
-        return IntegerMatrix.zeros(len(self.basis.get(k - 1, ())),
-                                   len(self.basis.get(k, ())))
 
-
-def simplicial_boundary_matrix(K: SimplicialComplex, k: int) -> IntegerMatrix:
-    """∂_k for K: sign (-1)^i on deleting the i-th vertex of a sorted simplex."""
-    lower = simplices(K, k - 1) if k >= 1 else ()
-    upper = simplices(K, k)
+def simplicial_boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
+    """∂_k for K: sign (-1)^i on deleting the i-th vertex of a sorted
+    simplex.  k = 0 is the augmentation onto the empty simplex."""
+    lower = simplices(K, k - 1)
     index = {s.vertices: i for i, s in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, s in enumerate(upper):
-        for i, v in enumerate(s.vertices):
-            face = s.vertices[:i] + s.vertices[i + 1:]
-            rows[index[face]][j] = 1 if i % 2 == 0 else -1
-    return IntegerMatrix(len(lower), len(upper),
-                         tuple(tuple(r) for r in rows))
+    columns = []
+    for s in simplices(K, k):
+        vs = s.vertices
+        columns.append(tuple(sorted(
+            (index[vs[:i] + vs[i + 1:]], -1 if i % 2 else 1)
+            for i in range(len(vs)))))
+    return SparseMatrix(len(lower), len(columns), tuple(columns))
 
 
 def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex:
     """Simplicial chain complex of K; augmented adds C_{-1} = Z⟨∅⟩."""
     basis: dict[int, tuple] = {}
-    boundary: dict[int, IntegerMatrix] = {}
-    if K.is_empty():
-        if augmented:
-            basis[-1] = (EMPTY_SIMPLEX,)
-        return ChainComplex(boundary, basis)
-    top = K.dim
-    for k in range(top + 1):
-        basis[k] = simplices(K, k)
-    for k in range(1, top + 1):
-        boundary[k] = simplicial_boundary_matrix(K, k)
+    boundary: dict[int, SparseMatrix] = {}
     if augmented:
         basis[-1] = (EMPTY_SIMPLEX,)
-        boundary[0] = IntegerMatrix(1, len(basis[0]),
-                                    ((1,) * len(basis[0]),))
-    else:
-        boundary[0] = IntegerMatrix.zeros(0, len(basis[0]))
+    if K.is_empty():
+        return ChainComplex(boundary, basis)
+    for k in range(K.dim + 1):
+        basis[k] = simplices(K, k)
+    for k in range(1, K.dim + 1):
+        boundary[k] = simplicial_boundary_matrix(K, k)
+    n_0 = len(basis[0])
+    boundary[0] = (simplicial_boundary_matrix(K, 0) if augmented
+                   else SparseMatrix(0, n_0, ((),) * n_0))
     return ChainComplex(boundary, basis)
 
 
@@ -454,21 +559,13 @@ def homology(C: ChainComplex, k: int) -> FGAbelianGroup:
 
 
 def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Homology in every degree, running one Smith reduction per map."""
-    degrees = C.degrees()
+    """Homology in every degree from the invariant factors of each map."""
+    factors = {k: invariant_factors(mat) for k, mat in C.boundary.items()}
     out: dict[int, FGAbelianGroup] = {}
-    diag: dict[int, list[int]] = {}
-    for k in degrees:
-        mat = C.boundary_or_zero(k)
-        diag[k] = snf_diagonal(mat) if mat.rows and mat.cols else []
-    for k in degrees:
-        n_k = len(C.basis[k])
-        r_k = sum(1 for d in diag.get(k, []) if d)
-        d_up = diag.get(k + 1, [])
-        r_up = sum(1 for d in d_up if d)
-        free = n_k - r_k - r_up
-        torsion = [d for d in d_up if d > 1]
-        out[k] = FGAbelianGroup.from_invariants(torsion, free)
+    for k in C.degrees():
+        up = factors.get(k + 1, [])
+        free = len(C.basis[k]) - len(factors.get(k, ())) - len(up)
+        out[k] = FGAbelianGroup.from_invariants([d for d in up if d > 1], free)
     return out
 
 

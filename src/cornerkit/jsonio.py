@@ -67,8 +67,10 @@ def complex_from_obj(obj: dict) -> SimplicialComplex | LabeledComplex:
         raise ValueError(f"declared num_vertices {declared} does not match "
                          f"facet support {K.num_vertices}")
     if "labels" in obj:
-        return LabeledComplex(K, tuple(map(tuple, _int_lists(obj["labels"],
-                                                             '"labels"'))))
+        labels = _int_lists(obj["labels"], '"labels"')
+        if any(len(t) != 3 for t in labels):
+            raise ValueError('"labels": expected [u, v, m] triples')
+        return LabeledComplex(K, tuple(map(tuple, labels)))
     return K
 
 

@@ -322,11 +322,19 @@ B3 = {"num_vertices": 4, "facets": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
      '"values" must be a JSON object'),
     (B3, {"degree": 1, "group": {"rank": None}, "values": {}},
      '"rank": expected an integer'),
+    # raw text: json.dumps itself cannot nest this deep
+    pytest.param("[" * 100_000 + "]" * 100_000, None, "nested too deeply",
+                 id="nested-1e5"),
+    pytest.param({"facets": [[0, 1]], "labels": [[0, 1]]}, None,
+                 '"labels": expected [u, v, m] triples', id="label-pair"),
+    pytest.param({"facets": [[0, 1]], "labels": [[0, 1, 2, 3]]}, None,
+                 '"labels": expected [u, v, m] triples', id="label-quadruple"),
 ])
 def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
                                             cochain_doc, message):
     kpath = tmp_path / "k.json"
-    kpath.write_text(json.dumps(complex_doc))
+    kpath.write_text(complex_doc if isinstance(complex_doc, str)
+                     else json.dumps(complex_doc))
     if cochain_doc is None:
         argv = ("homology", "-i", str(kpath))
     else:

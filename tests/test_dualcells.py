@@ -47,6 +47,24 @@ def test_boundary_composite_vanishes():
             assert D.boundary[d - 1].mul(D.boundary[d]).is_zero()
 
 
+def test_incidence_is_the_sign_of_the_added_vertex(poincare16, rp2_6):
+    # straight from the definition: [D_τ : D_σ] = (-1)^(position of v in
+    # τ) for τ = σ ∪ {v} a face of the nerve, and 0 otherwise
+    for N, n, top in [(poincare16, 4, True), (rp2_6, 3, True),
+                      (rp2_6, 5, True), (rp2_6, 3, False)]:
+        D = dual_complex(N, n, include_top=top)
+        for d in range(1, D.top_dim + 1):
+            lower = {f.label.vertices: i for i, f in enumerate(D.faces[d - 1])}
+            for j, F in enumerate(D.faces[d]):
+                sigma = F.label.vertices
+                expected = {}
+                for v in range(N.num_vertices):
+                    tau = tuple(sorted(sigma + (v,)))
+                    if v not in sigma and tau in lower:
+                        expected[lower[tau]] = (-1) ** tau.index(v)
+                assert dict(D.boundary[d].columns[j]) == expected
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         dual_complex(boundary_simplex(3), 2)

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cornerkit.homology import (FGAbelianGroup, IntegerMatrix, TRIVIAL_GROUP,
-                                Z, chain_complex, cokernel, determinant,
-                                homology, homology_all, reduced_homology,
+from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
+                                SparseMatrix, TRIVIAL_GROUP, Z, chain_complex,
+                                cokernel, determinant, homology, homology_all,
+                                invariant_factors, reduced_homology,
                                 reduced_homology_all, snf, snf_diagonal,
                                 solve_integer, unimodular_inverse, verify_snf)
-from cornerkit.simplicial import boundary_simplex, build_complex, point_complex
+from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
+                                  f_vector, point_complex)
 from conftest import random_complex
 from oracles import coset_count, rational_reduced_betti
 
@@ -61,8 +64,8 @@ def test_snf_matches_sympy_invariant_factors():
 def test_chain_complex_shapes():
     C = chain_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
     assert C.boundary[1].rows == 3 and C.boundary[1].cols == 3
-    assert len(snf_diagonal(C.boundary[1])) == 3
-    assert sum(1 for d in snf_diagonal(C.boundary[1]) if d) == 2
+    assert len(snf_diagonal(C.boundary[1].to_dense())) == 3
+    assert sum(1 for d in snf_diagonal(C.boundary[1].to_dense()) if d) == 2
     B3 = chain_complex(boundary_simplex(3))
     assert C.boundary[1].rows == 3
     assert B3.boundary[2].rows == 6 and B3.boundary[2].cols == 4
@@ -78,6 +81,98 @@ def test_boundary_squares_to_zero():
         for k in C.boundary:
             if k - 1 in C.boundary:
                 assert C.boundary[k - 1].mul(C.boundary[k]).is_zero()
+
+
+def test_chain_complex_rejects_nonzero_composite():
+    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
+    with pytest.raises(ValueError, match="∂∘∂ != 0"):
+        ChainComplex({1: one, 2: one}, {0: ("a",), 1: ("b",), 2: ("c",)})
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of random elementary row operations on the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(-3, 3)), max_size=3 * n)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntegerMatrix.from_rows(rows)
+
+
+@st.composite
+def torsion_matrices(draw, square=False, factors=(0, 1, 2, 3, 4, 6)):
+    """U·diag(d)·V with U, V unimodular and at least one d > 1."""
+    # the coset oracle's cofactor expansion starts at 2x2
+    r = draw(st.integers(2, 4) if square else st.integers(1, 6))
+    c = r if square else draw(st.integers(1, 6))
+    d = draw(st.lists(st.sampled_from(factors), min_size=min(r, c),
+                      max_size=min(r, c)))
+    d[draw(st.integers(0, len(d) - 1))] = draw(st.sampled_from((2, 3, 4)))
+    D = IntegerMatrix.from_rows([[d[i] if i == j else 0 for j in range(c)]
+                                 for i in range(r)])
+    return draw(unimodular(r)).mul(D).mul(draw(unimodular(c)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices with small entries, as boundaries are."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3))
+    return IntegerMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(torsion_matrices(), sparse_matrices()))
+def test_sparse_invariants_match_dense_snf(A):
+    assert invariant_factors(SparseMatrix.from_dense(A)) == \
+        [d for d in snf_diagonal(A) if d]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), sparse_matrices())
+def test_sparse_matrix_ops_match_dense(A, B):
+    S = SparseMatrix.from_dense(A)
+    assert S.to_dense() == A
+    assert S.transpose().to_dense() == A.transpose()
+    assert all(S[i, j] == A[i, j] for i in range(A.rows) for j in range(A.cols))
+    if A.cols == B.rows:
+        product = S.mul(SparseMatrix.from_dense(B))
+        assert product.to_dense() == A.mul(B)
+        assert product.is_zero() == A.mul(B).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(torsion_matrices(square=True, factors=(1, 2, 3, 4)))
+def test_sparse_invariants_multiply_to_the_coset_count(A):
+    import math
+    assert math.prod(invariant_factors(SparseMatrix.from_dense(A))) == \
+        coset_count(A.tolists())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7))
+def test_homology_all_matches_rational_betti(seed, n):
+    K = random_complex(random.Random(seed), n)
+    facets = [list(f.vertices) for f in K.facets]
+    hom = homology_all(chain_complex(K))
+    for k in range(K.dim + 1):
+        # unreduced H_0 has one more Z than the reduced one
+        assert hom[k].free_rank == rational_reduced_betti(facets, k) + (k == 0)
+
+
+def test_barycentric_poincare_sphere_has_sphere_homology(poincare16):
+    K = barycentric(poincare16)
+    assert f_vector(K) == (392, 2552, 4320, 2160)
+    C = chain_complex(K)
+    assert [len(invariant_factors(C.boundary[k])) for k in (1, 2, 3)] == \
+        [391, 2161, 2159]
+    hom = reduced_homology_all(K)
+    assert hom == {-1: TRIVIAL_GROUP, 0: TRIVIAL_GROUP, 1: TRIVIAL_GROUP,
+                   2: TRIVIAL_GROUP, 3: Z}
 
 
 def test_reduced_homology_spheres_and_cycles():
