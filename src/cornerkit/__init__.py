@@ -9,7 +9,7 @@ from .simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, LabeledComplex, Simplex,
 from .homology import (ChainComplex, FGAbelianGroup, IntegerMatrix, SNFResult,
                        SparseMatrix, TRIVIAL_GROUP, Z, chain_complex, cokernel,
                        determinant, homology, homology_all, invariant_factors,
-                       rank, reduced_homology, reduced_homology_all, snf,
+                       reduced_homology, reduced_homology_all, snf,
                        snf_diagonal, solve_integer, verify_snf)
 from .ghs import GhsReport, is_ghs, is_polyhedral_homology_manifold
 from .coxeter import (BudgetExceeded, CoxeterMatrix, FinitenessVerdict,

@@ -122,12 +122,6 @@ class Cochain:
             raise ValueError(f"values on unknown faces: {sorted(assignment)}")
         return cls(degree, group, tuple(values))
 
-    def value(self, label: tuple[int, ...]) -> tuple[int, ...]:
-        for key, coords in self.values:
-            if key == label:
-                return coords
-        raise KeyError(f"no face labeled {label}")
-
     def vector(self, coord: int) -> list[int]:
         """One integer per face: the coord-th coordinate of each value."""
         return [coords[coord] for _, coords in self.values]

@@ -24,24 +24,31 @@ def _parts(X) -> tuple[SimplicialComplex, dict[tuple[int, int], int]]:
     raise TypeError(f"expected a complex, got {type(X).__name__}")
 
 
-def _edge_labels(K: SimplicialComplex, labels) -> dict[tuple[int, int], int]:
-    """Every edge gets a label; unlabeled edges share a placeholder."""
-    return {e.vertices: labels.get(e.vertices, 0) for e in simplices(K, 1)}
+def _vertex_data(X) -> tuple[SimplicialComplex, list[dict[int, int]], list[tuple]]:
+    """(K, adjacency, invariants) of X, each list indexed by vertex.
 
-
-def _vertex_invariant(K: SimplicialComplex, labels, v: int):
-    incident = sorted(m for (a, b), m in labels.items() if v in (a, b))
-    degree = len(incident)
-    facet_count = sum(1 for f in K.facets if v in f)
-    return (degree, tuple(incident), facet_count)
+    adjacency[v] maps each neighbour of v to the label of their edge
+    (unlabeled edges share a placeholder); invariants[v] is (degree,
+    sorted incident labels, number of facets containing v).
+    """
+    K, raw = _parts(X)
+    adj: list[dict[int, int]] = [{} for _ in range(K.num_vertices)]
+    for e in simplices(K, 1):
+        u, v = e.vertices
+        adj[u][v] = adj[v][u] = raw.get(e.vertices, 0)
+    facet_count = [0] * K.num_vertices
+    for f in K.facets:
+        for v in f.vertices:
+            facet_count[v] += 1
+    return K, adj, [(len(a), tuple(sorted(a.values())), c)
+                    for a, c in zip(adj, facet_count)]
 
 
 def invariant_fingerprint(A) -> tuple:
     """Isomorphism-invariant token; equality is necessary (never
     sufficient) for the existence of an isomorphism."""
-    K, raw = _parts(A)
-    labels = _edge_labels(K, raw)
-    invs = sorted(_vertex_invariant(K, labels, v) for v in range(K.num_vertices))
+    K, _, inv = _vertex_data(A)
+    invs = sorted(inv)
     return (f_vector(K),
             tuple(i[0] for i in invs),
             tuple(invs))
@@ -80,41 +87,30 @@ def find_isomorphism(A, B) -> VertexMapping | None:
     """
     if isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex):
         raise TypeError("cannot compare a labeled complex with an unlabeled one")
-    KA, rawA = _parts(A)
-    KB, rawB = _parts(B)
     if invariant_fingerprint(A) != invariant_fingerprint(B):
         return None
+    KA, adjA, invA = _vertex_data(A)
+    KB, adjB, invB = _vertex_data(B)
     n = KA.num_vertices
     if n == 0:
         return {} if complexes_match({}, KA, KB) else None
-    labA = _edge_labels(KA, rawA)
-    labB = _edge_labels(KB, rawB)
-    invA = {v: _vertex_invariant(KA, labA, v) for v in range(n)}
-    invB = {v: _vertex_invariant(KB, labB, v) for v in range(n)}
-    adjA = {v: {} for v in range(n)}
-    adjB = {v: {} for v in range(n)}
-    for (u, v), m in labA.items():
-        adjA[u][v] = m
-        adjA[v][u] = m
-    for (u, v), m in labB.items():
-        adjB[u][v] = m
-        adjB[v][u] = m
+    # equal fingerprints: A and B have the same invariant classes and sizes
     by_inv: dict[tuple, list[int]] = {}
     for v in range(n):
         by_inv.setdefault(invB[v], []).append(v)
-    if sorted(by_inv) != sorted(set(invA.values())):
-        return None
 
-    # static order: rarest invariant class first, then connectivity to the
-    # already-ordered prefix, lexicographic tie-break
+    # static order: most neighbours in the already-ordered prefix first,
+    # then the rarest invariant class, lexicographic tie-break
     order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < n:
-        best = min((v for v in range(n) if v not in placed),
-                   key=lambda v: (-sum(1 for u in order if u in adjA[v]),
-                                  len(by_inv.get(invA[v], ())), v))
+    unplaced = set(range(n))
+    ordered_nbrs = [0] * n
+    while unplaced:
+        best = min(unplaced, key=lambda v: (-ordered_nbrs[v],
+                                            len(by_inv[invA[v]]), v))
         order.append(best)
-        placed.add(best)
+        unplaced.remove(best)
+        for u in adjA[best]:
+            ordered_nbrs[u] += 1
 
     # adjacency-compatible bijections can still scramble facets, so the
     # facet check runs at every completed leaf, not just the first
@@ -146,7 +142,7 @@ def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:
                 return True
             return False
         a = order[idx]
-        for b in by_inv.get(invA[a], ()):
+        for b in by_inv[invA[a]]:
             if b in used:
                 continue
             if any(adjA[a].get(a2) != adjB[b].get(b2)

@@ -57,9 +57,6 @@ class IntegerMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -156,9 +153,6 @@ class SNFResult:
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
         return [self.D.entries[i][i] for i in range(n)]
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
@@ -260,11 +254,6 @@ def _smith_reduce(a: list[list[int]], u: list[list[int]] | None,
     return diag
 
 
-# test profile: when set, every snf() call re-verifies U·A·V = D plus the
-# unimodularity and divisor-chain postconditions before returning
-VERIFY_EVERY_SNF = False
-
-
 def snf(A: IntegerMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms: U·A·V = D.
 
@@ -275,23 +264,16 @@ def snf(A: IntegerMatrix) -> SNFResult:
     u = IntegerMatrix.identity(A.rows).tolists()
     v = IntegerMatrix.identity(A.cols).tolists()
     _smith_reduce(a, u, v)
-    result = SNFResult(
+    return SNFResult(
         IntegerMatrix.from_rows(u) if A.rows else IntegerMatrix(0, 0, ()),
         IntegerMatrix(A.rows, A.cols, tuple(tuple(r) for r in a)),
         IntegerMatrix.from_rows(v) if A.cols else IntegerMatrix(0, 0, ()))
-    if VERIFY_EVERY_SNF:
-        assert verify_snf(A, result), "SNF postcondition violated"
-    return result
 
 
 def snf_diagonal(A: IntegerMatrix) -> list[int]:
     """Just the invariant factors, skipping transform bookkeeping."""
     a = A.tolists()
     return _smith_reduce(a, None, None)
-
-
-def rank(A: IntegerMatrix) -> int:
-    return sum(1 for d in snf_diagonal(A) if d != 0)
 
 
 def invariant_factors(M: SparseMatrix) -> list[int]:

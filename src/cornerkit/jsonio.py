@@ -100,11 +100,6 @@ def pair_from_obj(obj: dict) -> CharacteristicPair:
                                   _int_lists(obj["lambda"], '"lambda"')))
 
 
-def fan_to_obj(f: Fan) -> dict:
-    return {"rays": [list(r) for r in f.rays],
-            "cones": [list(c) for c in f.max_cones]}
-
-
 def fan_from_obj(obj: dict) -> Fan:
     _document(obj, "fan document", "rays", "cones")
     return Fan(tuple(map(tuple, _int_lists(obj["rays"], '"rays"'))),
@@ -134,7 +129,3 @@ def cochain_from_obj(obj: dict, D) -> "Cochain":
     _int_lists(list(values.values()), '"values"')
     assignment = {_parse_simplex_key(k): tuple(v) for k, v in values.items()}
     return Cochain.build(D, _int(obj["degree"], '"degree"'), group, assignment)
-
-
-def matrix_to_obj(A: IntegerMatrix) -> list[list[int]]:
-    return [list(r) for r in A.entries]

@@ -47,15 +47,6 @@ class Simplex:
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
 
-    def is_face_of(self, other: "Simplex") -> bool:
-        return set(self.vertices) <= set(other.vertices)
-
-    def without(self, v: int) -> "Simplex":
-        return Simplex(tuple(u for u in self.vertices if u != v))
-
-    def union(self, other: "Simplex") -> "Simplex":
-        return Simplex(tuple(sorted(set(self.vertices) | set(other.vertices))))
-
     def __repr__(self):
         return f"Simplex({list(self.vertices)})"
 
@@ -100,11 +91,9 @@ class SimplicialComplex:
                                  f"facet, first {missing[:5]}")
         elif self.num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
-        facet_sets = [set(f.vertices) for f in facets]
-        for i, fi in enumerate(facet_sets):
-            for j, fj in enumerate(facet_sets):
-                if i != j and fi <= fj:
-                    raise ValueError(f"facet {facets[i]} is contained in {facets[j]}")
+        for i, j in enumerate(_containers([f.vertices for f in facets])):
+            if j is not None:
+                raise ValueError(f"facet {facets[i]} is contained in {facets[j]}")
 
     @property
     def dim(self) -> int:
@@ -120,6 +109,30 @@ class SimplicialComplex:
     def __repr__(self):
         return (f"SimplicialComplex(num_vertices={self.num_vertices}, "
                 f"facets={[list(f.vertices) for f in self.facets]})")
+
+
+def _containers(faces) -> list[int | None]:
+    """For each face (a collection of vertex ids), the least index of
+    another face in the list that contains it, or None.
+
+    A repeated face is contained in its copy, and the empty face in any
+    other face.  The faces that contain a face are the intersection of the
+    faces at each of its vertices, taken smallest set first, so a face
+    costs the size of its rarest vertex's star, not the length of the list.
+    """
+    at: dict[int, set[int]] = {}
+    for i, f in enumerate(faces):
+        for v in f:
+            at.setdefault(v, set()).add(i)
+    out: list[int | None] = []
+    for i, f in enumerate(faces):
+        if not f:  # contained in every other face; the least of them is 0 or 1
+            out.append(None if len(faces) == 1 else int(i == 0))
+            continue
+        stars = sorted((at[v] for v in f), key=len)
+        others = stars[0].intersection(*stars[1:]) - {i}
+        out.append(min(others) if others else None)
+    return out
 
 
 EMPTY_COMPLEX = SimplicialComplex(0, (EMPTY_SIMPLEX,))
@@ -188,8 +201,7 @@ def build_complex(raw_facets) -> SimplicialComplex:
             raise ValueError(f"negative vertex id in facet {sorted(f)}")
         sets.append(fs)
     sets = list(set(sets))
-    maximal = [f for f in sets
-               if not any(f < g for g in sets)]
+    maximal = [f for f, j in zip(sets, _containers(sets)) if j is None]
     simplexes = tuple(simplex(f) for f in maximal)
     used = set().union(*maximal) if maximal else set()
     n = max(used) + 1 if used else 0
@@ -236,13 +248,14 @@ def link(K: SimplicialComplex, s: Simplex) -> tuple[SimplicialComplex, tuple[int
     vertex i.  The link of the empty simplex is K itself (identity map);
     the link of a facet is the empty complex.
     """
-    if s not in K:
-        raise ValueError(f"{s!r} is not a simplex of the complex")
-    if s is EMPTY_SIMPLEX or len(s) == 0:
+    if len(s) == 0:
         return K, tuple(range(K.num_vertices))
     sv = set(s.vertices)
-    residues = [frozenset(f.vertices) - sv for f in K.facets if sv <= set(f.vertices)]
-    old_ids = sorted(set().union(*residues)) if residues else []
+    residues = [frozenset(f.vertices) - sv for f in K.facets
+                if sv.issubset(f.vertices)]
+    if not residues:
+        raise ValueError(f"{s!r} is not a simplex of the complex")
+    old_ids = sorted(set().union(*residues))
     renum = {old: new for new, old in enumerate(old_ids)}
     facets = tuple(simplex(renum[v] for v in r) for r in residues)
     return SimplicialComplex(len(old_ids), facets), tuple(old_ids)

@@ -1,3 +1,5 @@
+import functools
+import importlib
 import json
 import random
 import sys
@@ -7,11 +9,30 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cornerkit.homology import verify_snf
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
 
-# set on the module object: the package rebinds the name cornerkit.homology
-# to the homology() function, so an attribute set through it misses
-sys.modules["cornerkit.homology"].VERIFY_EVERY_SNF = True
+# modules that look up snf() by name; the lookup goes through
+# importlib because the package rebinds cornerkit.homology to the
+# homology() function
+SNF_CALLERS = ("cornerkit.homology", "cornerkit.quasitoric")
+
+
+def verify_every_snf(snf):
+    """snf() that asserts U·A·V = D, unimodularity and the divisor chain
+    on every result; it calls whatever its __wrapped__ attribute holds."""
+    @functools.wraps(snf)
+    def checked(A):
+        result = checked.__wrapped__(A)
+        assert verify_snf(A, result), "SNF postcondition violated"
+        return result
+    return checked
+
+
+# installed before any test module imports snf
+_checked_snf = verify_every_snf(importlib.import_module(SNF_CALLERS[0]).snf)
+for _name in SNF_CALLERS:
+    setattr(importlib.import_module(_name), "snf", _checked_snf)
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 

@@ -207,3 +207,22 @@ def triangle_group_is_finite(p: int, q: int, r: int) -> bool:
     """Rank-3 system with all three bonds labeled: finite iff the angle
     sum exceeds a flat triangle."""
     return Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1
+
+
+def first_containment(facets) -> tuple[int, int] | None:
+    """The first pair (i, j), i != j, in row-major order with facets[i] a
+    subset of facets[j], or None: a scan over every ordered pair."""
+    sets = [set(f) for f in facets]
+    for i, fi in enumerate(sets):
+        for j, fj in enumerate(sets):
+            if i != j and fi <= fj:
+                return i, j
+    return None
+
+
+def maximal_faces(raw) -> list[tuple[int, ...]]:
+    """The distinct faces of raw that lie in no other face, as sorted
+    tuples in lexicographic order; every face is compared with every other."""
+    sets = list(set(map(frozenset, raw)))
+    return sorted(tuple(sorted(f)) for f in sets
+                  if not any(f < g for g in sets))

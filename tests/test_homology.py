@@ -1,17 +1,19 @@
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                                SparseMatrix, TRIVIAL_GROUP, Z, chain_complex,
-                                cokernel, determinant, homology, homology_all,
+                                SNFResult, SparseMatrix, TRIVIAL_GROUP, Z,
+                                chain_complex, cokernel, determinant,
+                                homology, homology_all,
                                 invariant_factors, reduced_homology,
                                 reduced_homology_all, snf, snf_diagonal,
                                 solve_integer, unimodular_inverse, verify_snf)
 from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
                                   f_vector, point_complex)
-from conftest import random_complex
+from conftest import SNF_CALLERS, random_complex
 from oracles import coset_count, rational_reduced_betti
 
 
@@ -27,9 +29,24 @@ def test_snf_identity_and_zero():
     assert res.diagonal() == [0, 0]
 
 
-def test_snf_self_check_is_on_in_tests():
-    # conftest turns on the postcondition check inside every snf() call
-    assert snf.__globals__["VERIFY_EVERY_SNF"] is True
+def test_snf_self_check_is_on_in_tests(monkeypatch):
+    # conftest wraps snf() in a postcondition check wherever it is looked up
+    checked = importlib.import_module(SNF_CALLERS[0]).snf
+    for name in SNF_CALLERS:
+        assert importlib.import_module(name).snf is checked
+    assert snf is checked and hasattr(checked, "__wrapped__")
+    A = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+    honest = checked.__wrapped__
+    assert checked(A).diagonal() == [2, 4]
+
+    def tampered(M):
+        res = honest(M)
+        return SNFResult(res.U, IntegerMatrix.from_rows([[2, 0], [0, 8]]),
+                         res.V)
+
+    monkeypatch.setattr(checked, "__wrapped__", tampered)
+    with pytest.raises(AssertionError, match="SNF postcondition violated"):
+        checked(A)
 
 
 def test_snf_divisor_chain_example():

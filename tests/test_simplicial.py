@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornerkit.homology import reduced_homology
 from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
+                                  SimplicialComplex,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
                                   complexes_equal_as_sets, cone,
@@ -11,7 +13,8 @@ from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
                                   label_all, link, point_complex, simplex,
                                   simplices, suspension)
 from conftest import random_complex
-from oracles import count_chains, maximal_cliques
+from oracles import (count_chains, first_containment, maximal_cliques,
+                     maximal_faces)
 
 
 def test_simplex_canonical_form():
@@ -34,6 +37,59 @@ def test_build_three_cycle():
 def test_build_prunes_contained_faces():
     K = build_complex([[0, 1, 2], [0, 1]])
     assert [list(f.vertices) for f in K.facets] == [[0, 1, 2]]
+
+
+@st.composite
+def facet_families(draw):
+    """Vertex lists over 0..7, plus copies and sub-faces (the empty face
+    among them) of faces already drawn."""
+    faces = draw(st.lists(st.lists(st.integers(0, 7), max_size=5, unique=True),
+                          min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 5))):
+        f = draw(st.sampled_from(faces))
+        faces.append([v for v in f if draw(st.booleans())])
+    return faces
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families())
+def test_build_keeps_exactly_the_maximal_faces(raw):
+    expected = maximal_faces(raw)
+    used = set().union(*expected)
+    if used != set(range(len(used))):
+        with pytest.raises(ValueError, match="appear in no facet"):
+            build_complex(raw)
+        return
+    assert [f.vertices for f in build_complex(raw).facets] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families())
+def test_constructor_rejects_exactly_the_contained_facets(raw):
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    facets = sorted((simplex(dense[v] for v in f) for f in raw),
+                    key=lambda s: s.vertices)
+    hit = first_containment([f.vertices for f in facets])
+    if hit is None:
+        assert SimplicialComplex(len(used), tuple(facets)).facets == tuple(facets)
+        return
+    i, j = hit
+    assert set(facets[i].vertices) <= set(facets[j].vertices)
+    with pytest.raises(ValueError) as exc:
+        SimplicialComplex(len(used), tuple(reversed(facets)))
+    assert str(exc.value) == f"facet {facets[i]} is contained in {facets[j]}"
+
+
+def test_constructor_rejects_contained_and_repeated_facets():
+    with pytest.raises(ValueError,
+                       match=r"facet Simplex\(\[0, 1\]\) is contained in "
+                             r"Simplex\(\[0, 1, 2\]\)"):
+        SimplicialComplex(3, (simplex([0, 1, 2]), simplex([0, 1])))
+    with pytest.raises(ValueError,
+                       match=r"facet Simplex\(\[0, 1\]\) is contained in "
+                             r"Simplex\(\[0, 1\]\)"):
+        SimplicialComplex(3, (simplex([0, 1]), simplex([1, 2]), simplex([0, 1])))
 
 
 def test_build_detects_vertex_gap():
@@ -87,6 +143,12 @@ def test_link_conventions():
     assert L == EMPTY_COMPLEX
     with pytest.raises(ValueError):
         link(B3, simplex([0, 1, 2, 3]))
+
+
+def test_link_rejects_a_non_face_on_existing_vertices():
+    K = build_complex([[0, 1], [1, 2], [0, 2]])
+    with pytest.raises(ValueError, match="is not a simplex"):
+        link(K, simplex([0, 1, 2]))
 
 
 def test_link_of_facet_always_empty():
