@@ -33,7 +33,7 @@ from .dualcells import (acyclicity_report, dual_complex, is_cocycle,
                         is_resolution_ready, solve_obstruction)
 from .equivalence import find_isomorphism
 from .ghs import GhsReport, is_ghs, is_polyhedral_homology_manifold
-from .homology import reduced_homology_all
+from .homology import TRIVIAL_GROUP, reduced_homology_all
 from .quasitoric import (even_betti_report, from_fan, is_characteristic,
                          pi1_orbit_union)
 from .simplicial import (LabeledComplex, barycentric, barycentric_all_two,
@@ -215,9 +215,10 @@ def cmd_homology(args) -> int:
     hom = reduced_homology_all(K)
     degrees = ([args.degree] if args.degree is not None
                else [k for k in sorted(hom) if k >= 0])
-    body = {"reduced_homology": {str(k): group_obj(hom.get(k))
-                                 for k in degrees}}
-    lines = [f"H~_{k} = {hom.get(k).describe()}" for k in degrees]
+    groups = {k: hom.get(k, TRIVIAL_GROUP) for k in degrees}
+    body = {"reduced_homology": {str(k): group_obj(g)
+                                 for k, g in groups.items()}}
+    lines = [f"H~_{k} = {g.describe()}" for k, g in groups.items()]
     emit(run_report("homology", hashes,
                     {"degree": args.degree}, body), args.format, lines)
     return 0

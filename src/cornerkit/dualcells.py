@@ -9,10 +9,11 @@ and any consistent choice gives an isomorphic complex; this one is
 deterministic.
 
 Cochains take values in a caller-supplied finitely generated abelian
-group, one coordinate per summand.  Solving δd = c splits into one exact
-integer solve per free summand and one modular solve per torsion summand;
-when the dual complex is acyclic (the nerve is a generalized homology
-sphere) every cocycle of positive degree is solvable.
+group, one coordinate per summand.  Solving δd = c is one solve over
+that group: a single Smith form of δ serves every coordinate, exact in
+the free ones and modular in the torsion ones.  When the dual complex is
+acyclic (the nerve is a generalized homology sphere) every cocycle of
+positive degree is solvable.
 """
 
 from __future__ import annotations
@@ -110,21 +111,15 @@ class Cochain:
             raise ValueError(f"degree {degree} out of range 0..{D.top_dim}")
         assignment = dict(assignment or {})
         values = []
-        known = set()
         for f in D.faces[degree]:
             key = f.label.vertices
             coords = assignment.pop(key, None)
             if coords is None:
                 coords = group.zero()
             values.append((key, group.reduce(coords)))
-            known.add(key)
         if assignment:
             raise ValueError(f"values on unknown faces: {sorted(assignment)}")
         return cls(degree, group, tuple(values))
-
-    def vector(self, coord: int) -> list[int]:
-        """One integer per face: the coord-th coordinate of each value."""
-        return [coords[coord] for _, coords in self.values]
 
     def is_zero(self) -> bool:
         return all(self.group.is_zero_element(c) for _, c in self.values)
@@ -189,21 +184,11 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
     # rows: k-faces, cols: (k-1)-faces; the solve runs dense Smith form
     # with transforms, whose elimination order fixes which preimage prints
     delta = D.boundary[c.degree].transpose().to_dense()
-    per_coord: list[list[int]] = []
-    for coord in range(group.num_coords):
-        b = c.vector(coord)
-        modulus = (None if coord < group.free_rank
-                   else group.torsion[coord - group.free_rank])
-        x = solve_integer(delta, b, modulus)
-        if x is None:
-            return None
-        per_coord.append(x)
-    lower = D.faces[c.degree - 1]
-    assignment = {}
-    for i, G in enumerate(lower):
-        assignment[G.label.vertices] = tuple(per_coord[coord][i]
-                                             for coord in range(group.num_coords))
-    d = Cochain.build(D, c.degree - 1, group, assignment)
+    x = solve_integer(delta, [coords for _, coords in c.values], group)
+    if x is None:
+        return None
+    d = Cochain.build(D, c.degree - 1, group, {
+        G.label.vertices: e for G, e in zip(D.faces[c.degree - 1], x)})
     check = coboundary(D, d)
     assert all(group.reduce(a[1]) == group.reduce(b[1])
                for a, b in zip(check.values, c.values)), "solver postcondition"

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith normal form, simplicial chain
-complexes, homology with torsion, integer solving, cokernels.
+complexes, homology with torsion, solving over a coefficient group,
+cokernels.
 
 Everything here runs over Python's arbitrary-precision integers; there is
 no floating point in this module.  Intermediate entries in a Smith
@@ -13,7 +14,8 @@ Boundary maps are sparse signed columns: a k-simplex has k + 1 faces, so
 a dense grid would be almost all zeros.  Their invariant factors come
 from sparse ±1-pivot elimination followed by a dense Smith reduction of
 the (usually tiny or empty) leftover block.  Smith forms with transforms,
-and everything built on them, stay dense.
+and everything built on them, stay dense; a solve over a group runs one
+of them, shared by every coordinate of the group.
 """
 
 from __future__ import annotations
@@ -568,46 +570,48 @@ def cokernel(A: IntegerMatrix) -> FGAbelianGroup:
     return FGAbelianGroup.from_invariants([x for x in d if x > 1], A.rows - r)
 
 
-def solve_integer(A: IntegerMatrix, b, modulus: int | None = None) -> list[int] | None:
-    """Solve A·x = b over Z, or mod `modulus` when given.
+def _divide(d: int, c: int, q: int) -> int | None:
+    """A y with d·y = c over Z (q = 0) or mod q, or None: c/d over Z, the
+    least residue mod q/gcd(d, q) otherwise."""
+    if q == 0:
+        if d == 0:
+            return None if c else 0
+        return None if c % d else c // d
+    c %= q
+    g = math.gcd(d, q)
+    if c % g:
+        return None
+    qq = q // g
+    return (c // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
 
-    Returns a solution vector (torsion-reduced when a modulus is supplied)
-    or None when no solution exists.  Unsolvability is an answer here, not
-    an error.
+
+def solve_integer(A: IntegerMatrix, b,
+                  group: FGAbelianGroup) -> list[tuple[int, ...]] | None:
+    """Solve A·x = b over the coefficient group.
+
+    b holds one element of group per row of A; a solution holds one per
+    column, torsion-reduced.  One Smith form U·A·V = D serves every
+    coordinate: with c = U·b, the i-th entry of y solves D_ii·y_i = c_i
+    over Z in a free coordinate and mod q in a Z/q one, and x = V·y.
+    Returns None when no solution exists.  Unsolvability is an answer
+    here, not an error.
     """
-    b = [int(x) for x in b]
+    b = [group.reduce(e) for e in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
+    if group.is_trivial():  # every b is 0 and so is the only x
+        return [()] * A.cols
+    moduli = (0,) * group.free_rank + group.torsion
     res = snf(A)
-    c = res.U.mul_vector(b)
-    d = res.diagonal()
-    y = [0] * A.cols
-    if modulus is None:
-        for i in range(A.rows):
-            di = d[i] if i < len(d) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di:
-                    return None
-                y[i] = c[i] // di
-        x = res.V.mul_vector(y)
-        return x
-    q = int(modulus)
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    for i in range(A.rows):
-        di = d[i] if i < len(d) else 0
-        ci = c[i] % q
-        if di == 0:
-            if ci:
-                return None
-        else:
-            g = math.gcd(di, q)
-            if ci % g:
-                return None
-            qq = q // g
-            y[i] = ((ci // g) * pow(di // g, -1, qq)) % qq if qq > 1 else 0
-    x = res.V.mul_vector(y)
-    return [xi % q for xi in x]
+    d = res.diagonal() + [0] * A.rows
+    y = []
+    for di, ci in zip(d, res.U.mul(IntegerMatrix.from_rows(b)).entries):
+        yi = [_divide(di, cj, q) for cj, q in zip(ci, moduli)]
+        if None in yi:
+            return None
+        y.append(yi)
+    # y needs one row per column of A: drop the rows past the diagonal
+    # (each solved 0·y = c, so is 0) and set the free columns past it to 0
+    y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
+    x = res.V.mul(IntegerMatrix.from_rows(y))
+    return [group.reduce(e) for e in x.entries]

@@ -4,12 +4,15 @@ Nothing in here calls into the Smith-normal-form / homology machinery
 under test: ranks are rational Gaussian elimination over Fractions,
 quotient-group orders come from breadth-first coset enumeration keyed by
 an adjugate invariant, isomorphism is brute-force over all vertex
-bijections, chain counts walk the face poset directly.
+bijections, chain counts walk the face poset directly.  The one
+reference that needs a Smith form, per_coordinate_solve, takes it as an
+argument: it pins which solution a solve returns, not whether one exists.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -226,3 +229,42 @@ def maximal_faces(raw) -> list[tuple[int, ...]]:
     sets = list(set(map(frozenset, raw)))
     return sorted(tuple(sorted(f)) for f in sets
                   if not any(f < g for g in sets))
+
+
+def _solve_coordinate(snf, A, b: list[int], modulus: int | None):
+    """A·x = b over Z (modulus None) or mod modulus, from a fresh snf(A)."""
+    res = snf(A)
+    c = res.U.mul_vector(b)
+    d = res.diagonal()
+    y = [0] * A.cols
+    for i in range(A.rows):
+        di = d[i] if i < len(d) else 0
+        if modulus is None:
+            if (c[i] % di if di else c[i]):
+                return None
+            if di:
+                y[i] = c[i] // di
+            continue
+        ci = c[i] % modulus
+        g = math.gcd(di, modulus)
+        if ci % g:
+            return None
+        qq = modulus // g
+        if di and qq > 1:
+            y[i] = ((ci // g) * pow(di // g, -1, qq)) % qq
+    x = res.V.mul_vector(y)
+    return x if modulus is None else [xi % modulus for xi in x]
+
+
+def per_coordinate_solve(snf, A, b, group):
+    """A·x = b over group, one coordinate at a time: an exact solve for
+    each free coordinate and a modular one for each torsion coordinate,
+    each from its own snf(A).  One element of group per column, or None."""
+    moduli = [None] * group.free_rank + list(group.torsion)
+    per_coord = []
+    for coord, q in enumerate(moduli):
+        x = _solve_coordinate(snf, A, [int(e[coord]) for e in b], q)
+        if x is None:
+            return None
+        per_coord.append(x)
+    return [tuple(x[j] for x in per_coord) for j in range(A.cols)]

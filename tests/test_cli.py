@@ -42,6 +42,21 @@ def test_data_directory_resolution(capsys, monkeypatch):
                                                         "torsion": [2]}
 
 
+def test_homology_degree_out_of_range_is_trivial(capsys):
+    for degree in ("9", "-3"):
+        code, out, _ = run_cli(capsys, "homology", "-i",
+                               str(DATA / "poincare16.json"),
+                               "--degree", degree)
+        assert code == 0
+        assert json.loads(out)["reduced_homology"] == {
+            degree: {"rank": 0, "torsion": []}}
+        code, out, _ = run_cli(capsys, "homology", "-i",
+                               str(DATA / "poincare16.json"),
+                               "--degree", degree, "--format", "text")
+        assert code == 0
+        assert out == f"H~_{degree} = 0\n"
+
+
 def test_construct_boundary_simplex(capsys):
     code, out, _ = run_cli(capsys, "construct", "boundary-simplex", "3")
     assert code == 0

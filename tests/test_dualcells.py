@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -240,6 +241,25 @@ def test_solver_complete_on_poincare_dual(poincare16):
             assert d1 is not None
             assert [v for _, v in coboundary(D, d1).values] == \
                 [v for _, v in c.values]
+
+
+def test_solve_runs_one_smith_form_for_every_coordinate(poincare16,
+                                                        monkeypatch):
+    homology = importlib.import_module("cornerkit.homology")
+    calls = []
+    snf = homology.snf
+    monkeypatch.setattr(homology, "snf",
+                        lambda A: calls.append(A) or snf(A))
+    rng = random.Random(43)
+    D = dual_complex(poincare16, 4)
+    group = FGAbelianGroup(1, (6,))
+    d0 = Cochain.build(D, 1, group, {
+        f.label.vertices: (rng.randrange(-3, 4), rng.randrange(6))
+        for f in D.faces[1]})
+    c = coboundary(D, d0)
+    assert c.degree == 2
+    assert solve_obstruction(D, c) is not None
+    assert len(calls) == 1
 
 
 def test_cochain_json_round_trip():

@@ -14,7 +14,7 @@ from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
 from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
                                   f_vector, point_complex)
 from conftest import SNF_CALLERS, random_complex
-from oracles import coset_count, rational_reduced_betti
+from oracles import coset_count, per_coordinate_solve, rational_reduced_betti
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -248,9 +248,10 @@ def test_cokernel_order_equals_det():
 
 def test_solve_integer_examples():
     I3 = IntegerMatrix.identity(3)
-    assert solve_integer(I3, [5, -2, 7]) == [5, -2, 7]
-    assert solve_integer(IntegerMatrix.from_rows([[2]]), [3]) is None
-    assert solve_integer(IntegerMatrix.from_rows([[2]]), [3], 5) == [4]
+    assert solve_integer(I3, [(5,), (-2,), (7,)], Z) == [(5,), (-2,), (7,)]
+    two = IntegerMatrix.from_rows([[2]])
+    assert solve_integer(two, [(3,)], Z) is None
+    assert solve_integer(two, [(3,)], FGAbelianGroup(0, (5,))) == [(4,)]
 
 
 def test_solve_integer_verified_and_box_checked():
@@ -259,9 +260,9 @@ def test_solve_integer_verified_and_box_checked():
         r, c = rng.randrange(1, 4), rng.randrange(1, 4)
         A = rand_matrix(rng, r, c, -4, 4)
         b = [rng.randrange(-6, 7) for _ in range(r)]
-        x = solve_integer(A, b)
+        x = solve_integer(A, [(v,) for v in b], Z)
         if x is not None:
-            assert A.mul_vector(x) == b
+            assert A.mul_vector([e for e, in x]) == b
         else:
             box = range(-6, 7)
             import itertools
@@ -278,14 +279,72 @@ def test_solve_mod_matches_exhaustive():
         r, c = rng.randrange(1, 3), rng.randrange(1, 3)
         A = rand_matrix(rng, r, c, -3, 3)
         b = [rng.randrange(q) for _ in range(r)]
-        x = solve_integer(A, b, q)
+        x = solve_integer(A, [(v,) for v in b], FGAbelianGroup(0, (q,)))
         brute = [cand for cand in itertools.product(range(q), repeat=c)
                  if all(v % q == w % q
                         for v, w in zip(A.mul_vector(list(cand)), b))]
         if x is None:
             assert not brute
         else:
-            assert all(v % q == w % q for v, w in zip(A.mul_vector(x), b))
+            assert all(v % q == w % q
+                       for v, w in zip(A.mul_vector([e for e, in x]), b))
+
+
+SOLVE_GROUPS = (Z, FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (6,)),
+                FGAbelianGroup(2, ()), FGAbelianGroup(1, (6,)),
+                FGAbelianGroup(0, (2, 4)), TRIVIAL_GROUP)
+
+
+def apply_to_elements(A, x, group):
+    """A·x for x one element of group per column, coordinate-wise."""
+    return [group.reduce([sum(a * e[k] for a, e in zip(row, x))
+                          for k in range(group.num_coords)])
+            for row in A.entries]
+
+
+@st.composite
+def solve_cases(draw):
+    """(A, b, group, solvable): A tall, wide or square with small
+    invariant factors; b either arbitrary or A·x for a drawn x."""
+    small = draw(st.integers(1, 4))
+    big = draw(st.integers(small + 1, 6))
+    r, c = {"tall": (big, small), "wide": (small, big),
+            "square": (small, small)}[draw(st.sampled_from(
+                ("tall", "wide", "square")))]
+    d = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6)),
+                      min_size=min(r, c), max_size=min(r, c)))
+    D = IntegerMatrix.from_rows([[d[i] if i == j else 0 for j in range(c)]
+                                 for i in range(r)])
+    A = draw(unimodular(r)).mul(D).mul(draw(unimodular(c)))
+    group = draw(st.sampled_from(SOLVE_GROUPS))
+    element = st.tuples(*[st.integers(-8, 8)] * group.num_coords)
+    solvable = draw(st.booleans())
+    if solvable:
+        b = apply_to_elements(
+            A, draw(st.lists(element, min_size=c, max_size=c)), group)
+    else:
+        b = draw(st.lists(element, min_size=r, max_size=r))
+    return A, b, group, solvable
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_cases())
+def test_solve_integer_matches_the_per_coordinate_reference(case):
+    A, b, group, solvable = case
+    x = solve_integer(A, b, group)
+    assert x == per_coordinate_solve(snf, A, b, group)
+    if solvable:
+        assert x is not None
+    if x is not None:
+        assert len(x) == A.cols
+        assert apply_to_elements(A, x, group) == [group.reduce(v) for v in b]
+
+
+def test_solve_over_the_trivial_group_needs_no_snf(monkeypatch):
+    homology_module = importlib.import_module("cornerkit.homology")
+    monkeypatch.setattr(homology_module, "snf", None)
+    A = IntegerMatrix.from_rows([[2, 0], [0, 0], [1, 3]])
+    assert solve_integer(A, [(), (), ()], TRIVIAL_GROUP) == [(), ()]
 
 
 def test_snf_agrees_with_bareiss_determinant_at_scale():
