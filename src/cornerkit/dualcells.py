@@ -10,8 +10,9 @@ deterministic.
 
 Cochains take values in a caller-supplied finitely generated abelian
 group, one coordinate per summand.  Solving δd = c is one solve over
-that group: a single Smith form of δ serves every coordinate, exact in
-the free ones and modular in the torsion ones.  When the dual complex is
+that group on the sparse rows of δ: a single replay of the Smith
+reduction serves every coordinate, exact in the free ones and modular in
+the torsion ones.  When the dual complex is
 acyclic (the nerve is a generalized homology sphere) every cocycle of
 positive degree is solvable.
 """
@@ -118,7 +119,9 @@ class Cochain:
                 coords = group.zero()
             values.append((key, group.reduce(coords)))
         if assignment:
-            raise ValueError(f"values on unknown faces: {sorted(assignment)}")
+            unknown = sorted(assignment)
+            raise ValueError(f"{len(unknown)} values on unknown faces, "
+                             f"first {unknown[:5]}")
         return cls(degree, group, tuple(values))
 
     def is_zero(self) -> bool:
@@ -181,9 +184,9 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
         raise ValueError(f"input cochain is not a cocycle; δc is nonzero on "
                          f"{witness.label.vertices}")
     group = c.group
-    # rows: k-faces, cols: (k-1)-faces; the solve runs dense Smith form
-    # with transforms, whose elimination order fixes which preimage prints
-    delta = D.boundary[c.degree].transpose().to_dense()
+    # δ: rows k-faces, cols (k-1)-faces; the solve replays the Smith
+    # reduction's pivot order on its sparse rows, which fixes the preimage
+    delta = D.boundary[c.degree].transpose()
     x = solve_integer(delta, [coords for _, coords in c.values], group)
     if x is None:
         return None

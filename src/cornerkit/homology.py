@@ -13,9 +13,12 @@ form (Z/2 ⊕ Z/3 prints as torsion [6]).
 Boundary maps are sparse signed columns: a k-simplex has k + 1 faces, so
 a dense grid would be almost all zeros.  Their invariant factors come
 from sparse ±1-pivot elimination followed by a dense Smith reduction of
-the (usually tiny or empty) leftover block.  Smith forms with transforms,
-and everything built on them, stay dense; a solve over a group runs one
-of them, shared by every coordinate of the group.
+the (usually tiny or empty) leftover block.  Smith forms with transforms
+stay dense (lift completion and unimodular inverses use them).  A solve
+over a group replays that Smith reduction on sparse rows, carrying the
+right-hand side through the row operations and logging the column
+operations, so it returns the preimage the dense transforms give
+without forming them; one pass serves every coordinate of the group.
 """
 
 from __future__ import annotations
@@ -585,33 +588,130 @@ def _divide(d: int, c: int, q: int) -> int | None:
     return (c // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
 
 
-def solve_integer(A: IntegerMatrix, b,
+def _replay_pivot(rows: list[dict[int, int]], row_at: list[int],
+                  col_pos: list[int], t: int) -> tuple[int, int] | None:
+    """The position _min_abs_pivot picks in the trailing block, read from
+    sparse rows: the first ±1 in row-major order, else the first entry of
+    least |x|.  Rows at positions t and beyond hold entries only in
+    columns at positions t and beyond, so no column is filtered out."""
+    best = None
+    for i in range(t, len(row_at)):
+        row = rows[row_at[i]]
+        units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
+        if units:
+            return i, min(units)
+        for j, x in row.items():
+            key = (-x if x < 0 else x, i, col_pos[j])
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1:]
+
+
+def _add_row(rows: list[dict[int, int]], where: list[set[int]],
+             s: int, r: int, f: int) -> None:
+    """Row s += f·row r, keeping where (column -> rows holding it) current."""
+    target = rows[s]
+    for k, x in rows[r].items():
+        y = target.get(k, 0) + f * x
+        if y:
+            if k not in target:
+                where[k].add(s)
+            target[k] = y
+        else:
+            del target[k]
+            where[k].discard(s)
+
+
+def solve_integer(A: SparseMatrix, b,
                   group: FGAbelianGroup) -> list[tuple[int, ...]] | None:
     """Solve A·x = b over the coefficient group.
 
     b holds one element of group per row of A; a solution holds one per
-    column, torsion-reduced.  One Smith form U·A·V = D serves every
-    coordinate: with c = U·b, the i-th entry of y solves D_ii·y_i = c_i
-    over Z in a free coordinate and mod q in a Z/q one, and x = V·y.
-    Returns None when no solution exists.  Unsolvability is an answer
-    here, not an error.
+    column, torsion-reduced.  Returns None when no solution exists.
+    Unsolvability is an answer here, not an error.
+
+    This is the transform solve of snf(A) — with c = U·b, y_i solves
+    D_ii·y_i = c_i over Z in a free coordinate and mod q in a Z/q one, and
+    x = V·y — run on sparse rows without forming U, V or a dense grid.
+    The Smith reduction is replayed operation for operation, pivoting
+    over permuted row and column positions exactly as _smith_reduce
+    does, so the preimage is the one the dense transforms give.  Each row
+    operation is applied to b as it happens, which yields U·b.  Column
+    swaps only move positions; each column subtraction is logged and the
+    log is applied in reverse to y, which yields V·y.  Once a row pass
+    has cleaned column t, that column is zero outside row t, so a column
+    subtraction changes the matrix in row t alone.
     """
-    b = [group.reduce(e) for e in b]
+    b = [list(group.reduce(e)) for e in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
     if group.is_trivial():  # every b is 0 and so is the only x
         return [()] * A.cols
+    rows: list[dict[int, int]] = [{} for _ in range(A.rows)]
+    for j, col in enumerate(A.columns):
+        for i, x in col:
+            rows[i][j] = x
+    where = [{i for i, _ in col} for col in A.columns]
+    row_at = list(range(A.rows))  # position -> row; b is indexed by row
+    col_at = list(range(A.cols))  # position -> column
+    col_pos = list(range(A.cols))  # column -> position
+    log = []  # (j, k, q): column k -= q·column j, in the order applied
+    diag = []
+    for t in range(min(A.rows, A.cols)):
+        at = _replay_pivot(rows, row_at, col_pos, t)
+        if at is None:
+            break
+        while True:
+            i, p = at  # swap the pivot to position (t, t)
+            row_at[t], row_at[i] = row_at[i], row_at[t]
+            j = col_at[p]
+            col_at[t], col_at[p] = j, col_at[t]
+            col_pos[col_at[p]], col_pos[j] = p, t
+            r = row_at[t]
+            pivot_row = rows[r]
+            pivot = pivot_row[j]
+            for s in where[j] - {r}:  # the rows below t, in any order
+                q = rows[s][j] // pivot
+                if q:
+                    _add_row(rows, where, s, r, -q)
+                    b[s] = [u - q * v for u, v in zip(b[s], b[r])]
+            if len(where[j]) == 1:
+                for k, x in list(pivot_row.items()):
+                    q = x // pivot
+                    if k != j and q:
+                        log.append((j, k, q))
+                        if x - q * pivot:
+                            pivot_row[k] = x - q * pivot
+                        else:
+                            del pivot_row[k]
+                            where[k].discard(r)
+                if len(pivot_row) == 1:
+                    # force the pivot to divide every remaining entry; a
+                    # unit always does
+                    offender = None if pivot in (1, -1) else next(
+                        (row_at[i] for i in range(t + 1, A.rows)
+                         if any(x % pivot for x in rows[row_at[i]].values())),
+                        None)
+                    if offender is None:
+                        break
+                    _add_row(rows, where, r, offender, 1)
+                    b[r] = [u + v for u, v in zip(b[r], b[offender])]
+            at = _replay_pivot(rows, row_at, col_pos, t)
+        if pivot < 0:
+            b[r] = [-u for u in b[r]]
+        diag.append(abs(pivot))
     moduli = (0,) * group.free_rank + group.torsion
-    res = snf(A)
-    d = res.diagonal() + [0] * A.rows
+    d = diag + [0] * A.rows
     y = []
-    for di, ci in zip(d, res.U.mul(IntegerMatrix.from_rows(b)).entries):
-        yi = [_divide(di, cj, q) for cj, q in zip(ci, moduli)]
+    for di, r in zip(d, row_at):
+        yi = [_divide(di, cj, q) for cj, q in zip(b[r], moduli)]
         if None in yi:
             return None
         y.append(yi)
     # y needs one row per column of A: drop the rows past the diagonal
     # (each solved 0·y = c, so is 0) and set the free columns past it to 0
     y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
-    x = res.V.mul(IntegerMatrix.from_rows(y))
-    return [group.reduce(e) for e in x.entries]
+    x = [y[p] for p in col_pos]
+    for j, k, q in reversed(log):
+        x[j] = [u - q * v for u, v in zip(x[j], x[k])]
+    return [group.reduce(e) for e in x]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from cornerkit.cli import main
-from cornerkit.jsonio import complex_from_obj, dumps, pair_from_obj
+from cornerkit.dualcells import Cochain, coboundary, dual_complex
+from cornerkit.homology import FGAbelianGroup
+from cornerkit.jsonio import (cochain_to_obj, complex_from_obj,
+                              complex_to_obj, dumps, pair_from_obj)
+from cornerkit.simplicial import suspension
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 
@@ -344,6 +350,10 @@ B3 = {"num_vertices": 4, "facets": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
                  '"labels": expected [u, v, m] triples', id="label-pair"),
     pytest.param({"facets": [[0, 1]], "labels": [[0, 1, 2, 3]]}, None,
                  '"labels": expected [u, v, m] triples', id="label-quadruple"),
+    pytest.param(B3, {"degree": 1, "group": {"rank": 1}, "values": {
+        f"{u} {v}": [1] for u, v in itertools.combinations(range(10, 70), 2)}},
+        "1770 values on unknown faces, first [(10, 11), (10, 12), (10, 13), "
+        "(10, 14), (10, 15)]", id="unknown-faces"),
 ])
 def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
                                             cochain_doc, message):
@@ -361,3 +371,42 @@ def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
     assert len(err.encode()) < 1024
+
+
+# sha256 of solve-obstruction's stdout on fixed cochains over Z ⊕ Z/6.
+# Which preimage prints depends on the Smith reduction's pivot order, so
+# these pin it; they were recorded from the dense transform solve.
+PREIMAGE_DIGESTS = {
+    ("poincare16", 4, 1):
+        "1e31cc3f63ebc17bac582e7a3006118990c749daa1900e06614e34bdb9943e46",
+    ("poincare16", 4, 2):
+        "c3ee996562861a1d13b90b892b48ca3e5649bc6fffde9b6eb357c753ffb04177",
+    ("poincare16", 4, 3):
+        "524355356e855e2998fddad77f631bf28f48ae188bd0892abb396db23a7bca2e",
+    ("poincare16", 4, 4):
+        "57d1537c8ef332347967d698cbe4a0f3bbfd220b2a0f3a8d13391dbdcdb712be",
+    ("suspension", 5, 2):
+        "d3e4b12ffbd6290b324243e3f1717b33ea7ddcbd95648d3dc4f81ef49d6dc0fe",
+}
+
+
+@pytest.mark.parametrize("nerve,n,grade", list(PREIMAGE_DIGESTS))
+def test_printed_preimages_are_pinned(capsys, tmp_path, monkeypatch,
+                                      poincare16, nerve, n, grade):
+    monkeypatch.chdir(tmp_path)  # input paths are part of the report
+    if nerve == "suspension":
+        K, path = suspension(poincare16), "susp.json"
+        Path(path).write_text(dumps(complex_to_obj(K)))
+    else:
+        K, path = poincare16, "poincare16.json"  # from the data directory
+    D = dual_complex(K, n)
+    group = FGAbelianGroup(1, (6,))
+    d0 = Cochain.build(D, grade - 1, group, {
+        f.label.vertices: (7 * i % 9 - 4, (5 * i + 1) % 6)
+        for i, f in enumerate(D.faces[grade - 1])})
+    Path("c.json").write_text(dumps(cochain_to_obj(coboundary(D, d0))))
+    code, out, _ = run_cli(capsys, "solve-obstruction", "--complex", path,
+                           "-n", str(n), "--cochain", "c.json")
+    assert code == 0 and json.loads(out)["status"] == "solved"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PREIMAGE_DIGESTS[nerve, n, grade]

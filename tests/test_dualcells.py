@@ -8,9 +8,10 @@ from cornerkit.dualcells import (Cochain, acyclicity_report, coboundary,
                                  dual_complex, indicator_cochain, is_cocycle,
                                  is_resolution_ready, solve_obstruction,
                                  zero_cochain)
-from cornerkit.homology import FGAbelianGroup, Z
+from cornerkit.homology import FGAbelianGroup, Z, snf, solve_integer
 from cornerkit.simplicial import (Simplex, boundary_simplex, build_complex,
                                   point_complex)
+from oracles import per_coordinate_solve
 
 Z2 = FGAbelianGroup(0, (2,))
 Z4 = FGAbelianGroup(0, (4,))
@@ -243,8 +244,7 @@ def test_solver_complete_on_poincare_dual(poincare16):
                 [v for _, v in c.values]
 
 
-def test_solve_runs_one_smith_form_for_every_coordinate(poincare16,
-                                                        monkeypatch):
+def test_solve_runs_no_dense_smith_form(poincare16, monkeypatch):
     homology = importlib.import_module("cornerkit.homology")
     calls = []
     snf = homology.snf
@@ -259,7 +259,35 @@ def test_solve_runs_one_smith_form_for_every_coordinate(poincare16,
     c = coboundary(D, d0)
     assert c.degree == 2
     assert solve_obstruction(D, c) is not None
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("nerve,n,include_top", [
+    ("boundary-simplex-3", 3, True), ("rp2_6", 3, True),
+    ("rp2_6", 3, False), ("poincare16", 4, True)])
+def test_sparse_solve_matches_the_reference_on_every_dual_grade(
+        request, nerve, n, include_top):
+    N = (boundary_simplex(3) if nerve == "boundary-simplex-3"
+         else request.getfixturevalue(nerve))
+    D = dual_complex(N, n, include_top)
+    group = FGAbelianGroup(1, (6,))
+    rng = random.Random(f"{nerve}:{n}:{include_top}")
+    unsolvable = 0
+    for k in range(1, D.top_dim + 1):
+        delta = D.boundary[k].transpose()
+        dense = delta.to_dense()
+        x = [(rng.randrange(-3, 4), rng.randrange(6))
+             for _ in range(delta.cols)]
+        image = [group.reduce([sum(a * e[i] for a, e in zip(row, x))
+                               for i in range(2)]) for row in dense.entries]
+        arbitrary = [(rng.randrange(-3, 4), rng.randrange(6))
+                     for _ in range(delta.rows)]
+        for b in (image, arbitrary):
+            got = solve_integer(delta, b, group)
+            assert got == per_coordinate_solve(snf, dense, b, group)
+            assert got is not None or b is arbitrary
+            unsolvable += got is None
+    assert unsolvable > 0
 
 
 def test_cochain_json_round_trip():

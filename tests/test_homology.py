@@ -247,9 +247,9 @@ def test_cokernel_order_equals_det():
 
 
 def test_solve_integer_examples():
-    I3 = IntegerMatrix.identity(3)
+    I3 = SparseMatrix.from_dense(IntegerMatrix.identity(3))
     assert solve_integer(I3, [(5,), (-2,), (7,)], Z) == [(5,), (-2,), (7,)]
-    two = IntegerMatrix.from_rows([[2]])
+    two = SparseMatrix.from_dense(IntegerMatrix.from_rows([[2]]))
     assert solve_integer(two, [(3,)], Z) is None
     assert solve_integer(two, [(3,)], FGAbelianGroup(0, (5,))) == [(4,)]
 
@@ -260,7 +260,7 @@ def test_solve_integer_verified_and_box_checked():
         r, c = rng.randrange(1, 4), rng.randrange(1, 4)
         A = rand_matrix(rng, r, c, -4, 4)
         b = [rng.randrange(-6, 7) for _ in range(r)]
-        x = solve_integer(A, [(v,) for v in b], Z)
+        x = solve_integer(SparseMatrix.from_dense(A), [(v,) for v in b], Z)
         if x is not None:
             assert A.mul_vector([e for e, in x]) == b
         else:
@@ -279,7 +279,8 @@ def test_solve_mod_matches_exhaustive():
         r, c = rng.randrange(1, 3), rng.randrange(1, 3)
         A = rand_matrix(rng, r, c, -3, 3)
         b = [rng.randrange(q) for _ in range(r)]
-        x = solve_integer(A, [(v,) for v in b], FGAbelianGroup(0, (q,)))
+        x = solve_integer(SparseMatrix.from_dense(A), [(v,) for v in b],
+                          FGAbelianGroup(0, (q,)))
         brute = [cand for cand in itertools.product(range(q), repeat=c)
                  if all(v % q == w % q
                         for v, w in zip(A.mul_vector(list(cand)), b))]
@@ -331,7 +332,7 @@ def solve_cases(draw):
 @given(solve_cases())
 def test_solve_integer_matches_the_per_coordinate_reference(case):
     A, b, group, solvable = case
-    x = solve_integer(A, b, group)
+    x = solve_integer(SparseMatrix.from_dense(A), b, group)
     assert x == per_coordinate_solve(snf, A, b, group)
     if solvable:
         assert x is not None
@@ -340,11 +341,38 @@ def test_solve_integer_matches_the_per_coordinate_reference(case):
         assert apply_to_elements(A, x, group) == [group.reduce(v) for v in b]
 
 
+@st.composite
+def incidence_solve_cases(draw):
+    """(A, b, group): mostly-zero matrices up to 10x12 whose entries
+    include non-units, so pivots > 1 and the offender step both occur."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, -6))
+    A = IntegerMatrix.from_rows(draw(st.lists(
+        st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)))
+    group = draw(st.sampled_from(SOLVE_GROUPS))
+    element = st.tuples(*[st.integers(-8, 8)] * group.num_coords)
+    if draw(st.booleans()):
+        b = apply_to_elements(
+            A, draw(st.lists(element, min_size=c, max_size=c)), group)
+    else:
+        b = draw(st.lists(element, min_size=r, max_size=r))
+    return A, b, group
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_solve_cases())
+def test_sparse_solve_matches_the_reference_on_incidence_like_matrices(case):
+    A, b, group = case
+    assert solve_integer(SparseMatrix.from_dense(A), b, group) == \
+        per_coordinate_solve(snf, A, b, group)
+
+
 def test_solve_over_the_trivial_group_needs_no_snf(monkeypatch):
     homology_module = importlib.import_module("cornerkit.homology")
     monkeypatch.setattr(homology_module, "snf", None)
     A = IntegerMatrix.from_rows([[2, 0], [0, 0], [1, 3]])
-    assert solve_integer(A, [(), (), ()], TRIVIAL_GROUP) == [(), ()]
+    assert solve_integer(SparseMatrix.from_dense(A), [(), (), ()],
+                         TRIVIAL_GROUP) == [(), ()]
 
 
 def test_snf_agrees_with_bareiss_determinant_at_scale():
