@@ -103,10 +103,6 @@ def plain_complex(value):
     return value.complex if isinstance(value, LabeledComplex) else value
 
 
-def group_obj(G) -> dict:
-    return jsonio.group_to_obj(G)
-
-
 def ghs_report_obj(report: GhsReport) -> dict:
     return {
         "verdict": report.verdict,
@@ -114,7 +110,8 @@ def ghs_report_obj(report: GhsReport) -> dict:
         "links_checked": report.links_checked,
         "failures": [
             {"simplex": list(f.simplex.vertices), "degree": f.degree,
-             "expected": group_obj(f.expected), "actual": group_obj(f.actual)}
+             "expected": jsonio.group_to_obj(f.expected),
+             "actual": jsonio.group_to_obj(f.actual)}
             for f in report.failures
         ],
     }
@@ -216,7 +213,7 @@ def cmd_homology(args) -> int:
     degrees = ([args.degree] if args.degree is not None
                else [k for k in sorted(hom) if k >= 0])
     groups = {k: hom.get(k, TRIVIAL_GROUP) for k in degrees}
-    body = {"reduced_homology": {str(k): group_obj(g)
+    body = {"reduced_homology": {str(k): jsonio.group_to_obj(g)
                                  for k, g in groups.items()}}
     lines = [f"H~_{k} = {g.describe()}" for k, g in groups.items()]
     emit(run_report("homology", hashes,
@@ -260,7 +257,8 @@ def cmd_acyclicity(args) -> int:
     report = acyclicity_report(D)
     ready = is_resolution_ready(report)
     body = {"verdict": ready,
-            "homology": {str(k): group_obj(report[k]) for k in sorted(report)}}
+            "homology": {str(k): jsonio.group_to_obj(report[k])
+                         for k in sorted(report)}}
     lines = [f"acyclicity n={args.dim} resolution-ready="
              f"{'YES' if ready else 'NO'}"]
     lines += [f"  H_{k} = {report[k].describe()}" for k in sorted(report)]
@@ -277,7 +275,7 @@ def cmd_check_charfun(args) -> int:
     pi1 = pi1_orbit_union(pair)
     body = {"verdict": ok,
             "offending": list(offending.vertices) if offending else None,
-            "pi1_orbit_union": group_obj(pi1)}
+            "pi1_orbit_union": jsonio.group_to_obj(pi1)}
     lines = [f"check-charfun verdict={'PASS' if ok else 'FAIL'} "
              f"pi1_orbit_union={pi1.describe()}"]
     if offending:

@@ -18,8 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, simplex,
-                         simplices)
+from .simplicial import (LabeledComplex, Simplex, SimplicialComplex,
+                         complexes_equal_as_sets, simplex, simplices)
 
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
 
@@ -318,7 +318,6 @@ def is_aspherical(LK: LabeledComplex, budget: int = 1_000_000) -> bool:
         raise ValueError(f"labeling is not proper (offending simplex "
                          f"{list(witness.vertices)})")
     nerve = coxeter_nerve(LK, max_rank=LK.complex.dim + 2, budget=budget)
-    from .simplicial import complexes_equal_as_sets
     return complexes_equal_as_sets(nerve, LK.complex)
 
 

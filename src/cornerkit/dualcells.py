@@ -139,19 +139,20 @@ def indicator_cochain(D: DualComplex, G: DualFace, gamma,
 
 
 def coboundary(D: DualComplex, d: Cochain) -> Cochain:
-    """(δd)(F) = Σ [G:F]·d(G) over the boundary faces G of F."""
+    """(δd)(F) = Σ [G:F]·d(G) over the boundary faces G of F.
+
+    The sums run over the integer coordinates; Cochain.build reduces
+    each value once in the group."""
     k = d.degree + 1
     if k not in D.faces:
         raise ValueError(f"coboundary degree {k} out of range 0..{D.top_dim}")
-    group = d.group
-    mat = D.boundary[k]  # rows: grade k-1 faces, cols: grade k faces
-    out = {}
-    for F, col in zip(D.faces[k], mat.columns):
-        total = group.zero()
-        for i, coeff in col:
-            total = group.add(total, group.scale(coeff, d.values[i][1]))
-        out[F.label.vertices] = total
-    return Cochain.build(D, k, group, out)
+    values = [coords for _, coords in d.values]
+    coords = range(d.group.num_coords)
+    # rows of D.boundary[k]: grade k-1 faces, columns: grade k faces
+    return Cochain.build(D, k, d.group, {
+        F.label.vertices: [sum(coeff * values[i][c] for i, coeff in col)
+                           for c in coords]
+        for F, col in zip(D.faces[k], D.boundary[k].columns)})
 
 
 def is_cocycle(D: DualComplex, c: Cochain) -> tuple[bool, DualFace | None]:

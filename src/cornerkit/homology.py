@@ -12,13 +12,13 @@ form (Z/2 ⊕ Z/3 prints as torsion [6]).
 
 Boundary maps are sparse signed columns: a k-simplex has k + 1 faces, so
 a dense grid would be almost all zeros.  Their invariant factors come
-from sparse ±1-pivot elimination followed by a dense Smith reduction of
-the (usually tiny or empty) leftover block.  Smith forms with transforms
-stay dense (lift completion and unimodular inverses use them).  A solve
-over a group replays that Smith reduction on sparse rows, carrying the
-right-hand side through the row operations and logging the column
-operations, so it returns the preimage the dense transforms give
-without forming them; one pass serves every coordinate of the group.
+from sparse ±1-pivot elimination followed by a Smith reduction of the
+(usually tiny or empty) leftover block.  Every Smith reduction here is
+one replay on sparse rows that carries a right-hand side through the row
+operations and logs the column operations: snf carries the identity to
+get U and replays the log to get V, snf_diagonal carries nothing, and a
+solve over a group carries b, so it returns the preimage the transforms
+give without forming them; one pass serves every coordinate of the group.
 """
 
 from __future__ import annotations
@@ -160,125 +160,145 @@ class SNFResult:
         return [self.D.entries[i][i] for i in range(n)]
 
 
-def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
-    """Position of the nonzero entry of smallest |value| in a[t:, t:]."""
+def _replay_pivot(rows: list[dict[int, int]], row_at: list[int],
+                  col_pos: list[int], t: int) -> tuple[int, int] | None:
+    """The pivot position in the trailing block, read from sparse rows:
+    the first ±1 in row-major position order, else the first entry of
+    least |x|.  Rows at positions t and beyond hold entries only in
+    columns at positions t and beyond, so no column is filtered out."""
     best = None
-    best_val = None
-    for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            x = ai[j]
-            if x:
-                v = -x if x < 0 else x
-                if best_val is None or v < best_val:
-                    best, best_val = (i, j), v
-                    if v == 1:
-                        return best
-    return best
+    for i in range(t, len(row_at)):
+        row = rows[row_at[i]]
+        units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
+        if units:
+            return i, min(units)
+        for j, x in row.items():
+            key = (-x if x < 0 else x, i, col_pos[j])
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1:]
 
 
-def _smith_reduce(a: list[list[int]], u: list[list[int]] | None,
-                  v: list[list[int]] | None) -> list[int]:
-    """In-place Smith reduction of a; row/col ops mirrored into u and v
-    when given.  Returns the diagonal (all >= 0, divisor chain)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    t = 0
-    while t < rows and t < cols:
-        if _min_abs_pivot(a, t, rows, cols) is None:
+def _add_row(rows: list[dict[int, int]], where: list[set[int]],
+             s: int, r: int, f: int) -> None:
+    """Row s += f·row r, keeping where (column -> rows holding it) current."""
+    target = rows[s]
+    for k, x in rows[r].items():
+        y = target.get(k, 0) + f * x
+        if y:
+            if k not in target:
+                where[k].add(s)
+            target[k] = y
+        else:
+            del target[k]
+            where[k].discard(s)
+
+
+def _replay(A: SparseMatrix, b: list[list[int]]):
+    """Smith-reduce A on sparse rows, applying every row operation to b.
+
+    b holds one integer vector per row of A and is updated in place, so
+    afterwards b[row_at[t]] is row t of U·b.  Returns (diag, row_at,
+    col_pos, log): the pivots |D_tt| in order, up to where the trailing
+    block is zero; the row of A at each position; the position of each
+    column of A; and the column subtractions (j, k, q), column k -=
+    q·column j, in the order applied.  With y indexed by position,
+    _replay_columns(log, [y[p] for p in col_pos]) is V·y.
+
+    Pivoting is by minimal absolute nonzero entry, the first in
+    row-major position order, which keeps coefficient growth in check on
+    the incidence-style matrices this package produces.  Column swaps
+    only move positions.  Once a row pass has cleaned column t, that
+    column is zero outside row t, so a column subtraction changes the
+    matrix in row t alone.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(A.rows)]
+    for j, col in enumerate(A.columns):
+        for i, x in col:
+            rows[i][j] = x
+    where = [{i for i, _ in col} for col in A.columns]
+    row_at = list(range(A.rows))
+    col_at = list(range(A.cols))  # position -> column
+    col_pos = list(range(A.cols))
+    log = []
+    diag = []
+    for t in range(min(A.rows, A.cols)):
+        at = _replay_pivot(rows, row_at, col_pos, t)
+        if at is None:
             break
         while True:
-            # move the smallest nonzero entry to (t, t); any leftover after
-            # a reduction pass is strictly smaller, so this terminates
-            i, j = _min_abs_pivot(a, t, rows, cols)
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                if u is not None:
-                    u[t], u[i] = u[i], u[t]
-            if j != t:
-                for r in a:
-                    r[t], r[j] = r[j], r[t]
-                if v is not None:
-                    for r in v:
-                        r[t], r[j] = r[j], r[t]
-            pivot = a[t][t]
-            clean = True
-            at = a[t]
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x:
+            i, p = at  # swap the pivot to position (t, t)
+            row_at[t], row_at[i] = row_at[i], row_at[t]
+            j = col_at[p]
+            col_at[t], col_at[p] = j, col_at[t]
+            col_pos[col_at[p]], col_pos[j] = p, t
+            r = row_at[t]
+            pivot_row = rows[r]
+            pivot = pivot_row[j]
+            for s in where[j] - {r}:  # the rows below t, in any order
+                q = rows[s][j] // pivot
+                if q:
+                    _add_row(rows, where, s, r, -q)
+                    b[s] = [u - q * v for u, v in zip(b[s], b[r])]
+            if len(where[j]) == 1:
+                for k, x in list(pivot_row.items()):
                     q = x // pivot
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], at)]
-                        if u is not None:
-                            ut = u[t]
-                            u[i] = [y - q * z for y, z in zip(u[i], ut)]
-                    if a[i][t]:
-                        clean = False
-            if not clean:
-                continue
-            for jj in range(t + 1, cols):
-                x = at[jj]
-                if x:
-                    q = x // pivot
-                    if q:
-                        for r in a:
-                            r[jj] -= q * r[t]
-                        if v is not None:
-                            for r in v:
-                                r[jj] -= q * r[t]
-                    if at[jj]:
-                        clean = False
-            if not clean:
-                continue
-            # force the pivot to divide every remaining entry
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for jj in range(t + 1, cols):
-                    if ai[jj] % pivot:
-                        offender = i
+                    if k != j and q:
+                        log.append((j, k, q))
+                        if x - q * pivot:
+                            pivot_row[k] = x - q * pivot
+                        else:
+                            del pivot_row[k]
+                            where[k].discard(r)
+                if len(pivot_row) == 1:
+                    # force the pivot to divide every remaining entry; a
+                    # unit always does
+                    offender = None if pivot in (1, -1) else next(
+                        (row_at[i] for i in range(t + 1, A.rows)
+                         if any(x % pivot for x in rows[row_at[i]].values())),
+                        None)
+                    if offender is None:
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [y + z for y, z in zip(at, a[offender])]
-            if u is not None:
-                u[t] = [y + z for y, z in zip(u[t], u[offender])]
-        t += 1
-    diag = []
-    for k in range(min(rows, cols)):
-        d = a[k][k]
-        if d < 0:
-            a[k] = [-x for x in a[k]]
-            if u is not None:
-                u[k] = [-x for x in u[k]]
-            d = -d
-        diag.append(d)
-    return diag
+                    _add_row(rows, where, r, offender, 1)
+                    b[r] = [u + v for u, v in zip(b[r], b[offender])]
+            at = _replay_pivot(rows, row_at, col_pos, t)
+        if pivot < 0:
+            b[r] = [-u for u in b[r]]
+        diag.append(abs(pivot))
+    return diag, row_at, col_pos, log
+
+
+def _replay_columns(log, x: list[list[int]]) -> list[list[int]]:
+    """Apply the logged column subtractions to x, one vector per column
+    of A, last first: for x = [y[p] for p in col_pos] this gives V·y."""
+    for j, k, q in reversed(log):
+        x[j] = [u - q * v for u, v in zip(x[j], x[k])]
+    return x
 
 
 def snf(A: IntegerMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms: U·A·V = D.
 
-    Pivoting is by minimal absolute nonzero entry, which keeps coefficient
-    growth in check on the incidence-style matrices this package produces.
+    U is the replay's row operations applied to the identity; V is its
+    column permutation followed by the logged column subtractions.
     """
-    a = A.tolists()
-    u = IntegerMatrix.identity(A.rows).tolists()
-    v = IntegerMatrix.identity(A.cols).tolists()
-    _smith_reduce(a, u, v)
-    return SNFResult(
-        IntegerMatrix.from_rows(u) if A.rows else IntegerMatrix(0, 0, ()),
-        IntegerMatrix(A.rows, A.cols, tuple(tuple(r) for r in a)),
-        IntegerMatrix.from_rows(v) if A.cols else IntegerMatrix(0, 0, ()))
+    b = IntegerMatrix.identity(A.rows).tolists()
+    diag, row_at, col_pos, log = _replay(SparseMatrix.from_dense(A), b)
+    V = _replay_columns(
+        log, [[int(p == q) for q in range(A.cols)] for p in col_pos])
+    D = [[0] * A.cols for _ in range(A.rows)]
+    for t, d in enumerate(diag):
+        D[t][t] = d
+    return SNFResult(IntegerMatrix.from_rows([b[r] for r in row_at]),
+                     IntegerMatrix(A.rows, A.cols, tuple(map(tuple, D))),
+                     IntegerMatrix.from_rows(V))
 
 
 def snf_diagonal(A: IntegerMatrix) -> list[int]:
-    """Just the invariant factors, skipping transform bookkeeping."""
-    a = A.tolists()
-    return _smith_reduce(a, None, None)
+    """Just the invariant factors, min(rows, cols) of them, divisor chain
+    first and zeros last; no transform is carried."""
+    diag = _replay(SparseMatrix.from_dense(A), [[] for _ in range(A.rows)])[0]
+    return diag + [0] * (min(A.rows, A.cols) - len(diag))
 
 
 def invariant_factors(M: SparseMatrix) -> list[int]:
@@ -588,40 +608,6 @@ def _divide(d: int, c: int, q: int) -> int | None:
     return (c // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
 
 
-def _replay_pivot(rows: list[dict[int, int]], row_at: list[int],
-                  col_pos: list[int], t: int) -> tuple[int, int] | None:
-    """The position _min_abs_pivot picks in the trailing block, read from
-    sparse rows: the first ±1 in row-major order, else the first entry of
-    least |x|.  Rows at positions t and beyond hold entries only in
-    columns at positions t and beyond, so no column is filtered out."""
-    best = None
-    for i in range(t, len(row_at)):
-        row = rows[row_at[i]]
-        units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
-        if units:
-            return i, min(units)
-        for j, x in row.items():
-            key = (-x if x < 0 else x, i, col_pos[j])
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1:]
-
-
-def _add_row(rows: list[dict[int, int]], where: list[set[int]],
-             s: int, r: int, f: int) -> None:
-    """Row s += f·row r, keeping where (column -> rows holding it) current."""
-    target = rows[s]
-    for k, x in rows[r].items():
-        y = target.get(k, 0) + f * x
-        if y:
-            if k not in target:
-                where[k].add(s)
-            target[k] = y
-        else:
-            del target[k]
-            where[k].discard(s)
-
-
 def solve_integer(A: SparseMatrix, b,
                   group: FGAbelianGroup) -> list[tuple[int, ...]] | None:
     """Solve A·x = b over the coefficient group.
@@ -632,74 +618,15 @@ def solve_integer(A: SparseMatrix, b,
 
     This is the transform solve of snf(A) — with c = U·b, y_i solves
     D_ii·y_i = c_i over Z in a free coordinate and mod q in a Z/q one, and
-    x = V·y — run on sparse rows without forming U, V or a dense grid.
-    The Smith reduction is replayed operation for operation, pivoting
-    over permuted row and column positions exactly as _smith_reduce
-    does, so the preimage is the one the dense transforms give.  Each row
-    operation is applied to b as it happens, which yields U·b.  Column
-    swaps only move positions; each column subtraction is logged and the
-    log is applied in reverse to y, which yields V·y.  Once a row pass
-    has cleaned column t, that column is zero outside row t, so a column
-    subtraction changes the matrix in row t alone.
+    x = V·y — with b carried through the same replay, so U and V are
+    never formed and one pass serves every coordinate of the group.
     """
     b = [list(group.reduce(e)) for e in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
     if group.is_trivial():  # every b is 0 and so is the only x
         return [()] * A.cols
-    rows: list[dict[int, int]] = [{} for _ in range(A.rows)]
-    for j, col in enumerate(A.columns):
-        for i, x in col:
-            rows[i][j] = x
-    where = [{i for i, _ in col} for col in A.columns]
-    row_at = list(range(A.rows))  # position -> row; b is indexed by row
-    col_at = list(range(A.cols))  # position -> column
-    col_pos = list(range(A.cols))  # column -> position
-    log = []  # (j, k, q): column k -= q·column j, in the order applied
-    diag = []
-    for t in range(min(A.rows, A.cols)):
-        at = _replay_pivot(rows, row_at, col_pos, t)
-        if at is None:
-            break
-        while True:
-            i, p = at  # swap the pivot to position (t, t)
-            row_at[t], row_at[i] = row_at[i], row_at[t]
-            j = col_at[p]
-            col_at[t], col_at[p] = j, col_at[t]
-            col_pos[col_at[p]], col_pos[j] = p, t
-            r = row_at[t]
-            pivot_row = rows[r]
-            pivot = pivot_row[j]
-            for s in where[j] - {r}:  # the rows below t, in any order
-                q = rows[s][j] // pivot
-                if q:
-                    _add_row(rows, where, s, r, -q)
-                    b[s] = [u - q * v for u, v in zip(b[s], b[r])]
-            if len(where[j]) == 1:
-                for k, x in list(pivot_row.items()):
-                    q = x // pivot
-                    if k != j and q:
-                        log.append((j, k, q))
-                        if x - q * pivot:
-                            pivot_row[k] = x - q * pivot
-                        else:
-                            del pivot_row[k]
-                            where[k].discard(r)
-                if len(pivot_row) == 1:
-                    # force the pivot to divide every remaining entry; a
-                    # unit always does
-                    offender = None if pivot in (1, -1) else next(
-                        (row_at[i] for i in range(t + 1, A.rows)
-                         if any(x % pivot for x in rows[row_at[i]].values())),
-                        None)
-                    if offender is None:
-                        break
-                    _add_row(rows, where, r, offender, 1)
-                    b[r] = [u + v for u, v in zip(b[r], b[offender])]
-            at = _replay_pivot(rows, row_at, col_pos, t)
-        if pivot < 0:
-            b[r] = [-u for u in b[r]]
-        diag.append(abs(pivot))
+    diag, row_at, col_pos, log = _replay(A, b)
     moduli = (0,) * group.free_rank + group.torsion
     d = diag + [0] * A.rows
     y = []
@@ -711,7 +638,5 @@ def solve_integer(A: SparseMatrix, b,
     # y needs one row per column of A: drop the rows past the diagonal
     # (each solved 0·y = c, so is 0) and set the free columns past it to 0
     y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
-    x = [y[p] for p in col_pos]
-    for j, k, q in reversed(log):
-        x[j] = [u - q * v for u, v in zip(x[j], x[k])]
+    x = _replay_columns(log, [y[p] for p in col_pos])
     return [group.reduce(e) for e in x]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+from .dualcells import Cochain
 from .homology import FGAbelianGroup, IntegerMatrix
 from .quasitoric import CharacteristicPair, Fan
 from .simplicial import LabeledComplex, SimplicialComplex, build_complex
@@ -121,8 +122,7 @@ def cochain_to_obj(c) -> dict:
             "values": {_simplex_key(k): list(v) for k, v in c.values}}
 
 
-def cochain_from_obj(obj: dict, D) -> "Cochain":
-    from .dualcells import Cochain
+def cochain_from_obj(obj: dict, D) -> Cochain:
     _document(obj, "cochain document", "degree", "group", "values")
     group = group_from_obj(obj["group"])
     values = _document(obj["values"], '"values"')

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .homology import (FGAbelianGroup, IntegerMatrix, cokernel, snf,
                        snf_diagonal, unimodular_inverse)
-from .simplicial import Simplex, SimplicialComplex, build_complex
+from .ghs import is_ghs
+from .simplicial import Simplex, SimplicialComplex, build_complex, f_vector
 
 @dataclass(frozen=True)
 class CharacteristicPair:
@@ -210,7 +211,6 @@ def normalize_rows(p: CharacteristicPair) -> CharacteristicPair:
 
 def h_vector(p: CharacteristicPair) -> tuple[int, ...]:
     """h_i = Σ_j (-1)^{i-j} C(n-j, i-j) f_{j-1}, i = 0..n, with f_{-1} = 1."""
-    from .simplicial import f_vector
     f = (1,) + f_vector(p.nerve)  # f[j] = f_{j-1}
     n = p.n
     out = []
@@ -230,7 +230,6 @@ def even_betti_report(p: CharacteristicPair) -> tuple[int, ...]:
     Preconditions: the nerve is a generalized homology (n-1)-sphere and
     the pair passes is_characteristic.
     """
-    from .ghs import is_ghs
     ghs_report = is_ghs(p.nerve, p.n)
     if not ghs_report.verdict:
         raise ValueError(f"nerve is not a generalized homology "

@@ -4,9 +4,13 @@ Nothing in here calls into the Smith-normal-form / homology machinery
 under test: ranks are rational Gaussian elimination over Fractions,
 quotient-group orders come from breadth-first coset enumeration keyed by
 an adjugate invariant, isomorphism is brute-force over all vertex
-bijections, chain counts walk the face poset directly.  The one
-reference that needs a Smith form, per_coordinate_solve, takes it as an
-argument: it pins which solution a solve returns, not whether one exists.
+bijections, chain counts walk the face poset directly.  dense_snf is a
+Smith reduction on a dense grid with the pivot rule the library replays
+on sparse rows (least |entry|, first in row-major order), so the two
+must agree on U, D and V exactly; it borrows only the library's matrix
+types.  The one reference that needs a Smith form, per_coordinate_solve,
+takes it as an argument: it pins which solution a solve returns, not
+whether one exists, and the tests pass it dense_snf.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+
+from cornerkit.homology import IntegerMatrix, SNFResult
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -229,6 +235,89 @@ def maximal_faces(raw) -> list[tuple[int, ...]]:
     sets = list(set(map(frozenset, raw)))
     return sorted(tuple(sorted(f)) for f in sets
                   if not any(f < g for g in sets))
+
+
+def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
+    """Position of the nonzero entry of smallest |value| in a[t:, t:]."""
+    best = None
+    best_val = None
+    for i in range(t, rows):
+        ai = a[i]
+        for j in range(t, cols):
+            x = ai[j]
+            if x:
+                v = -x if x < 0 else x
+                if best_val is None or v < best_val:
+                    best, best_val = (i, j), v
+                    if v == 1:
+                        return best
+    return best
+
+
+def dense_snf(A: IntegerMatrix) -> SNFResult:
+    """Smith normal form with unimodular transforms, U·A·V = D, by
+    in-place reduction of a dense grid with every row operation mirrored
+    into u and every column operation into v."""
+    a = A.tolists()
+    u = IntegerMatrix.identity(A.rows).tolists()
+    v = IntegerMatrix.identity(A.cols).tolists()
+    rows, cols = A.rows, A.cols
+    t = 0
+    while t < rows and t < cols:
+        if _min_abs_pivot(a, t, rows, cols) is None:
+            break
+        while True:
+            # move the smallest nonzero entry to (t, t); any leftover after
+            # a reduction pass is strictly smaller, so this terminates
+            i, j = _min_abs_pivot(a, t, rows, cols)
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for r in a + v:
+                    r[t], r[j] = r[j], r[t]
+            pivot = a[t][t]
+            clean = True
+            at = a[t]
+            for i in range(t + 1, rows):
+                x = a[i][t]
+                if x:
+                    q = x // pivot
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], at)]
+                        u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+                    if a[i][t]:
+                        clean = False
+            if not clean:
+                continue
+            for jj in range(t + 1, cols):
+                x = at[jj]
+                if x:
+                    q = x // pivot
+                    if q:
+                        for r in a + v:
+                            r[jj] -= q * r[t]
+                    if at[jj]:
+                        clean = False
+            if not clean:
+                continue
+            # force the pivot to divide every remaining entry
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][jj] % pivot
+                                    for jj in range(t + 1, cols))), None)
+            if offender is None:
+                break
+            a[t] = [y + z for y, z in zip(at, a[offender])]
+            u[t] = [y + z for y, z in zip(u[t], u[offender])]
+        t += 1
+    for k in range(min(rows, cols)):
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+    return SNFResult(
+        IntegerMatrix.from_rows(u) if rows else IntegerMatrix(0, 0, ()),
+        IntegerMatrix(rows, cols, tuple(tuple(r) for r in a)),
+        IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
 def _solve_coordinate(snf, A, b: list[int], modulus: int | None):

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornerkit.cli import main
 from cornerkit.dualcells import Cochain, coboundary, dual_complex
@@ -410,3 +414,144 @@ def test_printed_preimages_are_pinned(capsys, tmp_path, monkeypatch,
     assert code == 0 and json.loads(out)["status"] == "solved"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PREIMAGE_DIGESTS[nerve, n, grade]
+
+
+# --- loader fuzzing ---------------------------------------------------------
+# Documents are mostly valid, so most runs get past the loaders to a
+# verdict, and each field is now and then corrupted.  Facets stay at four
+# vertices or fewer: face enumeration has no budget yet, and a facet of
+# size s has 2^s faces.
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                         st.text(max_size=3), st.floats(-2, 2))
+SPHERES = ([[0, 1], [1, 2], [0, 2]], [[0, 1], [1, 2], [2, 3], [0, 3]],
+           [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def rarely(draw, odds):
+    """True one time in odds (integer draws would favour the endpoints)."""
+    return draw(st.sampled_from((False,) * (odds - 1) + (True,)))
+
+
+def corrupt(draw, value, odds=10):
+    """value, or one time in odds a JSON value of some other shape."""
+    if not rarely(draw, odds):
+        return value
+    return draw(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                          st.dictionaries(st.text(max_size=2), JSON_SCALARS,
+                                          max_size=2)))
+
+
+def fuzz_facets(draw):
+    raw = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+                        min_size=1, max_size=6))
+    ids = sorted({v for f in raw for v in f})
+    dense = [[ids.index(v) for v in f] for f in raw]
+    return draw(st.sampled_from(SPHERES * 2 + (dense,) * 4 + (
+        raw, raw + [[-1]], raw + [[]], [])))
+
+
+def faces_of_size(facets, size):
+    return sorted({face for f in facets if all(type(v) is int for v in f)
+                   for face in itertools.combinations(sorted(set(f)), size)})
+
+
+def complex_document(draw, facets, labeled):
+    doc = {"facets": corrupt(draw, facets)}
+    if draw(st.booleans()):
+        doc["num_vertices"] = corrupt(draw, len(faces_of_size(facets, 1)))
+    if labeled:
+        labels = [[u, v, draw(st.integers(2, 6))]
+                  for u, v in faces_of_size(facets, 2)]
+        if rarely(draw, 10):
+            labels = labels[1:] + draw(st.lists(
+                st.lists(st.integers(-1, 7), max_size=4), max_size=2))
+        doc["labels"] = corrupt(draw, labels)
+    return doc
+
+
+def matrix_rows(draw, rows, cols):
+    return draw(st.lists(st.lists(st.integers(-1, 1), min_size=cols,
+                                  max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def fuzz_case(draw):
+    """(argv, {file name: bytes}) for one CLI run on fuzzed documents."""
+    facets = fuzz_facets(draw)
+    m = len(faces_of_size(facets, 1))
+    n = max(map(len, facets), default=0)  # dimension + 1
+    dim = str(draw(st.integers(-1, 1)) + n)
+    kind = draw(st.sampled_from(("complex", "labeled", "pair", "fan",
+                                 "cochain", "equiv")))
+    if kind in ("complex", "labeled"):
+        docs = [complex_document(draw, facets, kind == "labeled")]
+        argv = draw(st.sampled_from((
+            ("check-ghs", "-n", dim), ("check-phm", "-n", dim),
+            ("acyclicity", "-n", dim), ("acyclicity", "--no-top", "-n", dim),
+            ("homology",), ("homology", "--degree", dim),
+            ("construct", "cone"), ("construct", "suspension"),
+            ("construct", "barycentric"), ("construct", "barycentric-all-2"))
+            + (("check-proper",), ("check-aspherical", "--budget", "200"),
+               ("coxeter-nerve", "--budget", "200")) * (kind == "labeled")))
+    elif kind == "pair":
+        docs = [{"n": corrupt(draw, n),
+                 "lambda": corrupt(draw, matrix_rows(draw, m, n)),
+                 "nerve": complex_document(draw, facets, False)}]
+        argv = draw(st.sampled_from((("check-charfun",), ("betti",))))
+    elif kind == "fan":
+        docs = [{"rays": corrupt(draw, matrix_rows(draw, m, n)),
+                 "cones": corrupt(draw, facets)}]
+        argv = ("from-fan",)
+    elif kind == "equiv":
+        docs = [complex_document(draw, facets, True),
+                complex_document(draw, fuzz_facets(draw), True)]
+        argv = ("equiv",)
+    else:
+        degree = draw(st.integers(0, n + 1))
+        group = draw(st.sampled_from((
+            {"rank": 1}, {"torsion": [2]}, {"rank": 1, "torsion": [6]},
+            {"rank": 0, "torsion": [2, 4]}, {"torsion": [3, 2]},
+            {"rank": -1}, {"torsion": [1]})))
+        coords = max(group.get("rank", 0), 0) + len(group.get("torsion", []))
+        keys = faces_of_size(facets, max(int(dim) - degree, 0))
+        values = {" ".join(map(str, key)): draw(st.lists(
+            st.integers(-7, 7), min_size=coords, max_size=coords))
+            for key in draw(st.lists(st.sampled_from(keys), max_size=4))
+            } if keys else {}
+        if rarely(draw, 10):
+            values[draw(st.text(max_size=3))] = [1]
+        docs = [complex_document(draw, facets, False),
+                {"degree": corrupt(draw, degree),
+                 "group": corrupt(draw, group),
+                 "values": corrupt(draw, values)}]
+        argv = ("solve-obstruction", "-n", dim)
+    for doc in docs:
+        if rarely(draw, 20):
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    files = {f"{i}.json": draw(st.binary(max_size=30))
+             if rarely(draw, 20) else json.dumps(doc).encode()
+             for i, doc in enumerate(docs)}
+    names = list(files)
+    if kind == "cochain":
+        argv += ("--complex", names[0], "--cochain", names[1])
+    elif kind == "equiv":
+        argv += tuple(names)
+    else:
+        argv += ("-i", names[0])
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_case())
+def test_fuzzed_documents_exit_0_1_or_2_with_a_short_message(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in files.items():
+            Path(tmp, name).write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(Path(tmp, a)) if a in files else a
+                         for a in argv])
+    assert code in (0, 1, 2), (argv, code)
+    assert len(err.getvalue().encode()) < 1024, err.getvalue()[:200]

@@ -3,15 +3,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornerkit.dualcells import (Cochain, acyclicity_report, coboundary,
                                  dual_complex, indicator_cochain, is_cocycle,
                                  is_resolution_ready, solve_obstruction,
                                  zero_cochain)
-from cornerkit.homology import FGAbelianGroup, Z, snf, solve_integer
+from cornerkit.homology import FGAbelianGroup, Z, solve_integer
 from cornerkit.simplicial import (Simplex, boundary_simplex, build_complex,
                                   point_complex)
-from oracles import per_coordinate_solve
+from oracles import dense_snf, per_coordinate_solve
 
 Z2 = FGAbelianGroup(0, (2,))
 Z4 = FGAbelianGroup(0, (4,))
@@ -109,6 +110,28 @@ def test_coboundary_squares_to_zero_z4():
                           {f.label.vertices: (rng.randrange(4),)
                            for f in D.faces[k]})
         assert coboundary(D, coboundary(D, d)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coboundary_is_the_dense_incidence_product(rp2_6, data):
+    N = data.draw(st.sampled_from((boundary_simplex(3), rp2_6)))
+    D = dual_complex(N, data.draw(st.sampled_from((N.dim + 1, N.dim + 2))),
+                     include_top=data.draw(st.booleans()))
+    k = data.draw(st.integers(1, D.top_dim))
+    group = FGAbelianGroup(1, (6,))
+    faces = D.faces[k - 1]
+    x = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                           min_size=len(faces), max_size=len(faces)))
+    d = Cochain.build(D, k - 1, group,
+                      {f.label.vertices: e for f, e in zip(faces, x)})
+    dense = D.boundary[k].to_dense()  # rows: grade k-1, columns: grade k
+    values = [coords for _, coords in d.values]
+    expected = [group.reduce([sum(dense[i, j] * values[i][c]
+                                  for i in range(dense.rows))
+                              for c in range(2)])
+                for j in range(dense.cols)]
+    assert [coords for _, coords in coboundary(D, d).values] == expected
 
 
 def test_coboundary_degree_range():
@@ -247,9 +270,10 @@ def test_solver_complete_on_poincare_dual(poincare16):
 def test_solve_runs_no_dense_smith_form(poincare16, monkeypatch):
     homology = importlib.import_module("cornerkit.homology")
     calls = []
-    snf = homology.snf
-    monkeypatch.setattr(homology, "snf",
-                        lambda A: calls.append(A) or snf(A))
+    for name in ("snf", "snf_diagonal"):
+        monkeypatch.setattr(homology, name, lambda A, name=name,
+                            f=getattr(homology, name): calls.append(name)
+                            or f(A))
     rng = random.Random(43)
     D = dual_complex(poincare16, 4)
     group = FGAbelianGroup(1, (6,))
@@ -259,7 +283,7 @@ def test_solve_runs_no_dense_smith_form(poincare16, monkeypatch):
     c = coboundary(D, d0)
     assert c.degree == 2
     assert solve_obstruction(D, c) is not None
-    assert len(calls) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("nerve,n,include_top", [
@@ -284,7 +308,7 @@ def test_sparse_solve_matches_the_reference_on_every_dual_grade(
                      for _ in range(delta.rows)]
         for b in (image, arbitrary):
             got = solve_integer(delta, b, group)
-            assert got == per_coordinate_solve(snf, dense, b, group)
+            assert got == per_coordinate_solve(dense_snf, dense, b, group)
             assert got is not None or b is arbitrary
             unsolvable += got is None
     assert unsolvable > 0

@@ -14,7 +14,8 @@ from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
 from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
                                   f_vector, point_complex)
 from conftest import SNF_CALLERS, random_complex
-from oracles import coset_count, per_coordinate_solve, rational_reduced_betti
+from oracles import (coset_count, dense_snf, per_coordinate_solve,
+                     rational_reduced_betti)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -147,6 +148,24 @@ def sparse_matrices(draw):
 def test_sparse_invariants_match_dense_snf(A):
     assert invariant_factors(SparseMatrix.from_dense(A)) == \
         [d for d in snf_diagonal(A) if d]
+
+
+@st.composite
+def smith_cases(draw):
+    """Matrices from 0x0 to 7x7, empty rows or columns included, whose
+    entries include non-units, so pivots > 1 and the offender step occur."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -6))
+    return IntegerMatrix(r, c, tuple(draw(st.lists(
+        st.tuples(*[entry] * c), min_size=r, max_size=r))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(smith_cases())
+def test_sparse_smith_form_equals_the_dense_oracle(A):
+    res, ref = snf(A), dense_snf(A)
+    assert (res.U, res.D, res.V) == (ref.U, ref.D, ref.V)
+    assert snf_diagonal(A) == ref.diagonal()
 
 
 @settings(max_examples=100, deadline=None)
@@ -333,7 +352,7 @@ def solve_cases(draw):
 def test_solve_integer_matches_the_per_coordinate_reference(case):
     A, b, group, solvable = case
     x = solve_integer(SparseMatrix.from_dense(A), b, group)
-    assert x == per_coordinate_solve(snf, A, b, group)
+    assert x == per_coordinate_solve(dense_snf, A, b, group)
     if solvable:
         assert x is not None
     if x is not None:
@@ -364,7 +383,7 @@ def incidence_solve_cases(draw):
 def test_sparse_solve_matches_the_reference_on_incidence_like_matrices(case):
     A, b, group = case
     assert solve_integer(SparseMatrix.from_dense(A), b, group) == \
-        per_coordinate_solve(snf, A, b, group)
+        per_coordinate_solve(dense_snf, A, b, group)
 
 
 def test_solve_over_the_trivial_group_needs_no_snf(monkeypatch):
