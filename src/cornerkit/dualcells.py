@@ -147,11 +147,11 @@ def coboundary(D: DualComplex, d: Cochain) -> Cochain:
     if k not in D.faces:
         raise ValueError(f"coboundary degree {k} out of range 0..{D.top_dim}")
     values = [coords for _, coords in d.values]
-    coords = range(d.group.num_coords)
+    n = d.group.num_coords
     # rows of D.boundary[k]: grade k-1 faces, columns: grade k faces
     return Cochain.build(D, k, d.group, {
         F.label.vertices: [sum(coeff * values[i][c] for i, coeff in col)
-                           for c in coords]
+                           for c in range(n)]
         for F, col in zip(D.faces[k], D.boundary[k].columns)})
 
 
