@@ -237,16 +237,41 @@ def is_finite(M: CoxeterMatrix) -> FinitenessVerdict:
     return FinitenessVerdict(finite, tuple(results), order if finite else None)
 
 
+def _pattern(labels: dict[tuple[int, int], int],
+             verts: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels of a sorted vertex subset, column by column: m(v0,v1),
+    m(v0,v2), m(v1,v2), m(v0,v3), ..., INFINITE where no edge joins them.
+
+    Equal patterns give equal matrix entries, and finiteness depends on
+    the entries alone.  Rank 0 and rank 1 share the empty pattern; both
+    groups are finite.  The pattern of T + (w,) with w above every vertex
+    of T is T's pattern followed by m(t, w) for t in T.
+    """
+    return tuple(labels.get((verts[i], verts[j]), INFINITE)
+                 for j in range(1, len(verts)) for i in range(j))
+
+
+def _finite(LK: LabeledComplex, verts: tuple[int, ...],
+            pattern: tuple[int, ...], memo: dict[tuple[int, ...], bool]) -> bool:
+    """is_finite on the subset verts, decided once per label pattern."""
+    finite = memo.get(pattern)
+    if finite is None:
+        finite = memo[pattern] = is_finite(coxeter_matrix(LK, verts)).finite
+    return finite
+
+
 def is_proper_labeling(LK: LabeledComplex) -> tuple[bool, Simplex | None]:
     """True when every facet spans a finite special subgroup.
 
     Checking facets suffices: special subgroups of finite Coxeter groups
     are finite, so failure anywhere implies failure at a facet.  On
     failure the witness is a minimal infinite simplex inside the first
-    failing facet.
+    failing facet.  Facets with the same label pattern share one verdict.
     """
+    labels = LK.label_dict()
+    memo: dict[tuple[int, ...], bool] = {}
     for f in LK.complex.facets:
-        if not is_finite(coxeter_matrix(LK, f.vertices)).finite:
+        if not _finite(LK, f.vertices, _pattern(labels, f.vertices), memo):
             for size in range(2, len(f) + 1):
                 for sub in itertools.combinations(f.vertices, size):
                     if not is_finite(coxeter_matrix(LK, sub)).finite:
@@ -262,9 +287,10 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
     A finite subgroup forces all pairwise labels finite, so candidates are
     exactly the cliques of LK's 1-skeleton; the family is closed under
     subsets, which lets the enumeration extend finite cliques only.
-    `budget` caps the number of finiteness tests; past it a
-    BudgetExceeded (with the count) is raised rather than silently
-    truncating.
+    Finiteness is decided once per label pattern (_pattern).  `budget`
+    caps the number of candidate cliques, whether or not their pattern
+    was seen before; past it a BudgetExceeded (with the count) is raised
+    rather than silently truncating.
     """
     K = LK.complex
     if K.is_empty():
@@ -278,14 +304,17 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
     for u, v in edge_set:
         adjacency[u].add(v)
         adjacency[v].add(u)
+    labels = LK.label_dict()
+    memo: dict[tuple[int, ...], bool] = {}
     tested = 0
     finite_sets: list[tuple[int, ...]] = []
     covered: set[tuple[int, ...]] = set()  # sets with a finite extension
-    level = [(v,) for v in range(K.num_vertices)]
-    finite_sets.extend(level)  # rank-1 groups are Z/2
-    while level and len(level[0]) < max_rank:
+    # each finite clique carries its label pattern to its extensions
+    level = [((v,), ()) for v in range(K.num_vertices)]
+    finite_sets.extend(T for T, _ in level)  # rank-1 groups are Z/2
+    while level and len(level[0][0]) < max_rank:
         nxt = []
-        for T in level:
+        for T, pattern in level:
             common = set.intersection(*(adjacency[v] for v in T))
             for w in sorted(common):
                 if w <= T[-1]:
@@ -294,11 +323,12 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
                 tested += 1
                 if tested > budget:
                     raise BudgetExceeded(tested, budget)
-                if is_finite(coxeter_matrix(LK, cand)).finite:
-                    nxt.append(cand)
+                extended = pattern + tuple(labels[t, w] for t in T)
+                if _finite(LK, cand, extended, memo):
+                    nxt.append((cand, extended))
                     covered.update(cand[:i] + cand[i + 1:]
                                    for i in range(len(cand)))
-        finite_sets.extend(nxt)
+        finite_sets.extend(T for T, _ in nxt)
         level = nxt
     maximal = [T for T in finite_sets if T not in covered]
     return SimplicialComplex(K.num_vertices,

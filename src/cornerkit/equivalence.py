@@ -11,6 +11,8 @@ all-labels-equal case.
 
 from __future__ import annotations
 
+import heapq
+
 from .simplicial import LabeledComplex, SimplicialComplex, f_vector, simplices
 
 VertexMapping = dict[int, int]
@@ -99,18 +101,7 @@ def find_isomorphism(A, B) -> VertexMapping | None:
     for v in range(n):
         by_inv.setdefault(invB[v], []).append(v)
 
-    # static order: most neighbours in the already-ordered prefix first,
-    # then the rarest invariant class, lexicographic tie-break
-    order: list[int] = []
-    unplaced = set(range(n))
-    ordered_nbrs = [0] * n
-    while unplaced:
-        best = min(unplaced, key=lambda v: (-ordered_nbrs[v],
-                                            len(by_inv[invA[v]]), v))
-        order.append(best)
-        unplaced.remove(best)
-        for u in adjA[best]:
-            ordered_nbrs[u] += 1
+    order = _static_order(adjA, invA, by_inv)
 
     # adjacency-compatible bijections can still scramble facets, so the
     # facet check runs at every completed leaf, not just the first
@@ -118,6 +109,34 @@ def find_isomorphism(A, B) -> VertexMapping | None:
     if result is not None:
         assert verify_isomorphism(A, B, result)
     return result
+
+
+def _static_order(adjA, invA, by_inv) -> list[int]:
+    """The search order: most neighbours in the already-ordered prefix
+    first, then the rarest invariant class, lexicographic tie-break.
+
+    A heap of (-ordered neighbours, class size, v) with lazy updates:
+    counts only grow, so each vertex's entry with its current count is
+    the only one that is not stale.
+    """
+    n = len(adjA)
+    order: list[int] = []
+    placed = [False] * n
+    ordered_nbrs = [0] * n
+    heap = [(0, len(by_inv[invA[v]]), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg, _, v = heapq.heappop(heap)
+        if -neg != ordered_nbrs[v]:
+            continue
+        order.append(v)
+        placed[v] = True
+        for u in adjA[v]:
+            if not placed[u]:
+                ordered_nbrs[u] += 1
+                heapq.heappush(heap, (-ordered_nbrs[u],
+                                      len(by_inv[invA[u]]), u))
+    return order
 
 
 def complexes_match(mapping: VertexMapping, KA: SimplicialComplex,
@@ -128,10 +147,20 @@ def complexes_match(mapping: VertexMapping, KA: SimplicialComplex,
 
 def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:
     """Backtrack over adjacency-compatible bijections, facet-checking each
-    completed assignment."""
+    completed assignment.
+
+    b may take a when b's labels to the images of a's mapped neighbours
+    are a's labels to them, and b has no other placed neighbour: that is
+    agreement with the whole partial map, checked over neighbours only.
+    """
     n = KA.num_vertices
+    pos = {a: i for i, a in enumerate(order)}
+    # the neighbours of order[i] that are mapped before it, with labels
+    earlier = [[(a2, m) for a2, m in adjA[a].items() if pos[a2] < i]
+               for i, a in enumerate(order)]
     mapping: VertexMapping = {}
     used: set[int] = set()
+    placed_nbrs = [0] * KB.num_vertices  # per vertex of B: used neighbours
     result: VertexMapping | None = None
 
     def backtrack(idx: int) -> bool:
@@ -142,16 +171,21 @@ def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:
                 return True
             return False
         a = order[idx]
+        need = earlier[idx]
         for b in by_inv[invA[a]]:
-            if b in used:
+            if b in used or placed_nbrs[b] != len(need):
                 continue
-            if any(adjA[a].get(a2) != adjB[b].get(b2)
-                   for a2, b2 in mapping.items()):
+            adj_b = adjB[b]
+            if any(adj_b.get(mapping[a2]) != m for a2, m in need):
                 continue
             mapping[a] = b
             used.add(b)
+            for b2 in adj_b:
+                placed_nbrs[b2] += 1
             if backtrack(idx + 1):
                 return True
+            for b2 in adj_b:
+                placed_nbrs[b2] -= 1
             del mapping[a]
             used.discard(b)
         return False

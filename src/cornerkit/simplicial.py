@@ -198,7 +198,8 @@ def build_complex(raw_facets) -> SimplicialComplex:
     for f in raw:
         fs = frozenset(f)
         if any(v < 0 for v in fs):
-            raise ValueError(f"negative vertex id in facet {sorted(f)}")
+            raise ValueError(f"negative vertex id in a facet of {len(fs)} "
+                             f"vertices, first {sorted(fs)[:5]}")
         sets.append(fs)
     sets = list(set(sets))
     maximal = [f for f, j in zip(sets, _containers(sets)) if j is None]
@@ -219,7 +220,15 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
     for f in K.facets:
         if f.dim >= k:
             found.update(itertools.combinations(f.vertices, k + 1))
-    return tuple(Simplex(t) for t in sorted(found))
+    return tuple(_face(t) for t in sorted(found))
+
+
+def _face(t: tuple[int, ...]) -> Simplex:
+    """Simplex(t) without the checks, for t a combination of a valid
+    simplex's vertices (so strictly increasing and non-negative)."""
+    s = object.__new__(Simplex)
+    object.__setattr__(s, "vertices", t)
+    return s
 
 
 def all_simplices(K: SimplicialComplex) -> tuple[Simplex, ...]:

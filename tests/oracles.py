@@ -11,6 +11,12 @@ must agree on U, D and V exactly; it borrows only the library's matrix
 types.  The one reference that needs a Smith form, per_coordinate_solve,
 takes it as an argument: it pins which solution a solve returns, not
 whether one exists, and the tests pass it dense_snf.
+
+The per-candidate nerve and per-facet properness loops run the library's
+finiteness classifier (coxeter.is_finite) on every subset with no memo,
+and the full-map search checks each candidate against every mapped
+vertex in a quadratic min-based order: the slow forms that the library's
+pattern memo and neighbour-only search must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
+from cornerkit.coxeter import BudgetExceeded, coxeter_matrix, is_finite
 from cornerkit.homology import IntegerMatrix, SNFResult
 
 
@@ -357,3 +364,106 @@ def per_coordinate_solve(snf, A, b, group):
             return None
         per_coord.append(x)
     return [tuple(x[j] for x in per_coord) for j in range(A.cols)]
+
+
+def per_candidate_nerve(LK, max_rank=None, budget=1_000_000):
+    """Facets of the Coxeter nerve, in lexicographic order, with a fresh
+    finiteness test for every candidate clique; BudgetExceeded past
+    `budget` candidates."""
+    n = LK.complex.num_vertices
+    if max_rank is None:
+        max_rank = n
+    adjacency = {v: set() for v in range(n)}
+    for u, v, _ in LK.labels:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    tested = 0
+    finite_sets = []
+    covered = set()
+    level = [(v,) for v in range(n)]
+    finite_sets.extend(level)
+    while level and len(level[0]) < max_rank:
+        nxt = []
+        for T in level:
+            common = set.intersection(*(adjacency[v] for v in T))
+            for w in sorted(common):
+                if w <= T[-1]:
+                    continue
+                cand = T + (w,)
+                tested += 1
+                if tested > budget:
+                    raise BudgetExceeded(tested, budget)
+                if is_finite(coxeter_matrix(LK, cand)).finite:
+                    nxt.append(cand)
+                    covered.update(cand[:i] + cand[i + 1:]
+                                   for i in range(len(cand)))
+        finite_sets.extend(nxt)
+        level = nxt
+    return sorted(T for T in finite_sets if T not in covered)
+
+
+def per_facet_proper(LK):
+    """(proper, witness vertices or None), testing every facet afresh;
+    the witness is the first infinite subset of the first infinite facet,
+    smallest size first."""
+    for f in LK.complex.facets:
+        if not is_finite(coxeter_matrix(LK, f.vertices)).finite:
+            for size in range(2, len(f) + 1):
+                for sub in itertools.combinations(f.vertices, size):
+                    if not is_finite(coxeter_matrix(LK, sub)).finite:
+                        return False, sub
+    return True, None
+
+
+def min_order(adjA, invA, by_inv):
+    """The isomorphism search order by a linear min over the unplaced
+    vertices at every step: most neighbours already ordered, then the
+    smallest invariant class, then the least id."""
+    n = len(adjA)
+    order = []
+    unplaced = set(range(n))
+    ordered_nbrs = [0] * n
+    while unplaced:
+        best = min(unplaced, key=lambda v: (-ordered_nbrs[v],
+                                            len(by_inv[invA[v]]), v))
+        order.append(best)
+        unplaced.remove(best)
+        for u in adjA[best]:
+            ordered_nbrs[u] += 1
+    return order
+
+
+def full_map_search(KA, KB, invA, by_inv, adjA, adjB, order):
+    """Depth-first search in `order` that accepts b for a when a and b
+    agree on adjacency and labels with every mapped pair.  Returns the
+    first assignment that maps facets onto facets, sorted by vertex, or
+    None, and the number of nodes of the search tree visited."""
+    n = KA.num_vertices
+    b_facets = {f.vertices for f in KB.facets}
+    mapping = {}
+    used = set()
+    nodes = 0
+
+    def backtrack(idx):
+        nonlocal nodes
+        nodes += 1
+        if idx == n:
+            return {tuple(sorted(mapping[v] for v in f.vertices))
+                    for f in KA.facets} == b_facets
+        a = order[idx]
+        for b in by_inv[invA[a]]:
+            if b in used:
+                continue
+            if any(adjA[a].get(a2) != adjB[b].get(b2)
+                   for a2, b2 in mapping.items()):
+                continue
+            mapping[a] = b
+            used.add(b)
+            if backtrack(idx + 1):
+                return True
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    found = backtrack(0)
+    return (dict(sorted(mapping.items())) if found else None), nodes

@@ -1,17 +1,22 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix, INFINITE,
                                coxeter_matrix, coxeter_nerve, is_aspherical,
                                is_finite, is_proper_labeling, presentation)
-from cornerkit.simplicial import (LabeledComplex, barycentric_all_two,
-                                  boundary_simplex, build_complex,
-                                  complexes_equal_as_sets, label_all,
-                                  simplices, suspension)
-from conftest import random_labeled
-from oracles import maximal_cliques, triangle_group_is_finite
+from cornerkit.jsonio import complex_from_obj
+from cornerkit.simplicial import (LabeledComplex, barycentric,
+                                  barycentric_all_two, boundary_simplex,
+                                  build_complex, complexes_equal_as_sets,
+                                  label_all, point_complex, simplices,
+                                  suspension)
+from conftest import DATA, random_labeled
+from oracles import (maximal_cliques, per_candidate_nerve, per_facet_proper,
+                     triangle_group_is_finite)
 
 PENTAGON = build_complex([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
 TRIANGLE = build_complex([[0, 1, 2]])
@@ -144,6 +149,53 @@ def test_proper_matches_exhaustive_all_simplices():
 def test_barycentric_all_two_always_proper():
     for K in [boundary_simplex(2), boundary_simplex(3)]:
         assert is_proper_labeling(barycentric_all_two(K))[0]
+
+
+with open(DATA / "rp2_6.json") as _fh:
+    _RP2_6 = complex_from_obj(json.load(_fh))
+
+# ∂Δ³, ∂Δ⁴, RP², the boundary of the 4-cross-polytope (the threefold
+# suspension of S⁰) and barycentric(∂Δ³)
+MEMO_COMPLEXES = [
+    boundary_simplex(3), boundary_simplex(4), _RP2_6,
+    suspension(suspension(suspension(point_complex(2)))),
+    barycentric(boundary_simplex(3)),
+]
+
+
+@st.composite
+def labelings(draw):
+    """A complex from MEMO_COMPLEXES with labels drawn from a random
+    palette in {2, ..., 6}: the palette {2} is always proper, palettes
+    with 6 seldom are."""
+    K = draw(st.sampled_from(MEMO_COMPLEXES))
+    palette = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5,
+                            unique=True))
+    return LabeledComplex(K, tuple((*e.vertices, draw(st.sampled_from(palette)))
+                                   for e in simplices(K, 1)))
+
+
+def exceeded_at(nerve, LK, max_rank, budget):
+    """The count a BudgetExceeded reports, or None if the nerve is done."""
+    try:
+        nerve(LK, max_rank=max_rank, budget=budget)
+    except BudgetExceeded as exc:
+        return exc.count
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelings(), st.sampled_from([None, 1, 2]), st.integers(1, 50))
+def test_pattern_memo_matches_per_candidate_tests(LK, extra_rank, budget):
+    max_rank = None if extra_rank is None else LK.complex.dim + extra_rank
+    proper, witness = is_proper_labeling(LK)
+    assert per_facet_proper(LK) == (
+        proper, None if witness is None else witness.vertices)
+    nerve = coxeter_nerve(LK, max_rank=max_rank)
+    assert sorted(f.vertices for f in nerve.facets) == \
+        per_candidate_nerve(LK, max_rank=max_rank)
+    assert exceeded_at(coxeter_nerve, LK, max_rank, budget) == \
+        exceeded_at(per_candidate_nerve, LK, max_rank, budget)
 
 
 def test_coxeter_nerve_pentagon():

@@ -1,14 +1,19 @@
+import functools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cornerkit.equivalence import (find_isomorphism, invariant_fingerprint,
+from cornerkit import equivalence
+from cornerkit.equivalence import (_search, _static_order, _vertex_data,
+                                   find_isomorphism, invariant_fingerprint,
                                    verify_isomorphism)
 from cornerkit.simplicial import (LabeledComplex, boundary_simplex,
                                   build_complex, join, label_all)
 from conftest import (random_complex, random_labeled, shuffle_labeled,
                       shuffled_copy)
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, full_map_search, min_order
 
 PENTAGON = build_complex([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
 
@@ -124,3 +129,99 @@ def test_determinism():
 def test_mixed_labeledness_is_a_type_error():
     with pytest.raises(TypeError):
         find_isomorphism(label_all(PENTAGON, 2), PENTAGON)
+
+
+def _shuffled(X, rng):
+    if isinstance(X, LabeledComplex):
+        return shuffle_labeled(X, rng)[0]
+    return shuffled_copy(X, rng)[0]
+
+
+def _facets_and_labels(X):
+    if isinstance(X, LabeledComplex):
+        return [f.vertices for f in X.complex.facets], X.label_dict()
+    return [f.vertices for f in X.facets], None
+
+
+@functools.cache
+def fingerprint_twins() -> list[tuple]:
+    """Non-isomorphic pairs with equal invariant fingerprints, found by
+    rejection sampling small random complexes (labels 2 and 3 on half of
+    them) and confirmed by brute force."""
+    rng = random.Random(2)
+    seen: dict[tuple, list] = {}
+    twins = []
+    while len(twins) < 24:
+        n = rng.randrange(4, 8)
+        if rng.random() < 0.5:
+            X = random_complex(rng, n, max_facet=rng.choice([2, 3]))
+        else:
+            X = random_labeled(rng, n, labels=(2, 3))
+        key = (type(X), invariant_fingerprint(X))
+        fa, la = _facets_and_labels(X)
+        for Y in seen.get(key, []):
+            fb, lb = _facets_and_labels(Y)
+            if brute_force_isomorphic(fa, fb, la, lb) is None:
+                twins.append((X, Y))
+                break
+        seen.setdefault(key, []).append(X)
+    return twins
+
+
+@st.composite
+def search_cases(draw):
+    """(A, B) with equal fingerprints: a random complex, labeled or not,
+    and a relabeling of it; or a shuffled fingerprint twin."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        A, B = draw(st.sampled_from(fingerprint_twins()))
+        if draw(st.booleans()):
+            A, B = B, A
+        return A, _shuffled(B, rng)
+    n = draw(st.integers(3, 9))
+    if draw(st.booleans()):
+        A = random_labeled(rng, n, labels=draw(st.sampled_from(
+            [(2,), (2, 3), (2, 3, 4, 5)])))
+    else:
+        A = random_complex(rng, n)
+    return A, _shuffled(A, rng)
+
+
+def count_backtrack_calls(search, *args):
+    """search(*args) and the number of calls of its nested backtrack()."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "backtrack" \
+                and frame.f_code.co_filename == equivalence.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = search(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_neighbour_search_matches_full_map_search(case):
+    A, B = case
+    assert invariant_fingerprint(A) == invariant_fingerprint(B)
+    KA, adjA, invA = _vertex_data(A)
+    KB, adjB, invB = _vertex_data(B)
+    by_inv: dict[tuple, list[int]] = {}
+    for v in range(KB.num_vertices):
+        by_inv.setdefault(invB[v], []).append(v)
+    order = _static_order(adjA, invA, by_inv)
+    assert order == min_order(adjA, invA, by_inv)
+    expected, nodes = full_map_search(KA, KB, invA, by_inv, adjA, adjB,
+                                      order)
+    result, calls = count_backtrack_calls(
+        _search, KA, KB, invA, by_inv, adjA, adjB, order)
+    assert result == expected
+    assert calls == nodes  # the same depth-first tree, node for node
+    assert find_isomorphism(A, B) == expected

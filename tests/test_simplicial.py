@@ -13,8 +13,8 @@ from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
                                   label_all, link, point_complex, simplex,
                                   simplices, suspension)
 from conftest import random_complex
-from oracles import (count_chains, first_containment, maximal_cliques,
-                     maximal_faces)
+from oracles import (count_chains, faces_of, first_containment,
+                     maximal_cliques, maximal_faces)
 
 
 def test_simplex_canonical_form():
@@ -90,6 +90,23 @@ def test_constructor_rejects_contained_and_repeated_facets():
                        match=r"facet Simplex\(\[0, 1\]\) is contained in "
                              r"Simplex\(\[0, 1\]\)"):
         SimplicialComplex(3, (simplex([0, 1]), simplex([1, 2]), simplex([0, 1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families())
+def test_unvalidated_faces_equal_validated_ones(raw):
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    facets = [[dense[v] for v in f] for f in raw]
+    K = build_complex(facets)
+    for k in range(-1, K.dim + 2):
+        faces = simplices(K, k)
+        validated = tuple(Simplex(t) for t in faces_of(facets, k))
+        assert faces == validated
+        for f, g in zip(faces, validated):
+            assert type(f) is Simplex
+            assert Simplex(f.vertices) == f == g
+            assert hash(f) == hash(g)
 
 
 def test_build_detects_vertex_gap():
