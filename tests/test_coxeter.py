@@ -165,13 +165,14 @@ MEMO_COMPLEXES = [
 
 @st.composite
 def labelings(draw):
-    """A complex from MEMO_COMPLEXES with labels drawn from a random
-    palette in {2, ..., 6}: the palette {2} is always proper, palettes
-    with 6 seldom are."""
+    """A complex from MEMO_COMPLEXES with labels in {2, ..., 6}: each edge
+    gets 2 or a label from a random palette, so that proper and improper
+    labelings both come up."""
     K = draw(st.sampled_from(MEMO_COMPLEXES))
     palette = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5,
                             unique=True))
-    return LabeledComplex(K, tuple((*e.vertices, draw(st.sampled_from(palette)))
+    label = st.one_of(st.just(2), st.sampled_from(palette))
+    return LabeledComplex(K, tuple((*e.vertices, draw(label))
                                    for e in simplices(K, 1)))
 
 
