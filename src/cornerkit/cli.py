@@ -9,8 +9,7 @@ report keyed by command name, input content hashes, and parameters.
 
 Reports are byte-identical across runs on identical inputs: keys are
 sorted, collections are canonically ordered, and nothing time- or
-machine-dependent is serialized.  (Wall-clock timings live on the library
-report objects but deliberately stay out of the CLI output.)
+machine-dependent is serialized.
 
 Input paths are tried literally first, then against the curated data
 directory (override with the CORNERKIT_DATA environment variable), so
@@ -32,7 +31,7 @@ from .coxeter import (BudgetExceeded, coxeter_matrix, coxeter_nerve,
 from .dualcells import (acyclicity_report, dual_complex, is_cocycle,
                         is_resolution_ready, solve_obstruction)
 from .equivalence import find_isomorphism
-from .ghs import GhsReport, is_ghs, is_polyhedral_homology_manifold
+from .ghs import is_ghs, is_polyhedral_homology_manifold
 from .homology import TRIVIAL_GROUP, reduced_homology_all
 from .quasitoric import (even_betti_report, from_fan, is_characteristic,
                          pi1_orbit_union)
@@ -92,19 +91,46 @@ def load(path: str, hashes: dict, decode=None):
         raise CliError(f"{label}: {exc}")
 
 
-def require_labeled(value, label: str) -> LabeledComplex:
+def load_complex(path: str, hashes: dict):
+    """Load a complex document, dropping any labels."""
+    value = load(path, hashes)
+    return value.complex if isinstance(value, LabeledComplex) else value
+
+
+def load_labeled(path: str, hashes: dict) -> LabeledComplex:
+    value = load(path, hashes)
     if not isinstance(value, LabeledComplex):
-        raise CliError(f"{label}: expected a labeled complex "
+        raise CliError(f"{path}: expected a labeled complex "
                        f'(a "labels" key)')
     return value
 
 
-def plain_complex(value):
-    return value.complex if isinstance(value, LabeledComplex) else value
+def write_report(args, hashes: dict, parameters: dict, body: dict,
+                 lines, verdict) -> int:
+    """Write the run report in `args.format`: the JSON object keyed by
+    command, input hashes and parameters plus `body`, or the text
+    `lines`.  Return the exit code of `verdict`."""
+    if args.format == "json":
+        sys.stdout.write(jsonio.dumps({"command": args.command,
+                                       "inputs": hashes,
+                                       "parameters": parameters, **body}))
+    else:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+    return 0 if verdict else 1
 
 
-def ghs_report_obj(report: GhsReport) -> dict:
-    return {
+# --- subcommand implementations -------------------------------------------
+# Each handler takes the parsed arguments and the dict that collects its
+# input hashes.  The library functions are module globals looked up when a
+# handler runs, so a wrapper installed on this module takes effect.
+
+def cmd_check_links(args, hashes: dict) -> int:
+    """check-ghs and check-phm: `args.check` is the library test and
+    `args.letter` names its dimension in the text report."""
+    K = load_complex(args.input, hashes)
+    report = args.check(K, args.dim)
+    body = {
         "verdict": report.verdict,
         "dimension": report.dimension,
         "links_checked": report.links_checked,
@@ -115,45 +141,18 @@ def ghs_report_obj(report: GhsReport) -> dict:
             for f in report.failures
         ],
     }
-
-
-def emit(report: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        sys.stdout.write(jsonio.dumps(report))
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
-
-
-def run_report(command: str, hashes: dict, parameters: dict, body: dict) -> dict:
-    report = {"command": command, "inputs": hashes, "parameters": parameters}
-    report.update(body)
-    return report
-
-
-# --- subcommand implementations -------------------------------------------
-
-def cmd_check_links(args) -> int:
-    """check-ghs and check-phm: `args.check` is the library test and
-    `args.letter` names its dimension in the text report."""
-    hashes: dict = {}
-    K = plain_complex(load(args.input, hashes))
-    report = args.check(K, args.dim)
-    body = ghs_report_obj(report)
     lines = [f"{args.command} {args.letter}={args.dim} verdict="
              f"{'PASS' if report.verdict else 'FAIL'} "
              f"links_checked={report.links_checked}"]
     lines += [f"  failure simplex={list(f.simplex.vertices)} degree={f.degree} "
               f"expected={f.expected.describe()} actual={f.actual.describe()}"
               for f in report.failures]
-    emit(run_report(args.command, hashes, {"dim": args.dim}, body),
-         args.format, lines)
-    return 0 if report.verdict else 1
+    return write_report(args, hashes, {"dim": args.dim}, body, lines,
+                        report.verdict)
 
 
-def cmd_check_proper(args) -> int:
-    hashes: dict = {}
-    LK = require_labeled(load(args.input, hashes), args.input)
+def cmd_check_proper(args, hashes: dict) -> int:
+    LK = load_labeled(args.input, hashes)
     proper, offending = is_proper_labeling(LK)
     body = {"verdict": proper,
             "offending": list(offending.vertices) if offending else None}
@@ -165,30 +164,26 @@ def cmd_check_proper(args) -> int:
         lines.append(f"  offending simplex={list(offending.vertices)}")
         lines += [f"  component vertices={list(vs)} type={tag}"
                   for vs, tag in verdict.components]
-    emit(run_report("check-proper", hashes, {}, body), args.format, lines)
-    return 0 if proper else 1
+    return write_report(args, hashes, {}, body, lines, proper)
 
 
-def cmd_check_aspherical(args) -> int:
-    hashes: dict = {}
-    LK = require_labeled(load(args.input, hashes), args.input)
+def cmd_check_aspherical(args, hashes: dict) -> int:
+    LK = load_labeled(args.input, hashes)
     verdict = is_aspherical(LK, budget=args.budget)
     body = {"verdict": verdict}
-    emit(run_report("check-aspherical", hashes, {"budget": args.budget}, body),
-         args.format, [f"check-aspherical verdict={'PASS' if verdict else 'FAIL'}"])
-    return 0 if verdict else 1
+    return write_report(
+        args, hashes, {"budget": args.budget}, body,
+        [f"check-aspherical verdict={'PASS' if verdict else 'FAIL'}"], verdict)
 
 
-def cmd_coxeter_nerve(args) -> int:
-    hashes: dict = {}
-    LK = require_labeled(load(args.input, hashes), args.input)
+def cmd_coxeter_nerve(args, hashes: dict) -> int:
+    LK = load_labeled(args.input, hashes)
     nerve = coxeter_nerve(LK, max_rank=args.max_rank, budget=args.budget)
     sys.stdout.write(jsonio.dumps(jsonio.complex_to_obj(nerve)))
     return 0
 
 
-def cmd_equiv(args) -> int:
-    hashes: dict = {}
+def cmd_equiv(args, hashes: dict) -> int:
     A = load(args.a, hashes)
     B = load(args.b, hashes)
     if isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex):
@@ -202,13 +197,11 @@ def cmd_equiv(args) -> int:
         lines = ["NOT EQUIVALENT"]
     else:
         lines = [f"{a} -> {b}" for a, b in sorted(mapping.items())]
-    emit(run_report("equiv", hashes, {}, body), args.format, lines)
-    return 0 if mapping is not None else 1
+    return write_report(args, hashes, {}, body, lines, mapping is not None)
 
 
-def cmd_homology(args) -> int:
-    hashes: dict = {}
-    K = plain_complex(load(args.input, hashes))
+def cmd_homology(args, hashes: dict) -> int:
+    K = load_complex(args.input, hashes)
     hom = reduced_homology_all(K)
     degrees = ([args.degree] if args.degree is not None
                else [k for k in sorted(hom) if k >= 0])
@@ -216,43 +209,37 @@ def cmd_homology(args) -> int:
     body = {"reduced_homology": {str(k): jsonio.group_to_obj(g)
                                  for k, g in groups.items()}}
     lines = [f"H~_{k} = {g.describe()}" for k, g in groups.items()]
-    emit(run_report("homology", hashes,
-                    {"degree": args.degree}, body), args.format, lines)
-    return 0
+    return write_report(args, hashes, {"degree": args.degree}, body, lines,
+                        True)
 
 
-def cmd_solve_obstruction(args) -> int:
-    hashes: dict = {}
-    N = plain_complex(load(args.complex, hashes))
+def cmd_solve_obstruction(args, hashes: dict) -> int:
+    N = load_complex(args.complex, hashes)
     D = dual_complex(N, args.dim, include_top=not args.no_top)
     c = load(args.cochain, hashes,
              lambda obj: jsonio.cochain_from_obj(obj, D))
     ok, witness = is_cocycle(D, c)
-    params = {"dim": args.dim, "include_top": not args.no_top}
+    solution = solve_obstruction(D, c) if ok else None
     if not ok:
         body = {"status": "not-a-cocycle",
                 "witness": list(witness.label.vertices)}
-        emit(run_report("solve-obstruction", hashes, params, body),
-             args.format,
-             [f"NOT A COCYCLE: coboundary nonzero on dual face of "
-              f"{list(witness.label.vertices)}"])
-        return 1
-    solution = solve_obstruction(D, c)
-    if solution is None:
+        lines = [f"NOT A COCYCLE: coboundary nonzero on dual face of "
+                 f"{list(witness.label.vertices)}"]
+    elif solution is None:
         body = {"status": "unsolvable", "witness": None}
-        emit(run_report("solve-obstruction", hashes, params, body),
-             args.format,
-             ["UNSOLVABLE: the dual complex is not acyclic in this degree"])
-        return 1
-    body = {"status": "solved", "solution": jsonio.cochain_to_obj(solution)}
-    emit(run_report("solve-obstruction", hashes, params, body), args.format,
-         ["SOLVED", jsonio.dumps(jsonio.cochain_to_obj(solution)).rstrip()])
-    return 0
+        lines = ["UNSOLVABLE: the dual complex is not acyclic in this degree"]
+    else:
+        body = {"status": "solved",
+                "solution": jsonio.cochain_to_obj(solution)}
+        lines = ["SOLVED",
+                 jsonio.dumps(jsonio.cochain_to_obj(solution)).rstrip()]
+    return write_report(args, hashes,
+                        {"dim": args.dim, "include_top": not args.no_top},
+                        body, lines, solution is not None)
 
 
-def cmd_acyclicity(args) -> int:
-    hashes: dict = {}
-    N = plain_complex(load(args.input, hashes))
+def cmd_acyclicity(args, hashes: dict) -> int:
+    N = load_complex(args.input, hashes)
     D = dual_complex(N, args.dim, include_top=not args.no_top)
     report = acyclicity_report(D)
     ready = is_resolution_ready(report)
@@ -262,14 +249,12 @@ def cmd_acyclicity(args) -> int:
     lines = [f"acyclicity n={args.dim} resolution-ready="
              f"{'YES' if ready else 'NO'}"]
     lines += [f"  H_{k} = {report[k].describe()}" for k in sorted(report)]
-    emit(run_report("acyclicity", hashes,
-                    {"dim": args.dim, "include_top": not args.no_top}, body),
-         args.format, lines)
-    return 0 if ready else 1
+    return write_report(args, hashes,
+                        {"dim": args.dim, "include_top": not args.no_top},
+                        body, lines, ready)
 
 
-def cmd_check_charfun(args) -> int:
-    hashes: dict = {}
+def cmd_check_charfun(args, hashes: dict) -> int:
     pair = load(args.input, hashes, jsonio.pair_from_obj)
     ok, offending = is_characteristic(pair)
     pi1 = pi1_orbit_union(pair)
@@ -280,12 +265,10 @@ def cmd_check_charfun(args) -> int:
              f"pi1_orbit_union={pi1.describe()}"]
     if offending:
         lines.append(f"  offending simplex={list(offending.vertices)}")
-    emit(run_report("check-charfun", hashes, {}, body), args.format, lines)
-    return 0 if ok else 1
+    return write_report(args, hashes, {}, body, lines, ok)
 
 
-def cmd_from_fan(args) -> int:
-    hashes: dict = {}
+def cmd_from_fan(args, hashes: dict) -> int:
     fan = load(args.input, hashes, jsonio.fan_from_obj)
     try:
         pair = from_fan(fan)
@@ -293,40 +276,34 @@ def cmd_from_fan(args) -> int:
         if "singular cones" not in str(exc):
             raise
         body = {"verdict": False, "error": str(exc)}
-        emit(run_report("from-fan", hashes, {}, body), args.format,
-             [f"FAIL: {exc}"])
-        return 1
+        return write_report(args, hashes, {}, body, [f"FAIL: {exc}"], False)
     sys.stdout.write(jsonio.dumps(jsonio.pair_to_obj(pair)))
     return 0
 
 
-def cmd_betti(args) -> int:
-    hashes: dict = {}
+def cmd_betti(args, hashes: dict) -> int:
     pair = load(args.input, hashes, jsonio.pair_from_obj)
     try:
         h = even_betti_report(pair)
     except ValueError as exc:
         body = {"verdict": False, "reason": str(exc)}
-        emit(run_report("betti", hashes, {}, body), args.format,
-             [f"FAIL: {exc}"])
-        return 1
+        return write_report(args, hashes, {}, body, [f"FAIL: {exc}"], False)
     betti = {str(2 * i): hi for i, hi in enumerate(h)}
     body = {"verdict": True, "h_vector": list(h), "betti_even": betti,
             "betti_odd": 0, "sphere_certificate": "ghs"}
     lines = [f"betti h_vector={list(h)}"]
     lines += [f"  b_{2*i} = {hi}" for i, hi in enumerate(h)]
     lines.append("  b_odd = 0 (all odd degrees)")
-    emit(run_report("betti", hashes, {}, body), args.format, lines)
-    return 0
+    return write_report(args, hashes, {}, body, lines, True)
 
 
 CONSTRUCT_KINDS = ("boundary-simplex", "cone", "suspension", "join",
                    "barycentric", "barycentric-all-2")
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, hashes: dict) -> int:
+    """argparse has already restricted `args.kind` to CONSTRUCT_KINDS."""
     kind = args.kind
-    hashes: dict = {}
     if kind == "boundary-simplex":
         if len(args.args) != 1:
             raise CliError("construct boundary-simplex takes exactly one "
@@ -341,14 +318,14 @@ def cmd_construct(args) -> int:
     elif kind == "join":
         if len(args.args) != 2:
             raise CliError("construct join takes exactly two complex files")
-        A = plain_complex(load(args.args[0], hashes))
-        B = plain_complex(load(args.args[1], hashes))
+        A = load_complex(args.args[0], hashes)
+        B = load_complex(args.args[1], hashes)
         out = jsonio.complex_to_obj(join(A, B))
-    elif kind in ("cone", "suspension", "barycentric", "barycentric-all-2"):
+    else:
         if args.args:
             raise CliError(f"construct {kind} reads its complex from "
                            f"--input/stdin and takes no positional arguments")
-        K = plain_complex(load(args.input, hashes))
+        K = load_complex(args.input, hashes)
         if kind == "cone":
             out = jsonio.complex_to_obj(cone(K))
         elif kind == "suspension":
@@ -357,9 +334,6 @@ def cmd_construct(args) -> int:
             out = jsonio.complex_to_obj(barycentric(K))
         else:
             out = jsonio.labeled_to_obj(barycentric_all_two(K))
-    else:
-        raise CliError(f"unknown construction {kind!r}; choose from "
-                       + ", ".join(CONSTRUCT_KINDS))
     sys.stdout.write(jsonio.dumps(out))
     return 0
 
@@ -468,7 +442,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args, {})
     except (CliError, BudgetExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ are complete; fail_fast trades completeness for speed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z, reduced_homology_all
@@ -35,7 +34,6 @@ class GhsReport:
     dimension: int
     failures: tuple[GhsFailure, ...]
     links_checked: int
-    wall_time: float
 
     def __post_init__(self):
         assert self.verdict == (not self.failures)
@@ -109,13 +107,11 @@ def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int,
         raise ValueError("manifold dimension must be non-negative")
     if K.is_empty():
         raise ValueError("the empty complex is not a candidate manifold")
-    start = time.monotonic()
     failures = _purity_failures(K, m)
     checked = 0
     if not failures:
         failures, checked = _check_links(K, m, fail_fast)
-    return GhsReport(not failures, m, tuple(failures), checked,
-                     time.monotonic() - start)
+    return GhsReport(not failures, m, tuple(failures), checked)
 
 
 def is_ghs(K: SimplicialComplex, n: int,
@@ -129,7 +125,6 @@ def is_ghs(K: SimplicialComplex, n: int,
         raise ValueError("resolution dimension must be >= 1")
     if K.is_empty():
         raise ValueError("the empty complex is not a candidate sphere")
-    start = time.monotonic()
     m = n - 1
     failures = _purity_failures(K, m)
     checked = 0
@@ -141,5 +136,4 @@ def is_ghs(K: SimplicialComplex, n: int,
             link_failures, link_checked = _check_links(K, m, fail_fast)
             failures.extend(link_failures)
             checked += link_checked
-    return GhsReport(not failures, m, tuple(failures), checked,
-                     time.monotonic() - start)
+    return GhsReport(not failures, m, tuple(failures), checked)

@@ -481,9 +481,6 @@ class FGAbelianGroup:
     def neg(self, x) -> tuple[int, ...]:
         return self.reduce(tuple(-a for a in x))
 
-    def scale(self, k: int, x) -> tuple[int, ...]:
-        return self.reduce(tuple(k * a for a in x))
-
     def is_zero_element(self, x) -> bool:
         return self.reduce(x) == self.zero()
 

@@ -77,12 +77,18 @@ class Fan:
         cones = tuple(tuple(sorted(c)) for c in self.max_cones)
         object.__setattr__(self, "max_cones", cones)
         for c in cones:
-            if len(set(c)) != len(c):
-                raise ValueError(f"cone {list(c)} repeats a ray")
-            if any(i < 0 or i >= len(rays) for i in c):
-                raise ValueError(f"cone {list(c)} references a missing ray")
+            repeated = sorted({i for i, j in zip(c, c[1:]) if i == j})
+            if repeated:
+                raise ValueError(f"a cone of {len(c)} rays repeats "
+                                 f"{len(repeated)} rays, first {repeated[:5]}")
+            missing = [i for i in c if i < 0 or i >= len(rays)]
+            if missing:
+                raise ValueError(f"a cone of {len(c)} rays references "
+                                 f"{len(missing)} missing rays, first "
+                                 f"{missing[:5]}")
             if len(c) > dim:
-                raise ValueError(f"cone {list(c)} is not simplicial in Z^{dim}")
+                raise ValueError(f"a cone of {len(c)} rays is not simplicial "
+                                 f"in Z^{dim}, first {list(c[:5])}")
 
     @property
     def dim(self) -> int:

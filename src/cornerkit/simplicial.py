@@ -160,9 +160,10 @@ class LabeledComplex:
                 raise ValueError(f"label on non-edge ({u},{v})")
             if m < 2:
                 raise ValueError(f"label on edge ({u},{v}) must be >= 2, got {m}")
-        missing = edge_set - seen
+        missing = sorted(edge_set - seen)
         if missing:
-            raise ValueError(f"edges {sorted(missing)} carry no label")
+            raise ValueError(f"{len(missing)} edges carry no label, "
+                             f"first {missing[:5]}")
         object.__setattr__(self, "_label_map",
                            {(u, v): m for u, v, m in canon})
 

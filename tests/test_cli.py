@@ -361,6 +361,9 @@ B3 = {"num_vertices": 4, "facets": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
     pytest.param({"facets": [[-1, *range(1000, 1300)]]}, None,
                  "negative vertex id in a facet of 301 vertices, first "
                  "[-1, 1000, 1001, 1002, 1003]", id="negative-id-long-facet"),
+    pytest.param({"facets": [[i, i + 1] for i in range(300)], "labels": []},
+                 None, "300 edges carry no label, first [(0, 1), (1, 2), "
+                 "(2, 3), (3, 4), (4, 5)]", id="unlabeled-edges"),
 ])
 def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
                                             cochain_doc, message):
@@ -375,6 +378,26 @@ def test_malformed_documents_exit_2_briefly(capsys, tmp_path, complex_doc,
         argv = ("solve-obstruction", "--complex", str(kpath), "-n", "3",
                 "--cochain", str(cpath))
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("fan_doc,message", [
+    pytest.param({"rays": [[1, 0], [0, 1]], "cones": [list(range(400))]},
+                 "a cone of 400 rays references 398 missing rays, first "
+                 "[2, 3, 4, 5, 6]", id="missing-rays"),
+    pytest.param({"rays": [[1, 0], [0, 1]], "cones": [[0, *range(300)]]},
+                 "a cone of 301 rays repeats 1 rays, first [0]",
+                 id="repeated-ray"),
+    pytest.param({"rays": [[1, 0]] * 300, "cones": [list(range(300))]},
+                 "a cone of 300 rays is not simplicial in Z^2, first "
+                 "[0, 1, 2, 3, 4]", id="long-cone"),
+])
+def test_malformed_fans_exit_2_briefly(capsys, tmp_path, fan_doc, message):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan_doc))
+    code, out, err = run_cli(capsys, "from-fan", "-i", str(path))
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
     assert len(err.encode()) < 1024
@@ -417,6 +440,248 @@ def test_printed_preimages_are_pinned(capsys, tmp_path, monkeypatch,
     assert code == 0 and json.loads(out)["status"] == "solved"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PREIMAGE_DIGESTS[nerve, n, grade]
+
+
+# --- every report, pinned ---------------------------------------------------
+# Inputs go under bare names into a directory that CORNERKIT_DATA points
+# at, so the "inputs" labels of the reports do not depend on where the
+# checkout lives.  The shipped corpus is copied there byte for byte.
+
+REPORT_INPUTS = {
+    "pentagon.json": {"num_vertices": 5,
+                      "facets": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+                      "labels": [[0, 1, 2], [1, 2, 2], [2, 3, 2], [3, 4, 2],
+                                 [0, 4, 2]]},
+    "triangle.json": {"num_vertices": 3, "facets": [[0, 1, 2]],
+                      "labels": [[0, 1, 2], [0, 2, 3], [1, 2, 6]]},
+    "cycle.json": {"num_vertices": 3, "facets": [[0, 1], [0, 2], [1, 2]],
+                   "labels": [[0, 1, 2], [0, 2, 2], [1, 2, 2]]},
+    "edge-labeled.json": {"num_vertices": 2, "facets": [[0, 1]],
+                          "labels": [[0, 1, 2]]},
+    "b3.json": B3,
+    "pinched.json": {"num_vertices": 5, "facets": [[0, 1, 2], [0, 3, 4]]},
+    "square.json": {"num_vertices": 4,
+                    "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+    "square-moved.json": {"num_vertices": 4,
+                          "facets": [[0, 2], [1, 2], [1, 3], [0, 3]]},
+    "square-diagonal.json": {"num_vertices": 4, "facets": [
+        [0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]},
+    "edge.json": {"num_vertices": 2, "facets": [[0, 1]]},
+    # δ of a grade-1 cochain of dual(∂Δ³, 3)
+    "solvable.json": {"degree": 2, "group": {"rank": 1, "torsion": [6]},
+                      "values": {"0": [3, 0], "1": [-5, 2], "2": [-3, 4],
+                                 "3": [5, 0]}},
+    "non-cocycle.json": {"degree": 1, "group": {"rank": 0, "torsion": [2]},
+                         "values": {"0 1": [1]}},
+    # the empty triangle 013 of rp2_6: a loop that bounds over Q only
+    "unsolvable.json": {"degree": 1, "group": {"rank": 1, "torsion": []},
+                        "values": {"0 1": [1], "1 3": [1], "0 3": [-1]}},
+    "bad-pair.json": {"n": 2, "lambda": [[1, 0], [0, 1], [1, 2]],
+                      "nerve": {"num_vertices": 3,
+                                "facets": [[0, 1], [0, 2], [1, 2]]}},
+    "fan.json": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                 "cones": [[0, 1], [1, 2], [0, 2]]},
+    "singular-fan.json": {"rays": [[1, 0], [1, 2], [-1, -1]],
+                          "cones": [[0, 1], [1, 2], [0, 2]]},
+    "malformed.json": '{"num_vertices": 3, "facets": [[0,1],',
+}
+
+# name: (argv without --format, exit code)
+REPORT_CASES = {
+    "check-ghs-pass": (("check-ghs", "-i", "poincare16.json", "-n", "4"), 0),
+    "check-ghs-fail": (("check-ghs", "-i", "rp2_6.json", "-n", "3"), 1),
+    "check-phm-pass": (("check-phm", "-i", "rp2_6.json", "-n", "2"), 0),
+    "check-phm-fail": (("check-phm", "-i", "pinched.json", "-n", "2"), 1),
+    "check-proper-pass": (("check-proper", "-i", "pentagon.json"), 0),
+    "check-proper-fail": (("check-proper", "-i", "triangle.json"), 1),
+    "check-aspherical-pass": (("check-aspherical", "-i", "pentagon.json"), 0),
+    "check-aspherical-fail": (("check-aspherical", "-i", "cycle.json"), 1),
+    "coxeter-nerve": (("coxeter-nerve", "-i", "cycle.json",
+                       "--max-rank", "3"), 0),
+    "equiv-pass": (("equiv", "square.json", "square-moved.json"), 0),
+    "equiv-fail": (("equiv", "square.json", "square-diagonal.json"), 1),
+    "equiv-labeledness": (("equiv", "edge.json", "edge-labeled.json"), 1),
+    "homology": (("homology", "-i", "rp2_6.json"), 0),
+    "homology-degree": (("homology", "-i", "pentagon.json", "--degree", "1"),
+                        0),
+    "acyclicity-pass": (("acyclicity", "-i", "b3.json", "-n", "3"), 0),
+    "acyclicity-fail": (("acyclicity", "-i", "b3.json", "-n", "3",
+                         "--no-top"), 1),
+    "solve-solved": (("solve-obstruction", "--complex", "b3.json", "-n", "3",
+                      "--cochain", "solvable.json"), 0),
+    "solve-not-a-cocycle": (("solve-obstruction", "--complex", "b3.json",
+                             "-n", "3", "--cochain", "non-cocycle.json"), 1),
+    "solve-unsolvable": (("solve-obstruction", "--complex", "rp2_6.json",
+                          "-n", "3", "--cochain", "unsolvable.json"), 1),
+    "check-charfun-pass": (("check-charfun", "-i", "cp2_pair.json"), 0),
+    "check-charfun-fail": (("check-charfun", "-i", "bad-pair.json"), 1),
+    "betti-pass": (("betti", "-i", "cp2_pair.json"), 0),
+    "betti-fail": (("betti", "-i", "bad-pair.json"), 1),
+    "from-fan": (("from-fan", "-i", "fan.json"), 0),
+    "from-fan-singular": (("from-fan", "-i", "singular-fan.json"), 1),
+    "construct-boundary-simplex": (("construct", "boundary-simplex", "3"), 0),
+    "construct-cone": (("construct", "cone", "-i", "b3.json"), 0),
+    "construct-suspension": (("construct", "suspension", "-i", "b3.json"), 0),
+    "construct-join": (("construct", "join", "square.json", "edge.json"), 0),
+    "construct-barycentric": (("construct", "barycentric", "-i", "b3.json"),
+                              0),
+    "construct-barycentric-all-2": (("construct", "barycentric-all-2", "-i",
+                                     "pentagon.json"), 0),
+    "error-missing-input": (("homology", "-i", "nope.json"), 2),
+    "error-malformed-json": (("check-ghs", "-i", "malformed.json", "-n", "2"),
+                             2),
+    "error-unlabeled": (("check-proper", "-i", "b3.json"), 2),
+    "error-improper": (("check-aspherical", "-i", "triangle.json"), 2),
+    "error-budget": (("coxeter-nerve", "-i", "pentagon.json", "--budget", "2"),
+                     2),
+    "error-construct-arity": (("construct", "join", "b3.json"), 2),
+    "error-construct-positional": (("construct", "cone", "b3.json"), 2),
+    "error-not-an-integer": (("construct", "boundary-simplex", "x"), 2),
+}
+
+# sha256 of json.dumps([exit code, stdout, stderr]) with --format json and
+# with --format text, recorded from the CLI before its handlers shared one
+# report writer
+REPORT_DIGESTS = {
+    "acyclicity-fail": [
+        "9250c8890b75022a4d79efd67a0313cef05a7910a80ca9dde76ef5eb95576d6f",
+        "7008db842d646429cbbc2ff54c4204b88b0c8fdab38c4687e1ca20f543fc5626"],
+    "acyclicity-pass": [
+        "e0dfa0bf78120383d858460322d7fdb0f03f49e00a6936fe03baa5d34ec86405",
+        "1867d7f886b53e08b8a5fd608d1d6c35f1093a388e4bd6e50733f092d6eaae77"],
+    "betti-fail": [
+        "9ab33b198e0119e5510a38a4ea079480b1853b7adc2e6abcbebf020397d4215a",
+        "bd5c2dd2588507729483ef2b7670460f17db21db1aef0a0b4d31cc347dda5d55"],
+    "betti-pass": [
+        "f8e053ea76447f1ebf98649aecb740d038613dea4a470d4f7c0a20ba92bf95f5",
+        "19431a7e54d520546a8e490947913fc14a33e6cc8b935fe6972cfd01c4ed9564"],
+    "check-aspherical-fail": [
+        "a43a5dd92f68809b2cabdde7060a93b6173fda7169f88a3bbbc0ed3e27f1bd9f",
+        "c8931a5454e1e3fe705d0d1a7ca7dea61b3daece9bf3e22d8c2ef4008790dd38"],
+    "check-aspherical-pass": [
+        "6c17b6c1c8c187c845e4d2e52cdc46476a2f76552d5b7292c26068f61b02c255",
+        "720f0edf7ff6ca8f35ad411783f2812eb67f545c5a9f968c7603f4676097bd49"],
+    "check-charfun-fail": [
+        "f1477e6ed741e99ce5a382a6cd4dcddf305856b868cc5212feee1c1cf384fd79",
+        "02e7b99ca622acb4c9989dca77782e69e1aa9a00f0d26f83386f478ff21fe4f3"],
+    "check-charfun-pass": [
+        "dea57007253ab816ddb78d7d0adaa8a21e6cd1a87102497c07b6f5defccf991b",
+        "a09aaac78d71bfdd818e102d0a98f364c0ecee6efac5170939fc3231b8ee531b"],
+    "check-ghs-fail": [
+        "c4f00aaa4d7e0893ac02f2b873ffddff1ffa12c5ccf0c4a49812863d4d66ed92",
+        "50ad2ab8f06ecb276c9b270ddc7b7cc879676d1fb8b94a88abfac1543555b91c"],
+    "check-ghs-pass": [
+        "54e446cee573857f7539150628022853572de011f129f52838df8f4921deda2d",
+        "c18b67a3be61956a9e44d5bf2a117d048159334188d00d9a98d9637d3aa851fb"],
+    "check-phm-fail": [
+        "6c164496c7a738851db0b4ba09d27583b2fae1aaaccca9322158551d0d22b0a5",
+        "2b6aa5af09d8b683ee69c86749179dcbac24f6932c6b0f4796d3bbb75da91762"],
+    "check-phm-pass": [
+        "257f765b90b38f0a19cd2e334ef807598f1857a194fb3618a43fd69b834f1c9f",
+        "d72f3d895843d457797fbfcd679d64e80b864b436097f5c19dff5efd7275f9b9"],
+    "check-proper-fail": [
+        "20b69ed1557f2c4841e3f383835a4e72dd14293df38a334dd2af54a86e99e235",
+        "f1ce027ae9769b0f9d53b1a85fd16b5c12bc81e1e7e64015480c78f1b9ebbddf"],
+    "check-proper-pass": [
+        "2b5c7eb7bc9237e6225c69b884da236a45fb77704c50045d1a9a89fc8ce665e6",
+        "5367d14b56196d5e2d21f0b90bc9a1e069090b46c6a82df3f2bef56850e2fbc5"],
+    "construct-barycentric": [
+        "c8db39598d309a1965a9c82181fb92febc26a8e90fd83ee4dc01c845cc9a0dd5",
+        "c8db39598d309a1965a9c82181fb92febc26a8e90fd83ee4dc01c845cc9a0dd5"],
+    "construct-barycentric-all-2": [
+        "e6094163ad6698aa22f8c25b54143d22f1a3231a67eb51ac77fd628e12b29a64",
+        "e6094163ad6698aa22f8c25b54143d22f1a3231a67eb51ac77fd628e12b29a64"],
+    "construct-boundary-simplex": [
+        "dc6ffd4bd8021fd87e74fb18558c6a465040f18685e46d03c1f18f42d260d682",
+        "dc6ffd4bd8021fd87e74fb18558c6a465040f18685e46d03c1f18f42d260d682"],
+    "construct-cone": [
+        "81c6ae24368939e940f2522c2cc706a10d92b4f0442244a4ee87584a41b9e8a5",
+        "81c6ae24368939e940f2522c2cc706a10d92b4f0442244a4ee87584a41b9e8a5"],
+    "construct-join": [
+        "6e916a409f6a70d5b91241da30570030d9a1982d2de1b97c519461e71bd8e2cd",
+        "6e916a409f6a70d5b91241da30570030d9a1982d2de1b97c519461e71bd8e2cd"],
+    "construct-suspension": [
+        "f391e82ab7ce0da433c6e0ddc32f85fdd50f6a4e5bccdd5bc114ffd0a717aeb2",
+        "f391e82ab7ce0da433c6e0ddc32f85fdd50f6a4e5bccdd5bc114ffd0a717aeb2"],
+    "coxeter-nerve": [
+        "d45174e5ad694f6a88941208c0cc42dc6cef6dfd34e7d7d973cbc7e6df3cec4f",
+        "d45174e5ad694f6a88941208c0cc42dc6cef6dfd34e7d7d973cbc7e6df3cec4f"],
+    "equiv-fail": [
+        "0e5c3f53bc556c7464377d743215fe2aeb5b95e81ad56e0c3057fbb425df96dd",
+        "da280d8368476840ea62e34db9aa69aebc6947792558470d66ecfff3ae0840e5"],
+    "equiv-labeledness": [
+        "47e9be7ba67460b8886c19dd9c3fb5bad90ba7b811884856529da7952a15030e",
+        "da280d8368476840ea62e34db9aa69aebc6947792558470d66ecfff3ae0840e5"],
+    "equiv-pass": [
+        "c5d10eb76ab7ff08de6ea60bc79090b1a73e3d06ddc3e61e7fee1f96d2bf9a2e",
+        "17f19ee25bd06e1022e1bb8740be38d13641e4dfd2d4ccde56bb6871531bcaa8"],
+    "error-budget": [
+        "349142ad486b0e5da92a39679222c4e86210b2a25a7339265034f2f9f108bb22",
+        "349142ad486b0e5da92a39679222c4e86210b2a25a7339265034f2f9f108bb22"],
+    "error-construct-arity": [
+        "e7168635297f0118dbfbf9d78218253e1ee6bf2fdae80a32eb738ba135355c07",
+        "e7168635297f0118dbfbf9d78218253e1ee6bf2fdae80a32eb738ba135355c07"],
+    "error-construct-positional": [
+        "b2852d6e0283d0ce06311ddb2c53eb97085d36072c71c49bd186eedcac1b2ecf",
+        "b2852d6e0283d0ce06311ddb2c53eb97085d36072c71c49bd186eedcac1b2ecf"],
+    "error-improper": [
+        "debc24385316a9497f07af24cba66e5d3775ec690093e7d10ba55b3d71bfe715",
+        "debc24385316a9497f07af24cba66e5d3775ec690093e7d10ba55b3d71bfe715"],
+    "error-malformed-json": [
+        "01199c006e0ff614273e17acec87922a2c17d2268d65069223de206c95739667",
+        "01199c006e0ff614273e17acec87922a2c17d2268d65069223de206c95739667"],
+    "error-missing-input": [
+        "c5c16b03016c7a89060f2c07fae616c9a95823b22d79e756fac350465d9599af",
+        "c5c16b03016c7a89060f2c07fae616c9a95823b22d79e756fac350465d9599af"],
+    "error-not-an-integer": [
+        "71912be11655c0619fd15b89ff72206e2374e81b7f03f7e6cd19c2ab3de0e715",
+        "71912be11655c0619fd15b89ff72206e2374e81b7f03f7e6cd19c2ab3de0e715"],
+    "error-unlabeled": [
+        "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a",
+        "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a"],
+    "from-fan": [
+        "9c5a527c580ca5282c1dec9a0c34e12cc27e278ee48abfff65e469c850633f8a",
+        "9c5a527c580ca5282c1dec9a0c34e12cc27e278ee48abfff65e469c850633f8a"],
+    "from-fan-singular": [
+        "ec001b0cef6ce09491b5de74fd7c046c7cdfe469e0b180c22d1f9412bde1052c",
+        "47e0f6918d4b509dcae794902d74ce66e8531a4e63eb64ce4c19d6ea7dcb56f3"],
+    "homology": [
+        "91e446af739a3aaf490d8be4fab93e837c834020a8a0b12b1abd6fff52f38333",
+        "3ed34c969786c52a0f2a95ab175caef6a6a927b42ef96d761cef794f62048a1c"],
+    "homology-degree": [
+        "6bc666abcee884101ac42afb77028fce8ca03bdc396229ca2b49ebbd8023fa83",
+        "ed9f4c17a7ee8d2311079f603a87a6b178bc833e5809cbfee5f6ad1123e6096e"],
+    "solve-not-a-cocycle": [
+        "9cb825ccc854f800315ed15079d38ce222102452030aa2ebc8411d84c8e4833e",
+        "a4429d90b49e30811d65299455e6b869e7c47459a79d991f3ab60f807e46d5a7"],
+    "solve-solved": [
+        "b05e19229f5b2f85fa84254673932c4f9a39b52e33fd3210e2b999154cc2f938",
+        "eff6716f4cc23c198630c6055a3e7ab3ebbb1f5bd6d2b904397f7ce1d568d472"],
+    "solve-unsolvable": [
+        "2ba3ea4c1758d90fca90f1208f84c9cc81dc8a8471a12c1ffb6dd51ca92ec506",
+        "826d3f0ea14275e5101181d168eb054a07c62c9ff0e10e3f517d8875a207d43c"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
+    data, cwd = tmp_path / "data", tmp_path / "cwd"
+    data.mkdir()
+    cwd.mkdir()
+    for name in ("poincare16.json", "rp2_6.json", "cp2_pair.json"):
+        (data / name).write_bytes((DATA / name).read_bytes())
+    for name, doc in REPORT_INPUTS.items():
+        (data / name).write_text(doc if isinstance(doc, str) else dumps(doc))
+    monkeypatch.setenv("CORNERKIT_DATA", str(data))
+    monkeypatch.chdir(cwd)  # so no input resolves as a literal path
+    argv, exit_code = REPORT_CASES[case]
+    digests = []
+    for fmt in ("json", "text"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == exit_code
+        digests.append(hashlib.sha256(
+            json.dumps([code, out, err]).encode()).hexdigest())
+    assert digests == REPORT_DIGESTS[case]
 
 
 # --- loader fuzzing ---------------------------------------------------------
