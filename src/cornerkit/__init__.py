@@ -8,9 +8,9 @@ from .simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, LabeledComplex, Simplex,
                          point_complex, simplex, simplices, suspension)
 from .homology import (ChainComplex, FGAbelianGroup, IntegerMatrix, SNFResult,
                        SparseMatrix, TRIVIAL_GROUP, Z, chain_complex, cokernel,
-                       determinant, homology, homology_all, invariant_factors,
+                       homology, homology_all, invariant_factors,
                        reduced_homology, reduced_homology_all, snf,
-                       snf_diagonal, solve_integer, verify_snf)
+                       snf_diagonal, solve_integer)
 from .ghs import GhsReport, is_ghs, is_polyhedral_homology_manifold
 from .coxeter import (BudgetExceeded, CoxeterMatrix, FinitenessVerdict,
                       coxeter_matrix, coxeter_nerve, is_aspherical, is_finite,

@@ -55,14 +55,16 @@ def read_input(path: str) -> tuple[str, bytes]:
     return (label, raw bytes)."""
     if path == "-":
         return "-", sys.stdin.buffer.read()
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return path, fh.read()
-    candidate = os.path.join(data_dir(), path)
-    if os.path.exists(candidate):
+    candidate = path
+    if not os.path.exists(candidate):
+        candidate = os.path.join(data_dir(), path)
+        if not os.path.exists(candidate):
+            raise CliError(f"input file not found: {path}")
+    try:
         with open(candidate, "rb") as fh:
             return path, fh.read()
-    raise CliError(f"input file not found: {path}")
+    except OSError as exc:  # it exists but cannot be read: a directory, ...
+        raise CliError(f"cannot read input file {path}: {exc.strerror}")
 
 
 def parse_json(raw: bytes, label: str) -> dict:

@@ -51,16 +51,9 @@ class IntegerMatrix:
         return cls(len(rows), ncols, tuple(tuple(r) for r in rows))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                                for i in range(n)))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -69,24 +62,6 @@ class IntegerMatrix:
         return IntegerMatrix(self.cols, self.rows,
                              tuple(zip(*self.entries)) if self.rows else
                              tuple(() for _ in range(self.cols)))
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        bt = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = []
-        for r in self.entries:
-            out.append(tuple(
-                sum(a * b for a, b in zip(r, col) if a) for col in bt))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vector(self, v) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, v) if a) for row in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.entries)
 
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -109,13 +84,6 @@ class SparseMatrix:
         return cls(A.rows, A.cols, tuple(
             tuple((i, x) for i, x in enumerate(A.column(j)) if x)
             for j in range(A.cols)))
-
-    def to_dense(self) -> IntegerMatrix:
-        grid = [[0] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, x in col:
-                grid[i][j] = x
-        return IntegerMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -357,59 +325,6 @@ def invariant_factors(M: SparseMatrix) -> list[int]:
     return [1] * units + [d for d in snf_diagonal(leftover) if d]
 
 
-def verify_snf(A: IntegerMatrix, result: SNFResult) -> bool:
-    """Postcondition check: U·A·V = D, |det U| = |det V| = 1, divisor chain."""
-    if result.U.mul(A).mul(result.V).entries != result.D.entries:
-        return False
-    if abs(determinant(result.U)) != 1 or abs(determinant(result.V)) != 1:
-        return False
-    diag = result.diagonal()
-    for i in range(result.D.rows):
-        for j in range(result.D.cols):
-            if i != j and result.D.entries[i][j] != 0:
-                return False
-    for i in range(len(diag) - 1):
-        if diag[i] == 0 and diag[i + 1] != 0:
-            return False
-        if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-            return False
-    return all(d >= 0 for d in diag)
-
-
-def determinant(A: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    a = A.tolists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def unimodular_inverse(A: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular integer matrix: its Smith form is the
-    identity, so U·A·V = I gives A⁻¹ = V·U."""
-    if determinant(A) not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    res = snf(A)
-    return res.V.mul(res.U)
-
-
 @dataclass(frozen=True)
 class FGAbelianGroup:
     """Z^free_rank ⊕ Z/q1 ⊕ ... with q1 | q2 | ... and all qi >= 2.
@@ -637,3 +552,17 @@ def solve_integer(A: SparseMatrix, b,
     y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
     x = _replay_columns(log, [y[p] for p in col_pos])
     return [group.reduce(e) for e in x]
+
+
+def unimodular_inverse(A: IntegerMatrix) -> IntegerMatrix:
+    """Exact inverse of a unimodular integer matrix: the solution of
+    A·X = I over Z, one row of X per column of A.  A square integer
+    matrix has an integral inverse exactly when its determinant is ±1,
+    so the solve alone decides; ValueError when there is none."""
+    if A.rows == A.cols:
+        x = solve_integer(SparseMatrix.from_dense(A),
+                          IntegerMatrix.identity(A.rows).entries,
+                          FGAbelianGroup(A.rows))
+        if x is not None:
+            return IntegerMatrix.from_rows(x)
+    raise ValueError("matrix is not unimodular")

@@ -85,10 +85,14 @@ class SimplicialComplex:
         if seen:
             if max(seen) >= self.num_vertices:
                 raise ValueError("facet vertex id exceeds num_vertices")
-            missing = sorted(set(range(self.num_vertices)) - seen)
+            missing = self.num_vertices - len(seen)
             if missing:
-                raise ValueError(f"{len(missing)} vertex ids appear in no "
-                                 f"facet, first {missing[:5]}")
+                # the first five gaps lie below len(seen) + 5, so the scan
+                # stays short however large the ids are
+                first = list(itertools.islice(
+                    (v for v in range(self.num_vertices) if v not in seen), 5))
+                raise ValueError(f"{missing} vertex ids appear in no "
+                                 f"facet, first {first}")
         elif self.num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
         for i, j in enumerate(_containers([f.vertices for f in facets])):
@@ -166,10 +170,6 @@ class LabeledComplex:
                              f"first {missing[:5]}")
         object.__setattr__(self, "_label_map",
                            {(u, v): m for u, v, m in canon})
-
-    def label_of(self, u: int, v: int) -> int | None:
-        """Label of edge {u,v}, or None when {u,v} is not an edge."""
-        return self._label_map.get((min(u, v), max(u, v)))
 
     def label_dict(self) -> dict[tuple[int, int], int]:
         """The edge -> label mapping; treat as read-only."""

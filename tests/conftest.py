@@ -9,8 +9,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cornerkit.homology import verify_snf
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
+from oracles import verify_snf
 
 # modules that look up snf() by name; the lookup goes through
 # importlib because the package rebinds cornerkit.homology to the

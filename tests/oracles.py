@@ -12,6 +12,13 @@ types.  The one reference that needs a Smith form, per_coordinate_solve,
 takes it as an argument: it pins which solution a solve returns, not
 whether one exists, and the tests pass it dense_snf.
 
+The dense matrix helpers live here too, since only tests need them:
+the products matmul and matvec, to_dense, the Bareiss determinant, the
+Smith-form postcondition verify_snf (U·A·V = D, |det U| = |det V| = 1,
+divisor chain), and smith_inverse, the inverse by a determinant check,
+dense_snf and then V·U, which the library's one-solve inverse must
+reproduce exactly.
+
 The per-candidate nerve and per-facet properness loops run the library's
 finiteness classifier (coxeter.is_finite) on every subset with no memo,
 and the full-map search checks each candidate against every mapped
@@ -27,7 +34,7 @@ from collections import deque
 from fractions import Fraction
 
 from cornerkit.coxeter import BudgetExceeded, coxeter_matrix, is_finite
-from cornerkit.homology import IntegerMatrix, SNFResult
+from cornerkit.homology import IntegerMatrix, SNFResult, SparseMatrix
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -327,10 +334,86 @@ def dense_snf(A: IntegerMatrix) -> SNFResult:
         IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
+def to_dense(S: SparseMatrix) -> IntegerMatrix:
+    grid = [[0] * S.cols for _ in range(S.rows)]
+    for j, col in enumerate(S.columns):
+        for i, x in col:
+            grid[i][j] = x
+    return IntegerMatrix(S.rows, S.cols, tuple(map(tuple, grid)))
+
+
+def matmul(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch in matrix product")
+    bt = list(zip(*B.entries)) if B.rows else [()] * B.cols
+    return IntegerMatrix(A.rows, B.cols, tuple(
+        tuple(sum(a * b for a, b in zip(r, col)) for col in bt)
+        for r in A.entries))
+
+
+def matvec(A: IntegerMatrix, v) -> list[int]:
+    if len(v) != A.cols:
+        raise ValueError("vector length mismatch")
+    return [sum(a * b for a, b in zip(row, v)) for row in A.entries]
+
+
+def determinant(A: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    a = A.tolists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_snf(A: IntegerMatrix, result: SNFResult) -> bool:
+    """Postcondition check: U·A·V = D, |det U| = |det V| = 1, divisor chain."""
+    if matmul(matmul(result.U, A), result.V).entries != result.D.entries:
+        return False
+    if abs(determinant(result.U)) != 1 or abs(determinant(result.V)) != 1:
+        return False
+    diag = result.diagonal()
+    for i in range(result.D.rows):
+        for j in range(result.D.cols):
+            if i != j and result.D.entries[i][j] != 0:
+                return False
+    for i in range(len(diag) - 1):
+        if diag[i] == 0 and diag[i + 1] != 0:
+            return False
+        if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
+            return False
+    return all(d >= 0 for d in diag)
+
+
+def smith_inverse(A: IntegerMatrix) -> IntegerMatrix:
+    """Inverse of a unimodular matrix: its Smith form is the identity, so
+    U·A·V = I gives A⁻¹ = V·U.  ValueError unless det A = ±1."""
+    if determinant(A) not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    res = dense_snf(A)
+    return matmul(res.V, res.U)
+
+
 def _solve_coordinate(snf, A, b: list[int], modulus: int | None):
     """A·x = b over Z (modulus None) or mod modulus, from a fresh snf(A)."""
     res = snf(A)
-    c = res.U.mul_vector(b)
+    c = matvec(res.U, b)
     d = res.diagonal()
     y = [0] * A.cols
     for i in range(A.rows):
@@ -348,7 +431,7 @@ def _solve_coordinate(snf, A, b: list[int], modulus: int | None):
         qq = modulus // g
         if di and qq > 1:
             y[i] = ((ci // g) * pow(di // g, -1, qq)) % qq
-    x = res.V.mul_vector(y)
+    x = matvec(res.V, y)
     return x if modulus is None else [xi % modulus for xi in x]
 
 

@@ -18,8 +18,7 @@ from cornerkit.dualcells import (Cochain, coboundary, dual_complex,
 from cornerkit.equivalence import find_isomorphism, verify_isomorphism
 from cornerkit.ghs import is_ghs
 from cornerkit.homology import (FGAbelianGroup, IntegerMatrix, Z, cokernel,
-                                determinant, reduced_homology, snf,
-                                verify_snf)
+                                reduced_homology, snf)
 from cornerkit.quasitoric import (CharacteristicPair, even_betti_report,
                                   h_vector, is_characteristic,
                                   pi1_orbit_union)
@@ -27,8 +26,9 @@ from cornerkit.simplicial import (LabeledComplex, barycentric_all_two,
                                   boundary_simplex, build_complex, join,
                                   label_all, point_complex, suspension)
 from conftest import random_labeled, shuffle_labeled
-from oracles import (brute_force_isomorphic, coset_count,
-                     rational_reduced_betti, triangle_group_is_finite)
+from oracles import (brute_force_isomorphic, coset_count, determinant,
+                     rational_reduced_betti, triangle_group_is_finite,
+                     verify_snf)
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 

@@ -103,10 +103,14 @@ def test_malformed_json_exits_2_with_position(capsys, tmp_path):
     assert "line" in err and "column" in err
 
 
-def test_missing_input_exits_2(capsys):
-    code, _, err = run_cli(capsys, "check-ghs", "-i", "nope.json", "-n", "2")
-    assert code == 2
-    assert "not found" in err
+@pytest.mark.parametrize("path, message", [
+    pytest.param("nope.json", "input file not found: {}", id="missing"),
+    pytest.param(None, "cannot read input file {}: Is a directory",
+                 id="directory")])
+def test_missing_input_exits_2(capsys, tmp_path, path, message):
+    path = path or str(tmp_path)
+    code, out, err = run_cli(capsys, "check-ghs", "-i", path, "-n", "2")
+    assert (code, out, err) == (2, "", f"error: {message.format(path)}\n")
 
 
 def test_check_proper_and_aspherical(capsys, tmp_path):

@@ -12,7 +12,7 @@ from cornerkit.dualcells import (Cochain, acyclicity_report, coboundary,
 from cornerkit.homology import FGAbelianGroup, Z, solve_integer
 from cornerkit.simplicial import (Simplex, boundary_simplex, build_complex,
                                   point_complex)
-from oracles import dense_snf, per_coordinate_solve
+from oracles import dense_snf, per_coordinate_solve, to_dense
 
 Z2 = FGAbelianGroup(0, (2,))
 Z4 = FGAbelianGroup(0, (4,))
@@ -125,9 +125,9 @@ def test_coboundary_is_the_dense_incidence_product(rp2_6, data):
                            min_size=len(faces), max_size=len(faces)))
     d = Cochain.build(D, k - 1, group,
                       {f.label.vertices: e for f, e in zip(faces, x)})
-    dense = D.boundary[k].to_dense()  # rows: grade k-1, columns: grade k
+    dense = to_dense(D.boundary[k])  # rows: grade k-1, columns: grade k
     values = [coords for _, coords in d.values]
-    expected = [group.reduce([sum(dense[i, j] * values[i][c]
+    expected = [group.reduce([sum(dense.entries[i][j] * values[i][c]
                                   for i in range(dense.rows))
                               for c in range(2)])
                 for j in range(dense.cols)]
@@ -299,7 +299,7 @@ def test_sparse_solve_matches_the_reference_on_every_dual_grade(
     unsolvable = 0
     for k in range(1, D.top_dim + 1):
         delta = D.boundary[k].transpose()
-        dense = delta.to_dense()
+        dense = to_dense(delta)
         x = [(rng.randrange(-3, 4), rng.randrange(6))
              for _ in range(delta.cols)]
         image = [group.reduce([sum(a * e[i] for a, e in zip(row, x))

@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
                                 SNFResult, SparseMatrix, TRIVIAL_GROUP, Z,
-                                chain_complex, cokernel, determinant,
-                                homology, homology_all,
-                                invariant_factors, reduced_homology,
-                                reduced_homology_all, snf, snf_diagonal,
-                                solve_integer, unimodular_inverse, verify_snf)
+                                chain_complex, cokernel, homology,
+                                homology_all, invariant_factors,
+                                reduced_homology, reduced_homology_all, snf,
+                                snf_diagonal, solve_integer,
+                                unimodular_inverse)
 from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
                                   f_vector, point_complex)
 from conftest import SNF_CALLERS, random_complex
-from oracles import (coset_count, dense_snf, per_coordinate_solve,
-                     rational_reduced_betti)
+from oracles import (coset_count, dense_snf, determinant, matmul, matvec,
+                     per_coordinate_solve, rational_reduced_betti,
+                     smith_inverse, to_dense, verify_snf)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -26,7 +27,7 @@ def rand_matrix(rng, rows, cols, lo=-9, hi=9):
 def test_snf_identity_and_zero():
     res = snf(IntegerMatrix.identity(3))
     assert res.diagonal() == [1, 1, 1]
-    res = snf(IntegerMatrix.zeros(2, 3))
+    res = snf(IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
     assert res.diagonal() == [0, 0]
 
 
@@ -82,8 +83,8 @@ def test_snf_matches_sympy_invariant_factors():
 def test_chain_complex_shapes():
     C = chain_complex(build_complex([[0, 1], [1, 2], [0, 2]]))
     assert C.boundary[1].rows == 3 and C.boundary[1].cols == 3
-    assert len(snf_diagonal(C.boundary[1].to_dense())) == 3
-    assert sum(1 for d in snf_diagonal(C.boundary[1].to_dense()) if d) == 2
+    assert len(snf_diagonal(to_dense(C.boundary[1]))) == 3
+    assert sum(1 for d in snf_diagonal(to_dense(C.boundary[1])) if d) == 2
     B3 = chain_complex(boundary_simplex(3))
     assert C.boundary[1].rows == 3
     assert B3.boundary[2].rows == 6 and B3.boundary[2].cols == 4
@@ -130,7 +131,7 @@ def torsion_matrices(draw, square=False, factors=(0, 1, 2, 3, 4, 6)):
     d[draw(st.integers(0, len(d) - 1))] = draw(st.sampled_from((2, 3, 4)))
     D = IntegerMatrix.from_rows([[d[i] if i == j else 0 for j in range(c)]
                                  for i in range(r)])
-    return draw(unimodular(r)).mul(D).mul(draw(unimodular(c)))
+    return matmul(matmul(draw(unimodular(r)), D), draw(unimodular(c)))
 
 
 @st.composite
@@ -172,13 +173,14 @@ def test_sparse_smith_form_equals_the_dense_oracle(A):
 @given(sparse_matrices(), sparse_matrices())
 def test_sparse_matrix_ops_match_dense(A, B):
     S = SparseMatrix.from_dense(A)
-    assert S.to_dense() == A
-    assert S.transpose().to_dense() == A.transpose()
-    assert all(S[i, j] == A[i, j] for i in range(A.rows) for j in range(A.cols))
+    assert to_dense(S) == A
+    assert to_dense(S.transpose()) == A.transpose()
+    assert all(S[i, j] == A.entries[i][j]
+               for i in range(A.rows) for j in range(A.cols))
     if A.cols == B.rows:
         product = S.mul(SparseMatrix.from_dense(B))
-        assert product.to_dense() == A.mul(B)
-        assert product.is_zero() == A.mul(B).is_zero()
+        assert to_dense(product) == matmul(A, B)
+        assert product.is_zero() == (not any(map(any, matmul(A, B).entries)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,12 +283,12 @@ def test_solve_integer_verified_and_box_checked():
         b = [rng.randrange(-6, 7) for _ in range(r)]
         x = solve_integer(SparseMatrix.from_dense(A), [(v,) for v in b], Z)
         if x is not None:
-            assert A.mul_vector([e for e, in x]) == b
+            assert matvec(A, [e for e, in x]) == b
         else:
             box = range(-6, 7)
             import itertools
             assert not any(
-                A.mul_vector(list(cand)) == b
+                matvec(A, list(cand)) == b
                 for cand in itertools.product(box, repeat=c))
 
 
@@ -302,12 +304,12 @@ def test_solve_mod_matches_exhaustive():
                           FGAbelianGroup(0, (q,)))
         brute = [cand for cand in itertools.product(range(q), repeat=c)
                  if all(v % q == w % q
-                        for v, w in zip(A.mul_vector(list(cand)), b))]
+                        for v, w in zip(matvec(A, list(cand)), b))]
         if x is None:
             assert not brute
         else:
             assert all(v % q == w % q
-                       for v, w in zip(A.mul_vector([e for e, in x]), b))
+                       for v, w in zip(matvec(A, [e for e, in x]), b))
 
 
 SOLVE_GROUPS = (Z, FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (6,)),
@@ -335,7 +337,7 @@ def solve_cases(draw):
                       min_size=min(r, c), max_size=min(r, c)))
     D = IntegerMatrix.from_rows([[d[i] if i == j else 0 for j in range(c)]
                                  for i in range(r)])
-    A = draw(unimodular(r)).mul(D).mul(draw(unimodular(c)))
+    A = matmul(matmul(draw(unimodular(r)), D), draw(unimodular(c)))
     group = draw(st.sampled_from(SOLVE_GROUPS))
     element = st.tuples(*[st.integers(-8, 8)] * group.num_coords)
     solvable = draw(st.booleans())
@@ -481,5 +483,30 @@ def test_unimodular_inverse():
         if abs(determinant(A)) != 1:
             continue
         inv = unimodular_inverse(A)
-        assert A.mul(inv).entries == IntegerMatrix.identity(3).entries
+        assert matmul(A, inv) == IntegerMatrix.identity(3)
         found += 1
+    for A in (IntegerMatrix.from_rows([[1, 0, 2], [0, 1, 3]]),  # not square
+              IntegerMatrix.from_rows([[1, 1], [-1, 1]])):  # det 2
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(A)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices from 0x0 to 5x5 with entries in [-3, 3]."""
+    n = draw(st.integers(0, 5))
+    return IntegerMatrix(n, n, tuple(draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_matrices(),
+                 st.integers(1, 5).flatmap(unimodular)))
+def test_unimodular_inverse_equals_the_smith_reference(A):
+    try:
+        ref = smith_inverse(A)
+    except ValueError:
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(A)
+    else:
+        assert unimodular_inverse(A) == ref

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,18 @@ def test_unvalidated_faces_equal_validated_ones(raw):
 def test_build_detects_vertex_gap():
     with pytest.raises(ValueError):
         build_complex([[0], [2]])
+
+
+def test_vertex_gap_check_allocates_nothing_per_id():
+    message = "1999999 vertex ids appear in no facet, first [1, 2, 3, 4, 5]"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_complex([[0, 2_000_000]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_build_rejects_bad_input():
@@ -269,5 +283,4 @@ def test_labeled_complex_validation():
     with pytest.raises(ValueError):  # label below 2
         label_all(K, 1)
     LK = label_all(K, 3)
-    assert LK.label_of(1, 0) == 3
-    assert LK.label_of(0, 2) is None
+    assert LK.label_dict() == {(0, 1): 3, (1, 2): 3}
