@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import heapq
 
-from .simplicial import LabeledComplex, SimplicialComplex, f_vector, simplices
+from .simplicial import (LabeledComplex, SimplicialComplex, _cached, f_vector,
+                         simplices)
 
 VertexMapping = dict[int, int]
 
@@ -46,10 +47,16 @@ def _vertex_data(X) -> tuple[SimplicialComplex, list[dict[int, int]], list[tuple
                     for a, c in zip(adj, facet_count)]
 
 
+def _shared_vertex_data(X):
+    """_vertex_data(X), built once per complex and kept on X, so the
+    fingerprint and the search share it."""
+    return _cached(X, "_vertex_table", _vertex_data)
+
+
 def invariant_fingerprint(A) -> tuple:
     """Isomorphism-invariant token; equality is necessary (never
     sufficient) for the existence of an isomorphism."""
-    K, _, inv = _vertex_data(A)
+    K, _, inv = _shared_vertex_data(A)
     invs = sorted(inv)
     return (f_vector(K),
             tuple(i[0] for i in invs),
@@ -91,8 +98,8 @@ def find_isomorphism(A, B) -> VertexMapping | None:
         raise TypeError("cannot compare a labeled complex with an unlabeled one")
     if invariant_fingerprint(A) != invariant_fingerprint(B):
         return None
-    KA, adjA, invA = _vertex_data(A)
-    KB, adjB, invB = _vertex_data(B)
+    KA, adjA, invA = _shared_vertex_data(A)
+    KB, adjB, invB = _shared_vertex_data(B)
     n = KA.num_vertices
     if n == 0:
         return {} if complexes_match({}, KA, KB) else None

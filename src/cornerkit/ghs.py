@@ -10,6 +10,12 @@ Check order: purity first (a facet of the wrong dimension already
 falsifies everything below it), then global homology, then links by
 increasing simplex dimension.  Full enumeration is the default so reports
 are complete; fail_fast trades completeness for speed.
+
+Each link shape is decided once per check.  `link` renumbers densely in
+increasing order, so links with equal facet tuples are equal complexes
+with equal homology; the link loop keys its verdicts on (facets, sphere
+dimension), and every simplex whose link has a failing shape still gets
+its own witnesses.
 """
 
 from __future__ import annotations
@@ -79,9 +85,15 @@ def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     return out
 
 
-def _link_defects(K: SimplicialComplex, s: Simplex, m: int):
+def _link_defects(K: SimplicialComplex, s: Simplex, m: int, memo: dict):
+    """sphere_homology_defects of the link of s, looked up in memo by
+    link shape and computed only on a miss."""
     L, _ = link(K, s)
-    return sphere_homology_defects(L, m - s.dim - 1)
+    key = (L.facets, m - s.dim - 1)
+    defects = memo.get(key)
+    if defects is None:
+        defects = memo[key] = sphere_homology_defects(L, key[1])
+    return defects
 
 
 def _check_links(K: SimplicialComplex, m: int,
@@ -90,11 +102,12 @@ def _check_links(K: SimplicialComplex, m: int,
     empty by maximality once purity holds, so k = m is vacuous)."""
     failures: list[GhsFailure] = []
     checked = 0
+    memo: dict = {}
     for k in range(0, m):
         for s in simplices(K, k):
             checked += 1
             failures.extend(GhsFailure(s, deg, exp, act)
-                            for deg, exp, act in _link_defects(K, s, m))
+                            for deg, exp, act in _link_defects(K, s, m, memo))
             if failures and fail_fast:
                 return failures, checked
     return failures, checked

@@ -9,7 +9,10 @@ facet is the complex ``{empty}`` on zero vertices, and joining with that
 complex is the identity.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent reads are safe.
+function.  A complex builds a derived table, such as its vertex-to-facet
+star index, the first time a query needs it and keeps it outside its
+dataclass fields, so equality, hashing and repr never see it.  Concurrent
+reads stay safe: two threads that both build a table store equal ones.
 """
 
 from __future__ import annotations
@@ -107,12 +110,47 @@ class SimplicialComplex:
         return self.num_vertices == 0
 
     def __contains__(self, s: Simplex) -> bool:
-        sv = set(s.vertices)
-        return any(sv <= set(f.vertices) for f in self.facets)
+        return not s.vertices or bool(_containing_facets(self, s.vertices))
 
     def __repr__(self):
         return (f"SimplicialComplex(num_vertices={self.num_vertices}, "
                 f"facets={[list(f.vertices) for f in self.facets]})")
+
+
+def _cached(obj, name: str, build):
+    """The table `name` of obj: build(obj) on first use, then kept on obj
+    as a plain attribute, so a frozen dataclass's eq, hash and repr do
+    not see it.  Meant for tables that depend on obj's value only."""
+    table = getattr(obj, name, None)
+    if table is None:
+        table = build(obj)
+        object.__setattr__(obj, name, table)
+    return table
+
+
+def _stars(faces) -> dict[int, set[int]]:
+    """{v: indices of the faces (collections of vertex ids) that hold v}."""
+    at: dict[int, set[int]] = {}
+    for i, f in enumerate(faces):
+        for v in f:
+            at.setdefault(v, set()).add(i)
+    return at
+
+
+def _star_index(K: SimplicialComplex) -> dict[int, set[int]]:
+    return _stars(f.vertices for f in K.facets)
+
+
+def _containing_facets(K: SimplicialComplex, vertices) -> set[int]:
+    """Indices of the facets of K that contain every one of the (at least
+    one) given vertex ids: the intersection of their stars, smallest
+    first.  Empty when the ids span no face, an id out of range included."""
+    at = _cached(K, "_star_index", _star_index)
+    try:
+        stars = sorted((at[v] for v in vertices), key=len)
+    except KeyError:
+        return set()
+    return stars[0].intersection(*stars[1:])
 
 
 def _containers(faces) -> list[int | None]:
@@ -124,10 +162,7 @@ def _containers(faces) -> list[int | None]:
     faces at each of its vertices, taken smallest set first, so a face
     costs the size of its rarest vertex's star, not the length of the list.
     """
-    at: dict[int, set[int]] = {}
-    for i, f in enumerate(faces):
-        for v in f:
-            at.setdefault(v, set()).add(i)
+    at = _stars(faces)
     out: list[int | None] = []
     for i, f in enumerate(faces):
         if not f:  # contained in every other face; the least of them is 0 or 1
@@ -251,24 +286,41 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** k * fk for k, fk in enumerate(f_vector(K)))
 
 
+def _trusted_complex(num_vertices: int,
+                     facets: tuple[Simplex, ...]) -> SimplicialComplex:
+    """SimplicialComplex(num_vertices, facets) without the checks, for
+    facets that are already sorted, pairwise incomparable and cover
+    exactly the ids 0..num_vertices-1."""
+    K = object.__new__(SimplicialComplex)
+    object.__setattr__(K, "num_vertices", num_vertices)
+    object.__setattr__(K, "facets", facets)
+    return K
+
+
 def link(K: SimplicialComplex, s: Simplex) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """Link of s in K, densely renumbered.
 
     Returns (L, vertex_map) where vertex_map[i] is the original id of L's
     vertex i.  The link of the empty simplex is K itself (identity map);
     the link of a facet is the empty complex.
+
+    The facets that contain s come from K's star index.  Their residues
+    need no checks: distinct facets that contain s leave distinct
+    residues, none inside another, and the renumbering leaves no gap.
     """
     if len(s) == 0:
         return K, tuple(range(K.num_vertices))
-    sv = set(s.vertices)
-    residues = [frozenset(f.vertices) - sv for f in K.facets
-                if sv.issubset(f.vertices)]
-    if not residues:
+    containing = _containing_facets(K, s.vertices)
+    if not containing:
         raise ValueError(f"{s!r} is not a simplex of the complex")
+    sv = s.vertices
+    residues = [tuple(v for v in K.facets[i].vertices if v not in sv)
+                for i in containing]
     old_ids = sorted(set().union(*residues))
     renum = {old: new for new, old in enumerate(old_ids)}
-    facets = tuple(simplex(renum[v] for v in r) for r in residues)
-    return SimplicialComplex(len(old_ids), facets), tuple(old_ids)
+    facets = sorted(tuple(renum[v] for v in r) for r in residues)
+    return (_trusted_complex(len(old_ids), tuple(map(_face, facets))),
+            tuple(old_ids))
 
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:

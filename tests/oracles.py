@@ -23,7 +23,11 @@ The per-candidate nerve and per-facet properness loops run the library's
 finiteness classifier (coxeter.is_finite) on every subset with no memo,
 and the full-map search checks each candidate against every mapped
 vertex in a quadratic min-based order: the slow forms that the library's
-pattern memo and neighbour-only search must reproduce exactly.
+pattern memo and neighbour-only search must reproduce exactly.  In the
+same way scan_link finds a link's facets by scanning every facet and
+builds it through the validating constructor, and per_link_check decides
+every link on its own with the library's sphere_homology_defects: the
+references for the star-index link and the per-shape link memo.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from collections import deque
 from fractions import Fraction
 
 from cornerkit.coxeter import BudgetExceeded, coxeter_matrix, is_finite
+from cornerkit.ghs import GhsFailure, sphere_homology_defects
 from cornerkit.homology import IntegerMatrix, SNFResult, SparseMatrix
+from cornerkit.simplicial import SimplicialComplex, simplex, simplices
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -550,3 +556,37 @@ def full_map_search(KA, KB, invA, by_inv, adjA, adjB, order):
 
     found = backtrack(0)
     return (dict(sorted(mapping.items())) if found else None), nodes
+
+
+def scan_link(K, s):
+    """Link of s in K, densely renumbered, with its vertex map: the facets
+    that contain s by a scan of every facet, the result through the
+    validating constructor."""
+    if len(s) == 0:
+        return K, tuple(range(K.num_vertices))
+    sv = set(s.vertices)
+    residues = [frozenset(f.vertices) - sv for f in K.facets
+                if sv.issubset(f.vertices)]
+    if not residues:
+        raise ValueError(f"{s!r} is not a simplex of the complex")
+    old_ids = sorted(set().union(*residues))
+    renum = {old: new for new, old in enumerate(old_ids)}
+    facets = tuple(simplex(renum[v] for v in r) for r in residues)
+    return SimplicialComplex(len(old_ids), facets), tuple(old_ids)
+
+
+def per_link_check(K, m, fail_fast):
+    """(failures, links checked) of the link loop with no shape memo:
+    every k-simplex, 0 <= k < m, in the library's order, its link from
+    scan_link decided on its own."""
+    failures = []
+    checked = 0
+    for k in range(m):
+        for s in simplices(K, k):
+            checked += 1
+            L, _ = scan_link(K, s)
+            failures.extend(GhsFailure(s, deg, exp, act) for deg, exp, act
+                            in sphere_homology_defects(L, m - k - 1))
+            if failures and fail_fast:
+                return failures, checked
+    return failures, checked

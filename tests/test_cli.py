@@ -464,6 +464,10 @@ REPORT_INPUTS = {
                           "labels": [[0, 1, 2]]},
     "b3.json": B3,
     "pinched.json": {"num_vertices": 5, "facets": [[0, 1, 2], [0, 3, 4]]},
+    # two copies of pinched: every failing link shape occurs at two
+    # simplices, and each must keep its own witness
+    "pinched-twice.json": {"num_vertices": 10, "facets": [
+        [0, 1, 2], [0, 3, 4], [5, 6, 7], [5, 8, 9]]},
     "square.json": {"num_vertices": 4,
                     "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
     "square-moved.json": {"num_vertices": 4,
@@ -496,6 +500,8 @@ REPORT_CASES = {
     "check-ghs-fail": (("check-ghs", "-i", "rp2_6.json", "-n", "3"), 1),
     "check-phm-pass": (("check-phm", "-i", "rp2_6.json", "-n", "2"), 0),
     "check-phm-fail": (("check-phm", "-i", "pinched.json", "-n", "2"), 1),
+    "check-phm-fail-repeated": (("check-phm", "-i", "pinched-twice.json",
+                                 "-n", "2"), 1),
     "check-proper-pass": (("check-proper", "-i", "pentagon.json"), 0),
     "check-proper-fail": (("check-proper", "-i", "triangle.json"), 1),
     "check-aspherical-pass": (("check-aspherical", "-i", "pentagon.json"), 0),
@@ -545,7 +551,8 @@ REPORT_CASES = {
 
 # sha256 of json.dumps([exit code, stdout, stderr]) with --format json and
 # with --format text, recorded from the CLI before its handlers shared one
-# report writer
+# report writer (check-phm-fail-repeated: before the link loop decided
+# each link shape once)
 REPORT_DIGESTS = {
     "acyclicity-fail": [
         "9250c8890b75022a4d79efd67a0313cef05a7910a80ca9dde76ef5eb95576d6f",
@@ -580,6 +587,9 @@ REPORT_DIGESTS = {
     "check-phm-fail": [
         "6c164496c7a738851db0b4ba09d27583b2fae1aaaccca9322158551d0d22b0a5",
         "2b6aa5af09d8b683ee69c86749179dcbac24f6932c6b0f4796d3bbb75da91762"],
+    "check-phm-fail-repeated": [
+        "e020888b51ca9df1d293057a1b54d107250778a59eb55c866d5d88a4354db95e",
+        "ade34d782afafc16e1b30008d8922df6b8f3f6f3850d5a245572c70bc39872e3"],
     "check-phm-pass": [
         "257f765b90b38f0a19cd2e334ef807598f1857a194fb3618a43fd69b834f1c9f",
         "d72f3d895843d457797fbfcd679d64e80b864b436097f5c19dff5efd7275f9b9"],

@@ -126,6 +126,25 @@ def test_determinism():
     assert find_isomorphism(K, L) == find_isomorphism(K, L)
 
 
+def test_vertex_data_is_built_once_per_complex(monkeypatch):
+    builds = []
+
+    def counted(X):
+        builds.append(X)
+        return _vertex_data(X)
+
+    monkeypatch.setattr(equivalence, "_vertex_data", counted)
+    rng = random.Random(12)
+    A = random_complex(rng, 7)
+    B, _ = shuffled_copy(A, rng)
+    assert find_isomorphism(A, B) is not None
+    LA = random_labeled(rng, 6)
+    LB, _ = shuffle_labeled(LA, rng)
+    assert find_isomorphism(LA, LB) is not None
+    # the fingerprint and the search share one build per complex
+    assert [id(X) for X in builds] == [id(A), id(B), id(LA), id(LB)]
+
+
 def test_mixed_labeledness_is_a_type_error():
     with pytest.raises(TypeError):
         find_isomorphism(label_all(PENTAGON, 2), PENTAGON)

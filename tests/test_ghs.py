@@ -1,12 +1,17 @@
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cornerkit import ghs
 from cornerkit.ghs import (is_ghs, is_polyhedral_homology_manifold,
                            sphere_homology_defects)
 from cornerkit.simplicial import (EMPTY_COMPLEX, barycentric,
                                   boundary_simplex, build_complex, join,
                                   point_complex, suspension)
+from oracles import per_link_check
 
 
 def test_boundary_simplices_are_ghs():
@@ -131,3 +136,72 @@ def test_rp2_is_manifold_but_not_sphere(rp2_6):
     assert not report.verdict
     bad = [f for f in report.failures if f.degree == 1]
     assert bad and bad[0].actual.torsion == (2,)
+
+
+SPHERES = (boundary_simplex(2), boundary_simplex(3), boundary_simplex(4),
+           suspension(boundary_simplex(2)), barycentric(boundary_simplex(2)))
+
+
+@st.composite
+def check_cases(draw):
+    """(K, m, sphere): a known sphere, or a random complex on at most 7
+    vertices, pure with m its dimension half the time and otherwise of
+    mixed dimensions with a random m in 0..3; half the time next to a
+    disjoint copy of itself, so that every link shape repeats; and
+    whether to run the sphere test (n = m + 1) or the manifold test."""
+    if draw(st.booleans()):
+        K = draw(st.sampled_from(SPHERES))
+        faces = [list(f.vertices) for f in K.facets]
+        m = K.dim
+    else:
+        pure = draw(st.booleans())
+        size = draw(st.integers(1, 4))
+        sizes = st.just(size) if pure else st.integers(1, 4)
+        faces = draw(st.lists(sizes.flatmap(lambda k: st.lists(
+            st.integers(0, 6), min_size=k, max_size=k, unique=True)),
+            min_size=1, max_size=8))
+        m = size - 1 if pure else draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        shift = 1 + max(v for f in faces for v in f)
+        faces = faces + [[v + shift for v in f] for f in faces]
+    used = sorted(set().union(*map(set, faces)))
+    dense = {old: new for new, old in enumerate(used)}
+    K = build_complex([[dense[v] for v in f] for f in faces])
+    return K, m, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_cases(), st.booleans())
+def test_shape_memo_reports_equal_per_link_reports(case, fail_fast):
+    K, m, sphere = case
+
+    def check():
+        if sphere:
+            return is_ghs(K, m + 1, fail_fast)
+        return is_polyhedral_homology_manifold(K, m, fail_fast)
+
+    memoized = check()
+    with mock.patch.object(ghs, "_check_links", per_link_check):
+        reference = check()
+    assert memoized == reference
+
+
+def test_bary_poincare_decides_each_link_shape_once(poincare16, monkeypatch):
+    B = barycentric(poincare16)
+    runs = [0]
+    homology = ghs.reduced_homology_all
+
+    def counted(L):
+        runs[0] += 1
+        return homology(L)
+
+    monkeypatch.setattr(ghs, "reduced_homology_all", counted)
+    start = time.perf_counter()
+    report = is_ghs(B, 4)
+    wall = time.perf_counter() - start
+    assert report.verdict and report.links_checked == 7265
+    # one run per link, 7,265, without the shape memo
+    assert runs[0] <= 96
+    # 7.2 s without the star index and the memo, 0.55 s with them, on a
+    # 2-core x86-64 Linux host
+    assert wall < 3.0

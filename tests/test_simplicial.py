@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cornerkit.homology import reduced_homology
 from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
-                                  SimplicialComplex,
+                                  SimplicialComplex, all_simplices,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
                                   complexes_equal_as_sets, cone,
@@ -16,7 +18,7 @@ from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
                                   simplices, suspension)
 from conftest import random_complex
 from oracles import (count_chains, faces_of, first_containment,
-                     maximal_cliques, maximal_faces)
+                     maximal_cliques, maximal_faces, scan_link)
 
 
 def test_simplex_canonical_form():
@@ -188,6 +190,113 @@ def test_link_of_facet_always_empty():
         K = random_complex(rng, rng.randrange(3, 8))
         for f in K.facets:
             assert link(K, f)[0] == EMPTY_COMPLEX
+
+
+@st.composite
+def complexes_and_queries(draw):
+    """A complex built from facet_families, renumbered densely, with every
+    face of it (the empty one included) and up to eight random simplices
+    on the ids 0..9, which may be non-faces or out of range."""
+    raw = draw(facet_families())
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    K = build_complex([[dense[v] for v in f] for f in raw])
+    queries = [EMPTY_SIMPLEX, *all_simplices(K)]
+    queries += draw(st.lists(st.builds(simplex, st.sets(st.integers(0, 9),
+                                                        max_size=4)),
+                             max_size=8))
+    return K, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_and_queries())
+def test_star_index_link_equals_the_scan(case):
+    K, queries = case
+    for s in queries:
+        try:
+            L0, vmap0 = scan_link(K, s)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                link(K, s)
+            assert str(got.value) == str(exc)
+            continue
+        L, vmap = link(K, s)
+        assert (L.facets, L.num_vertices, vmap) == \
+            (L0.facets, L0.num_vertices, vmap0)
+
+
+def test_star_index_link_equals_the_scan_on_poincare16(poincare16):
+    # 90 facets, so the star intersections are sets whose iteration order
+    # is not the order of their facet indices
+    for s in all_simplices(poincare16):
+        L, vmap = link(poincare16, s)
+        L0, vmap0 = scan_link(poincare16, s)
+        assert L.facets == L0.facets and vmap == vmap0
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_and_queries())
+def test_trusted_link_complex_equals_the_validated_one(case):
+    K, queries = case
+    for s in queries:
+        if s not in K:
+            continue
+        L, _ = link(K, s)
+        validated = SimplicialComplex(L.num_vertices, L.facets)
+        assert L.facets == validated.facets  # already in sorted order
+        assert L == validated and hash(L) == hash(validated)
+        assert repr(L) == repr(validated)
+        for f in L.facets:
+            assert type(f) is Simplex and Simplex(f.vertices) == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_and_queries())
+def test_contains_equals_a_scan(case):
+    K, queries = case
+    for s in queries:
+        assert (s in K) == any(set(s.vertices) <= set(f.vertices)
+                               for f in K.facets)
+
+
+def test_star_index_is_outside_the_fields():
+    K = build_complex([[0, 1, 2], [1, 2, 3]])
+    fresh = build_complex([[0, 1, 2], [1, 2, 3]])
+    link(K, simplex([1]))
+    assert simplex([0, 3]) not in K
+    assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
+
+
+def test_concurrent_first_links_agree(poincare16):
+    # every thread may build the star index of the same fresh complex;
+    # whichever table is kept, each link must come out the same
+    expected = [scan_link(poincare16, simplex([v]))
+                for v in range(poincare16.num_vertices)]
+    fresh = build_complex([f.vertices for f in poincare16.facets])
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([link(fresh, simplex([v]))
+                            for v in range(fresh.num_vertices)])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == 8
+    for got in results:
+        assert [(L.facets, vmap) for L, vmap in got] == \
+            [(L.facets, vmap) for L, vmap in expected]
 
 
 def test_join_examples():
