@@ -18,8 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .simplicial import (LabeledComplex, Simplex, SimplicialComplex,
-                         complexes_equal_as_sets, simplex, simplices)
+from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, _complex,
+                         simplex, simplices)
 
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
 
@@ -330,9 +330,10 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
                                    for i in range(len(cand)))
         finite_sets.extend(T for T, _ in nxt)
         level = nxt
+    # the uncovered sets are the maximal ones, so pairwise incomparable,
+    # and every vertex is a rank-1 set: a valid complex as it stands
     maximal = [T for T in finite_sets if T not in covered]
-    return SimplicialComplex(K.num_vertices,
-                             tuple(Simplex(T) for T in maximal))
+    return _complex(K.num_vertices, maximal)
 
 
 def is_aspherical(LK: LabeledComplex, budget: int = 1_000_000) -> bool:
@@ -348,7 +349,7 @@ def is_aspherical(LK: LabeledComplex, budget: int = 1_000_000) -> bool:
         raise ValueError(f"labeling is not proper (offending simplex "
                          f"{list(witness.vertices)})")
     nerve = coxeter_nerve(LK, max_rank=LK.complex.dim + 2, budget=budget)
-    return complexes_equal_as_sets(nerve, LK.complex)
+    return nerve == LK.complex
 
 
 def presentation(LK: LabeledComplex) -> str:

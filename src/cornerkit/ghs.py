@@ -8,8 +8,8 @@ list of failing (simplex, degree, expected, actual) witnesses.
 
 Check order: purity first (a facet of the wrong dimension already
 falsifies everything below it), then global homology, then links by
-increasing simplex dimension.  Full enumeration is the default so reports
-are complete; fail_fast trades completeness for speed.
+increasing simplex dimension.  Every check runs to the end, so a report
+lists every failing link.
 
 Each link shape is decided once per check.  `link` renumbers densely in
 increasing order, so links with equal facet tuples are equal complexes
@@ -96,8 +96,7 @@ def _link_defects(K: SimplicialComplex, s: Simplex, m: int, memo: dict):
     return defects
 
 
-def _check_links(K: SimplicialComplex, m: int,
-                 fail_fast: bool) -> tuple[list[GhsFailure], int]:
+def _check_links(K: SimplicialComplex, m: int) -> tuple[list[GhsFailure], int]:
     """Link homology of every k-simplex, 0 <= k < m (facet links are
     empty by maximality once purity holds, so k = m is vacuous)."""
     failures: list[GhsFailure] = []
@@ -108,13 +107,10 @@ def _check_links(K: SimplicialComplex, m: int,
             checked += 1
             failures.extend(GhsFailure(s, deg, exp, act)
                             for deg, exp, act in _link_defects(K, s, m, memo))
-            if failures and fail_fast:
-                return failures, checked
     return failures, checked
 
 
-def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int,
-                                    fail_fast: bool = False) -> GhsReport:
+def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int) -> GhsReport:
     """Check that every k-simplex link looks homologically like S^{m-k-1}."""
     if m < 0:
         raise ValueError("manifold dimension must be non-negative")
@@ -123,12 +119,11 @@ def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int,
     failures = _purity_failures(K, m)
     checked = 0
     if not failures:
-        failures, checked = _check_links(K, m, fail_fast)
+        failures, checked = _check_links(K, m)
     return GhsReport(not failures, m, tuple(failures), checked)
 
 
-def is_ghs(K: SimplicialComplex, n: int,
-           fail_fast: bool = False) -> GhsReport:
+def is_ghs(K: SimplicialComplex, n: int) -> GhsReport:
     """Generalized homology (n-1)-sphere test.
 
     The link of the empty simplex is K itself; that clause is the explicit
@@ -145,8 +140,7 @@ def is_ghs(K: SimplicialComplex, n: int,
         checked += 1
         failures.extend(GhsFailure(EMPTY_SIMPLEX, deg, exp, act)
                         for deg, exp, act in sphere_homology_defects(K, m))
-        if not (failures and fail_fast):
-            link_failures, link_checked = _check_links(K, m, fail_fast)
-            failures.extend(link_failures)
-            checked += link_checked
+        link_failures, link_checked = _check_links(K, m)
+        failures.extend(link_failures)
+        checked += link_checked
     return GhsReport(not failures, m, tuple(failures), checked)

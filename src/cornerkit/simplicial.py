@@ -8,11 +8,19 @@ is a first-class value: it is the unique face of dimension -1, the link of a
 facet is the complex ``{empty}`` on zero vertices, and joining with that
 complex is the identity.
 
+Outside input is checked once: `build_complex` and the public
+`SimplicialComplex` constructor validate every id and facet.  Constructions
+whose results are valid by construction (links, joins, subdivisions, the
+Coxeter nerve and `build_complex` after pruning) are trusted and go through
+the unchecked `_complex`.  Every complex holds its facets sorted, so `==`
+compares complexes as sets of simplices.
+
 All values are immutable after construction and every operation is a pure
-function.  A complex builds a derived table, such as its vertex-to-facet
-star index, the first time a query needs it and keeps it outside its
-dataclass fields, so equality, hashing and repr never see it.  Concurrent
-reads stay safe: two threads that both build a table store equal ones.
+function.  A complex computes its hash and derived tables, such as its
+vertex-to-facet star index, the first time they are needed and keeps them
+outside its dataclass fields, so equality and repr never see them.
+Concurrent reads stay safe: two threads that both build a table store
+equal ones.
 """
 
 from __future__ import annotations
@@ -88,14 +96,7 @@ class SimplicialComplex:
         if seen:
             if max(seen) >= self.num_vertices:
                 raise ValueError("facet vertex id exceeds num_vertices")
-            missing = self.num_vertices - len(seen)
-            if missing:
-                # the first five gaps lie below len(seen) + 5, so the scan
-                # stays short however large the ids are
-                first = list(itertools.islice(
-                    (v for v in range(self.num_vertices) if v not in seen), 5))
-                raise ValueError(f"{missing} vertex ids appear in no "
-                                 f"facet, first {first}")
+            _check_no_gaps(seen, self.num_vertices)
         elif self.num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
         for i, j in enumerate(_containers([f.vertices for f in facets])):
@@ -112,15 +113,31 @@ class SimplicialComplex:
     def __contains__(self, s: Simplex) -> bool:
         return not s.vertices or bool(_containing_facets(self, s.vertices))
 
+    def __hash__(self):
+        return _cached(self, "_hash", lambda K: hash((K.num_vertices, K.facets)))
+
     def __repr__(self):
         return (f"SimplicialComplex(num_vertices={self.num_vertices}, "
                 f"facets={[list(f.vertices) for f in self.facets]})")
 
 
+def _check_no_gaps(used: set[int], num_vertices: int) -> None:
+    """Reject ids in 0..num_vertices-1 that are not in used, a set of ids
+    all below num_vertices."""
+    missing = num_vertices - len(used)
+    if missing:
+        # the first five gaps lie below len(used) + 5, so the scan stays
+        # short however large the ids are
+        first = list(itertools.islice(
+            (v for v in range(num_vertices) if v not in used), 5))
+        raise ValueError(f"{missing} vertex ids appear in no facet, "
+                         f"first {first}")
+
+
 def _cached(obj, name: str, build):
     """The table `name` of obj: build(obj) on first use, then kept on obj
-    as a plain attribute, so a frozen dataclass's eq, hash and repr do
-    not see it.  Meant for tables that depend on obj's value only."""
+    as a plain attribute, so a frozen dataclass's eq and repr do not see
+    it.  Meant for tables (and the hash) that depend on obj's value only."""
     table = getattr(obj, name, None)
     if table is None:
         table = build(obj)
@@ -224,8 +241,9 @@ def build_complex(raw_facets) -> SimplicialComplex:
     """Canonicalize a raw facet list into a SimplicialComplex.
 
     Deduplicates, sorts, prunes non-maximal faces, and sets num_vertices to
-    max id + 1.  Rejects negative ids, an empty facet list, and vertex-id
-    gaps (an id in range that occurs in no facet).
+    max id + 1.  Rejects, in this order, an empty facet list, negative ids,
+    non-integer ids and vertex-id gaps (an id in range that occurs in no
+    facet).  What is left after pruning is valid, so it is not checked again.
     """
     raw = list(raw_facets)
     if not raw:
@@ -238,11 +256,17 @@ def build_complex(raw_facets) -> SimplicialComplex:
                              f"vertices, first {sorted(fs)[:5]}")
         sets.append(fs)
     sets = list(set(sets))
-    maximal = [f for f, j in zip(sets, _containers(sets)) if j is None]
-    simplexes = tuple(simplex(f) for f in maximal)
-    used = set().union(*maximal) if maximal else set()
+    maximal = [tuple(sorted(f))
+               for f, j in zip(sets, _containers(sets)) if j is None]
+    for f in maximal:
+        for v in f:
+            if not isinstance(v, int):
+                raise ValueError(f"vertex ids must be non-negative "
+                                 f"integers, got {v!r}")
+    used = set().union(*maximal)
     n = max(used) + 1 if used else 0
-    return SimplicialComplex(n, simplexes)
+    _check_no_gaps(used, n)
+    return _complex(n, maximal)
 
 
 @lru_cache(maxsize=4096)
@@ -260,8 +284,9 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
 
 
 def _face(t: tuple[int, ...]) -> Simplex:
-    """Simplex(t) without the checks, for t a combination of a valid
-    simplex's vertices (so strictly increasing and non-negative)."""
+    """Simplex(t) without the checks, for t a strictly increasing tuple
+    of non-negative integer ids, such as a combination of a valid
+    simplex's vertices."""
     s = object.__new__(Simplex)
     object.__setattr__(s, "vertices", t)
     return s
@@ -286,14 +311,16 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** k * fk for k, fk in enumerate(f_vector(K)))
 
 
-def _trusted_complex(num_vertices: int,
-                     facets: tuple[Simplex, ...]) -> SimplicialComplex:
-    """SimplicialComplex(num_vertices, facets) without the checks, for
-    facets that are already sorted, pairwise incomparable and cover
-    exactly the ids 0..num_vertices-1."""
+def _complex(num_vertices: int, facets) -> SimplicialComplex:
+    """The complex with the given facets, without the constructor's checks.
+
+    For results that are valid by construction only: the facets are
+    strictly increasing tuples of vertex ids, pairwise incomparable (so
+    also distinct), and together they cover exactly 0..num_vertices-1.
+    """
     K = object.__new__(SimplicialComplex)
     object.__setattr__(K, "num_vertices", num_vertices)
-    object.__setattr__(K, "facets", facets)
+    object.__setattr__(K, "facets", tuple(map(_face, sorted(facets))))
     return K
 
 
@@ -318,26 +345,26 @@ def link(K: SimplicialComplex, s: Simplex) -> tuple[SimplicialComplex, tuple[int
                 for i in containing]
     old_ids = sorted(set().union(*residues))
     renum = {old: new for new, old in enumerate(old_ids)}
-    facets = sorted(tuple(renum[v] for v in r) for r in residues)
-    return (_trusted_complex(len(old_ids), tuple(map(_face, facets))),
-            tuple(old_ids))
+    facets = [tuple(renum[v] for v in r) for r in residues]
+    return _complex(len(old_ids), facets), tuple(old_ids)
 
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Join K * L; L's vertices are shifted up by K.num_vertices."""
+    """Join K * L; L's vertices are shifted up by K.num_vertices.
+
+    f ∪ g lies in f' ∪ g' only when f lies in f' and g in g', so facets of
+    the factors give incomparable facets of the join."""
     shift = K.num_vertices
-    facets = tuple(
-        Simplex(f.vertices + tuple(v + shift for v in g.vertices))
-        for f in K.facets for g in L.facets
-    )
-    return SimplicialComplex(K.num_vertices + L.num_vertices, facets)
+    facets = [f.vertices + tuple(v + shift for v in g.vertices)
+              for f in K.facets for g in L.facets]
+    return _complex(K.num_vertices + L.num_vertices, facets)
 
 
 def point_complex(count: int = 1) -> SimplicialComplex:
     """count isolated vertices; count=2 is S⁰."""
     if count < 1:
         raise ValueError("need at least one point")
-    return SimplicialComplex(count, tuple(Simplex((v,)) for v in range(count)))
+    return _complex(count, [(v,) for v in range(count)])
 
 
 def cone(K: SimplicialComplex) -> SimplicialComplex:
@@ -354,9 +381,7 @@ def boundary_simplex(n: int) -> SimplicialComplex:
     """∂Δⁿ: all proper faces of the n-simplex (an (n-1)-sphere)."""
     if n < 1:
         raise ValueError("boundary of a simplex needs n >= 1")
-    verts = range(n + 1)
-    return SimplicialComplex(
-        n + 1, tuple(simplex(c) for c in itertools.combinations(verts, n)))
+    return _complex(n + 1, itertools.combinations(range(n + 1), n))
 
 
 def barycentric(K: SimplicialComplex) -> SimplicialComplex:
@@ -364,7 +389,9 @@ def barycentric(K: SimplicialComplex) -> SimplicialComplex:
     facets are the maximal chains under inclusion.
 
     Vertex i of the output is all_simplices(K)[i] (dimension-then-lex
-    order).  The result is always a flag complex.
+    order), so a chain's ids increase along it.  The full flags of distinct
+    facets are distinct and none contains another.  The result is always a
+    flag complex.
     """
     if K.is_empty():
         return K
@@ -372,21 +399,12 @@ def barycentric(K: SimplicialComplex) -> SimplicialComplex:
     index = {f.vertices: i for i, f in enumerate(faces)}
     facets = []
     for f in K.facets:
-        if f.dim == 0:
-            facets.append(Simplex((index[f.vertices],)))
-            continue
         for order in itertools.permutations(f.vertices):
-            chain = [index[tuple(sorted(order[:j + 1]))] for j in range(len(order))]
-            facets.append(simplex(chain))
-    return SimplicialComplex(len(faces), tuple(facets))
+            facets.append(tuple(index[tuple(sorted(order[:j + 1]))]
+                                for j in range(len(order))))
+    return _complex(len(faces), facets)
 
 
 def barycentric_all_two(K: SimplicialComplex) -> LabeledComplex:
     """Barycentric subdivision with every edge labeled 2."""
     return label_all(barycentric(K), 2)
-
-
-def complexes_equal_as_sets(A: SimplicialComplex, B: SimplicialComplex) -> bool:
-    """True when A and B have literally the same simplex set."""
-    return (A.num_vertices == B.num_vertices
-            and {f.vertices for f in A.facets} == {f.vertices for f in B.facets})

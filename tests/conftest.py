@@ -1,5 +1,4 @@
 import functools
-import importlib
 import json
 import random
 import sys
@@ -9,13 +8,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cornerkit import homology, quasitoric
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
 from oracles import verify_snf
 
-# modules that look up snf() by name; the lookup goes through
-# importlib because the package rebinds cornerkit.homology to the
-# homology() function
-SNF_CALLERS = ("cornerkit.homology", "cornerkit.quasitoric")
+# modules that look up snf() by name
+SNF_CALLERS = (homology, quasitoric)
 
 
 def verify_every_snf(snf):
@@ -30,9 +28,9 @@ def verify_every_snf(snf):
 
 
 # installed before any test module imports snf
-_checked_snf = verify_every_snf(importlib.import_module(SNF_CALLERS[0]).snf)
-for _name in SNF_CALLERS:
-    setattr(importlib.import_module(_name), "snf", _checked_snf)
+_checked_snf = verify_every_snf(homology.snf)
+for _module in SNF_CALLERS:
+    _module.snf = _checked_snf
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 

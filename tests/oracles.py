@@ -575,7 +575,7 @@ def scan_link(K, s):
     return SimplicialComplex(len(old_ids), facets), tuple(old_ids)
 
 
-def per_link_check(K, m, fail_fast):
+def per_link_check(K, m):
     """(failures, links checked) of the link loop with no shape memo:
     every k-simplex, 0 <= k < m, in the library's order, its link from
     scan_link decided on its own."""
@@ -587,6 +587,4 @@ def per_link_check(K, m, fail_fast):
             L, _ = scan_link(K, s)
             failures.extend(GhsFailure(s, deg, exp, act) for deg, exp, act
                             in sphere_homology_defects(L, m - k - 1))
-            if failures and fail_fast:
-                return failures, checked
     return failures, checked

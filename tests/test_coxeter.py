@@ -11,9 +11,8 @@ from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix, INFINITE,
 from cornerkit.jsonio import complex_from_obj
 from cornerkit.simplicial import (LabeledComplex, barycentric,
                                   barycentric_all_two, boundary_simplex,
-                                  build_complex, complexes_equal_as_sets,
-                                  label_all, point_complex, simplices,
-                                  suspension)
+                                  build_complex, label_all, point_complex,
+                                  simplices, suspension)
 from conftest import DATA, random_labeled
 from oracles import (maximal_cliques, per_candidate_nerve, per_facet_proper,
                      triangle_group_is_finite)
@@ -201,17 +200,17 @@ def test_pattern_memo_matches_per_candidate_tests(LK, extra_rank, budget):
 
 def test_coxeter_nerve_pentagon():
     nerve = coxeter_nerve(label_all(PENTAGON, 2))
-    assert complexes_equal_as_sets(nerve, PENTAGON)
+    assert nerve == PENTAGON
 
 
 def test_coxeter_nerve_completes_three_cycle():
     nerve = coxeter_nerve(label_all(THREE_CYCLE, 2))
-    assert complexes_equal_as_sets(nerve, TRIANGLE)
+    assert nerve == TRIANGLE
 
 
 def test_coxeter_nerve_single_edge():
     LK = LabeledComplex(build_complex([[0, 1]]), ((0, 1, 3),))
-    assert complexes_equal_as_sets(coxeter_nerve(LK), LK.complex)
+    assert coxeter_nerve(LK) == LK.complex
 
 
 def test_coxeter_nerve_contains_complex_when_proper():
@@ -241,7 +240,7 @@ def test_coxeter_nerve_idempotent():
     LK = label_all(PENTAGON, 2)
     nerve = coxeter_nerve(LK)
     again = coxeter_nerve(label_all(nerve, 2))
-    assert complexes_equal_as_sets(nerve, again)
+    assert nerve == again
 
 
 def test_nerve_budget_guard():

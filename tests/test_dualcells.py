@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 
@@ -268,7 +267,7 @@ def test_solver_complete_on_poincare_dual(poincare16):
 
 
 def test_solve_runs_no_dense_smith_form(poincare16, monkeypatch):
-    homology = importlib.import_module("cornerkit.homology")
+    import cornerkit.homology as homology
     calls = []
     for name in ("snf", "snf_diagonal"):
         monkeypatch.setattr(homology, name, lambda A, name=name,

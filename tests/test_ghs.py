@@ -103,18 +103,6 @@ def test_bad_arguments():
         is_ghs(EMPTY_COMPLEX, 1)
 
 
-def test_fail_fast_stops_at_the_first_failing_link(rp2_6):
-    bowtie = build_complex([[0, 1, 2], [0, 3, 4]])
-    full = is_polyhedral_homology_manifold(bowtie, 2)
-    fast = is_polyhedral_homology_manifold(bowtie, 2, fail_fast=True)
-    assert not fast.verdict and fast.links_checked == 1
-    assert {f.simplex for f in fast.failures} == {full.failures[0].simplex}
-    assert set(fast.failures) <= set(full.failures)
-    assert full.links_checked == 11
-    # a failing global check ends the sphere test before any link
-    assert is_ghs(rp2_6, 3, fail_fast=True).links_checked == 1
-
-
 def test_seven_vertex_torus_is_manifold_but_not_sphere():
     # Császár torus: complete 1-skeleton on 7 vertices, 14 triangles
     facets = [sorted({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)] + \
@@ -171,14 +159,14 @@ def check_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(check_cases(), st.booleans())
-def test_shape_memo_reports_equal_per_link_reports(case, fail_fast):
+@given(check_cases())
+def test_shape_memo_reports_equal_per_link_reports(case):
     K, m, sphere = case
 
     def check():
         if sphere:
-            return is_ghs(K, m + 1, fail_fast)
-        return is_polyhedral_homology_manifold(K, m, fail_fast)
+            return is_ghs(K, m + 1)
+        return is_polyhedral_homology_manifold(K, m)
 
     memoized = check()
     with mock.patch.object(ghs, "_check_links", per_link_check):

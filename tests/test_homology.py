@@ -1,5 +1,5 @@
-import importlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,11 +31,16 @@ def test_snf_identity_and_zero():
     assert res.diagonal() == [0, 0]
 
 
+def test_package_attributes_are_its_modules():
+    import cornerkit.homology as H
+    assert isinstance(H, types.ModuleType) and H.homology is homology
+
+
 def test_snf_self_check_is_on_in_tests(monkeypatch):
     # conftest wraps snf() in a postcondition check wherever it is looked up
-    checked = importlib.import_module(SNF_CALLERS[0]).snf
-    for name in SNF_CALLERS:
-        assert importlib.import_module(name).snf is checked
+    checked = SNF_CALLERS[0].snf
+    for module in SNF_CALLERS:
+        assert module.snf is checked
     assert snf is checked and hasattr(checked, "__wrapped__")
     A = IntegerMatrix.from_rows([[2, 4], [6, 8]])
     honest = checked.__wrapped__
@@ -389,7 +394,7 @@ def test_sparse_solve_matches_the_reference_on_incidence_like_matrices(case):
 
 
 def test_solve_over_the_trivial_group_needs_no_snf(monkeypatch):
-    homology_module = importlib.import_module("cornerkit.homology")
+    import cornerkit.homology as homology_module
     monkeypatch.setattr(homology_module, "snf", None)
     A = IntegerMatrix.from_rows([[2, 0], [0, 0], [1, 3]])
     assert solve_integer(SparseMatrix.from_dense(A), [(), (), ()],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -7,16 +8,17 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornerkit.coxeter import coxeter_nerve
 from cornerkit.homology import reduced_homology
 from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
                                   SimplicialComplex, all_simplices,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
-                                  complexes_equal_as_sets, cone,
+                                  cone,
                                   euler_characteristic, f_vector, join,
                                   label_all, link, point_complex, simplex,
                                   simplices, suspension)
-from conftest import random_complex
+from conftest import random_complex, random_labeled
 from oracles import (count_chains, faces_of, first_containment,
                      maximal_cliques, maximal_faces, scan_link)
 
@@ -131,10 +133,33 @@ def test_vertex_gap_check_allocates_nothing_per_id():
 
 
 def test_build_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_complex([])
-    with pytest.raises(ValueError):
-        build_complex([[0, -1]])
+    # in the order of the checks: an empty list, negative ids, non-integer
+    # ids, then gaps
+    for raw, message in [
+            ([], "empty facet list"),
+            ([[0, -1]],
+             "negative vertex id in a facet of 2 vertices, first [-1, 0]"),
+            ([[0.5], [-1]],
+             "negative vertex id in a facet of 1 vertices, first [-1]"),
+            ([[0, 0.5]], "vertex ids must be non-negative integers, got 0.5"),
+            ([[0.5], [3]], "vertex ids must be non-negative integers, got 0.5"),
+            ([[0], [2]], "1 vertex ids appear in no facet, first [1]")]:
+        with pytest.raises(ValueError) as exc:
+            build_complex(raw)
+        assert str(exc.value) == message
+
+
+def test_constructor_rejects_bad_input():
+    for n, facets, message in [
+            (3, (), "facet list may not be empty; use the empty complex {∅}"),
+            (2, ((0,), (2,)), "facet vertex id exceeds num_vertices"),
+            (3, ((0,), (2,)), "1 vertex ids appear in no facet, first [1]"),
+            (2, ((),), "complex with no facet vertices must have num_vertices 0"),
+            (3, ((0, 1, 2), (0, 1)),
+             "facet Simplex([0, 1]) is contained in Simplex([0, 1, 2])")]:
+        with pytest.raises(ValueError) as exc:
+            SimplicialComplex(n, tuple(map(Simplex, facets)))
+        assert str(exc.value) == message
 
 
 def test_build_idempotent():
@@ -265,6 +290,74 @@ def test_star_index_is_outside_the_fields():
     link(K, simplex([1]))
     assert simplex([0, 3]) not in K
     assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
+
+
+def test_hash_is_computed_once_outside_the_fields():
+    K = build_complex([[0, 1, 2], [1, 2, 3]])
+    fresh = build_complex([[0, 1, 2], [1, 2, 3]])
+    assert "_hash" not in vars(K)
+    h = hash(K)
+    assert vars(K)["_hash"] == h == hash((K.num_vertices, K.facets))
+    assert "_hash" not in {f.name for f in dataclasses.fields(K)}
+    assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)
+
+
+def assert_equals_the_validated_complex(K):
+    """K is the complex that the validating constructor builds from K's
+    facets, re-checked and given in reverse order; its facets are
+    already sorted, and it hashes and prints the same."""
+    validated = SimplicialComplex(
+        K.num_vertices, tuple(Simplex(f.vertices) for f in reversed(K.facets)))
+    assert K.facets == validated.facets
+    assert K == validated and hash(K) == hash(validated)
+    assert repr(K) == repr(validated)
+    assert all(type(f) is Simplex for f in K.facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_families(), st.integers(0, 2**32 - 1))
+def test_constructions_equal_the_validated_complex(raw, seed):
+    rng = random.Random(seed)
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    facets = [[dense[v] for v in f] for f in raw]
+    shuffled = [f[::-1] for f in facets + facets[:2]]  # repeated faces too
+    rng.shuffle(shuffled)
+    K, again = build_complex(facets), build_complex(shuffled)
+    assert again == K
+    LK = random_labeled(rng, rng.randrange(2, 7), labels=(2, 3, 4))
+    L = LK.complex
+    built = [K, again, join(K, L), join(L, K), cone(K), suspension(L),
+             barycentric(K), barycentric(L),
+             point_complex(rng.randrange(1, 5)), coxeter_nerve(LK),
+             coxeter_nerve(LK, max_rank=L.dim + 1)]
+    built += [boundary_simplex(n) for n in range(1, 7)]
+    built += [link(M, s)[0] for M in (K, L) for s in all_simplices(M)]
+    for M in built:
+        assert_equals_the_validated_complex(M)
+
+
+def test_constructions_skip_the_validating_constructors(poincare16,
+                                                        monkeypatch):
+    runs = []
+
+    def counted(check):
+        def run(self):
+            runs.append(self)
+            check(self)
+        return run
+
+    for cls in (Simplex, SimplicialComplex):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    LK = label_all(boundary_simplex(3), 2)
+    raw = [list(f.vertices) for f in barycentric(poincare16).facets]
+    for build in (lambda: barycentric(poincare16),
+                  lambda: join(poincare16, poincare16),
+                  lambda: coxeter_nerve(LK),
+                  lambda: build_complex(raw)):
+        runs.clear()
+        build()
+        assert runs == []
 
 
 def test_concurrent_first_links_agree(poincare16):
