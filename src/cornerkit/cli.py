@@ -23,20 +23,46 @@ import hashlib
 import json
 import os
 import sys
-from importlib import resources
 
 from . import jsonio
-from .coxeter import (BudgetExceeded, coxeter_matrix, coxeter_nerve,
-                      is_aspherical, is_finite, is_proper_labeling)
-from .dualcells import (acyclicity_report, dual_complex, is_cocycle,
-                        is_resolution_ready, solve_obstruction)
-from .equivalence import find_isomorphism
-from .ghs import is_ghs, is_polyhedral_homology_manifold
-from .homology import TRIVIAL_GROUP, reduced_homology_all
-from .quasitoric import (even_betti_report, from_fan, is_characteristic,
-                         pi1_orbit_union)
-from .simplicial import (LabeledComplex, barycentric, barycentric_all_two,
-                         boundary_simplex, cone, join, suspension)
+from .simplicial import LabeledComplex
+
+# The library names the handlers call, by the module that defines them.
+# A job imports only its subcommand's modules: `main` binds their names
+# into this module's globals before the handler runs, and `__getattr__`
+# binds a name on first access from outside.  Both leave a name that is
+# already bound alone, so a wrapper installed here beforehand stays in
+# place.
+LIBRARY = {
+    "coxeter": ("coxeter_matrix", "coxeter_nerve", "is_aspherical",
+                "is_finite", "is_proper_labeling"),
+    "dualcells": ("acyclicity_report", "dual_complex", "is_cocycle",
+                  "is_resolution_ready", "solve_obstruction"),
+    "equivalence": ("find_isomorphism",),
+    "ghs": ("is_ghs", "is_polyhedral_homology_manifold"),
+    "homology": ("TRIVIAL_GROUP", "reduced_homology_all"),
+    "quasitoric": ("even_betti_report", "from_fan", "is_characteristic",
+                   "pi1_orbit_union"),
+    "simplicial": ("barycentric", "barycentric_all_two", "boundary_simplex",
+                   "cone", "join", "suspension"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import `module` and bind each of its LIBRARY names not yet bound."""
+    # __import__ returns the package; unlike importlib.import_module it
+    # goes through the import statement's path, which -X importtime reports
+    source = getattr(__import__(f"{__package__}.{module}"), module)
+    for name in LIBRARY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -47,6 +73,7 @@ def data_dir() -> str:
     override = os.environ.get("CORNERKIT_DATA")
     if override:
         return override
+    from importlib import resources  # only when a literal path misses
     return str(resources.files("cornerkit") / "data")
 
 
@@ -128,10 +155,10 @@ def write_report(args, hashes: dict, parameters: dict, body: dict,
 # handler runs, so a wrapper installed on this module takes effect.
 
 def cmd_check_links(args, hashes: dict) -> int:
-    """check-ghs and check-phm: `args.check` is the library test and
-    `args.letter` names its dimension in the text report."""
+    """check-ghs and check-phm: `args.check` names the library test and
+    `args.letter` its dimension in the text report."""
     K = load_complex(args.input, hashes)
-    report = args.check(K, args.dim)
+    report = globals()[args.check](K, args.dim)
     body = {
         "verdict": report.verdict,
         "dimension": report.dimension,
@@ -362,41 +389,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ghs", help="generalized homology sphere test")
     common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_links, check=is_ghs, letter="n")
+    p.set_defaults(func=cmd_check_links, library="ghs", check="is_ghs",
+                   letter="n")
 
     p = sub.add_parser("check-phm", help="polyhedral homology manifold test")
     common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_links,
-                   check=is_polyhedral_homology_manifold, letter="m")
+    p.set_defaults(func=cmd_check_links, library="ghs",
+                   check="is_polyhedral_homology_manifold", letter="m")
 
     p = sub.add_parser("check-proper", help="proper Coxeter labeling test")
     common(p)
-    p.set_defaults(func=cmd_check_proper)
+    p.set_defaults(func=cmd_check_proper, library="coxeter")
 
     p = sub.add_parser("check-aspherical",
                        help="nerve-equality asphericity test")
     common(p)
     p.add_argument("--budget", type=int, default=1_000_000,
                    help="clique enumeration cap")
-    p.set_defaults(func=cmd_check_aspherical)
+    p.set_defaults(func=cmd_check_aspherical, library="coxeter")
 
     p = sub.add_parser("coxeter-nerve",
                        help="emit the finite-subgroup nerve complex")
     common(p)
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--budget", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_coxeter_nerve)
+    p.set_defaults(func=cmd_coxeter_nerve, library="coxeter")
 
     p = sub.add_parser("equiv", help="label-preserving isomorphism search")
     p.add_argument("a", help="first complex file")
     p.add_argument("b", help="second complex file")
     common(p, needs_input=False)
-    p.set_defaults(func=cmd_equiv)
+    p.set_defaults(func=cmd_equiv, library="equivalence")
 
     p = sub.add_parser("homology", help="reduced integral homology")
     common(p)
     p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(func=cmd_homology)
+    p.set_defaults(func=cmd_homology, library="homology")
 
     p = sub.add_parser("solve-obstruction",
                        help="solve c = δd on the dual-cell complex")
@@ -405,35 +433,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cochain", required=True, help="cochain file")
     p.add_argument("--no-top", action="store_true",
                    help="exclude the top cell (model the boundary only)")
-    p.set_defaults(func=cmd_solve_obstruction)
+    p.set_defaults(func=cmd_solve_obstruction, library="dualcells")
 
     p = sub.add_parser("acyclicity",
                        help="homology of the dual-cell complex per degree")
     common(p, needs_dim=True)
     p.add_argument("--no-top", action="store_true")
-    p.set_defaults(func=cmd_acyclicity)
+    p.set_defaults(func=cmd_acyclicity, library="dualcells")
 
     p = sub.add_parser("check-charfun",
                        help="unimodular-span validation of a pair")
     common(p)
-    p.set_defaults(func=cmd_check_charfun)
+    p.set_defaults(func=cmd_check_charfun, library="quasitoric")
 
     p = sub.add_parser("from-fan",
                        help="characteristic pair from fan data")
     common(p)
-    p.set_defaults(func=cmd_from_fan)
+    p.set_defaults(func=cmd_from_fan, library="quasitoric")
 
     p = sub.add_parser("betti", help="even Betti report from the h-vector")
     common(p)
-    p.set_defaults(func=cmd_betti)
+    p.set_defaults(func=cmd_betti, library="quasitoric")
 
     p = sub.add_parser("construct", help="emit a constructed complex")
     p.add_argument("kind", choices=CONSTRUCT_KINDS)
     p.add_argument("args", nargs="*", help="kind-specific arguments")
     common(p)
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, library="simplicial")
 
     return parser
+
+
+def _budget_errors() -> tuple:
+    """coxeter's budget error, which only a job that loaded coxeter can
+    raise."""
+    coxeter = sys.modules.get(f"{__package__}.coxeter")
+    return (coxeter.BudgetExceeded,) if coxeter else ()
 
 
 def main(argv=None) -> int:
@@ -443,9 +478,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0, None) else 0
+    _bind(args.library)
     try:
         return args.func(args, {})
-    except (CliError, BudgetExceeded, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError, *_budget_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

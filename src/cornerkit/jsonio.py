@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 
-from .dualcells import Cochain
-from .homology import FGAbelianGroup, IntegerMatrix
-from .quasitoric import CharacteristicPair, Fan
+# The value types of the other modules are imported in the functions that
+# build them, so a job loads only the modules its subcommand runs.
 from .simplicial import LabeledComplex, SimplicialComplex, build_complex
 
 
@@ -80,6 +79,7 @@ def group_to_obj(G: FGAbelianGroup) -> dict:
 
 
 def group_from_obj(obj: dict) -> FGAbelianGroup:
+    from .homology import FGAbelianGroup
     _document(obj, '"group"')
     torsion, = _int_lists([obj.get("torsion", [])], '"torsion"')
     return FGAbelianGroup(_int(obj.get("rank", 0), '"rank"'), tuple(torsion))
@@ -92,6 +92,8 @@ def pair_to_obj(p: CharacteristicPair) -> dict:
 
 
 def pair_from_obj(obj: dict) -> CharacteristicPair:
+    from .homology import IntegerMatrix
+    from .quasitoric import CharacteristicPair
     _document(obj, "characteristic pair document", "n", "lambda", "nerve")
     nerve = complex_from_obj(obj["nerve"])
     if isinstance(nerve, LabeledComplex):
@@ -102,6 +104,7 @@ def pair_from_obj(obj: dict) -> CharacteristicPair:
 
 
 def fan_from_obj(obj: dict) -> Fan:
+    from .quasitoric import Fan
     _document(obj, "fan document", "rays", "cones")
     return Fan(tuple(map(tuple, _int_lists(obj["rays"], '"rays"'))),
                tuple(map(tuple, _int_lists(obj["cones"], '"cones"'))))
@@ -123,6 +126,7 @@ def cochain_to_obj(c) -> dict:
 
 
 def cochain_from_obj(obj: dict, D) -> Cochain:
+    from .dualcells import Cochain
     _document(obj, "cochain document", "degree", "group", "values")
     group = group_from_obj(obj["group"])
     values = _document(obj["values"], '"values"')

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .homology import (FGAbelianGroup, IntegerMatrix, cokernel, snf,
                        snf_diagonal, unimodular_inverse)
-from .ghs import is_ghs
 from .simplicial import Simplex, SimplicialComplex, build_complex, f_vector
 
 @dataclass(frozen=True)
@@ -236,6 +235,7 @@ def even_betti_report(p: CharacteristicPair) -> tuple[int, ...]:
     Preconditions: the nerve is a generalized homology (n-1)-sphere and
     the pair passes is_characteristic.
     """
+    from .ghs import is_ghs  # so the other quasitoric jobs skip ghs
     ghs_report = is_ghs(p.nerve, p.n)
     if not ghs_report.verdict:
         raise ValueError(f"nerve is not a generalized homology "

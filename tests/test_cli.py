@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cornerkit.cli as cli
 from cornerkit.cli import main
 from cornerkit.dualcells import Cochain, coboundary, dual_complex
 from cornerkit.homology import FGAbelianGroup
@@ -677,16 +679,22 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REPORT_CASES))
-def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
-    data, cwd = tmp_path / "data", tmp_path / "cwd"
+def report_inputs(tmp_path) -> Path:
+    """A data directory with the shipped corpus and REPORT_INPUTS."""
+    data = tmp_path / "data"
     data.mkdir()
-    cwd.mkdir()
     for name in ("poincare16.json", "rp2_6.json", "cp2_pair.json"):
         (data / name).write_bytes((DATA / name).read_bytes())
     for name, doc in REPORT_INPUTS.items():
         (data / name).write_text(doc if isinstance(doc, str) else dumps(doc))
-    monkeypatch.setenv("CORNERKIT_DATA", str(data))
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("CORNERKIT_DATA", str(report_inputs(tmp_path)))
     monkeypatch.chdir(cwd)  # so no input resolves as a literal path
     argv, exit_code = REPORT_CASES[case]
     digests = []
@@ -837,3 +845,65 @@ def test_fuzzed_documents_exit_0_1_or_2_with_a_short_message(case):
                          for a in argv])
     assert code in (0, 1, 2), (argv, code)
     assert len(err.getvalue().encode()) < 1024, err.getvalue()[:200]
+
+
+# --- what each subcommand imports ------------------------------------------
+# A job pays for compiling and running every module it imports, so each
+# subcommand loads only its own.  Each case runs in a fresh interpreter.
+
+STARTUP = {"cli", "jsonio", "simplicial"}
+MODULES_BY_CASE = {
+    "construct-cone": STARTUP,
+    "check-aspherical-pass": STARTUP | {"coxeter"},
+    "check-proper-fail": STARTUP | {"coxeter"},
+    "coxeter-nerve": STARTUP | {"coxeter"},
+    "error-budget": STARTUP | {"coxeter"},
+    "equiv-pass": STARTUP | {"equivalence"},
+    "homology": STARTUP | {"homology"},
+    "acyclicity-pass": STARTUP | {"homology", "dualcells"},
+    "solve-solved": STARTUP | {"homology", "dualcells"},
+    "check-ghs-fail": STARTUP | {"homology", "ghs"},
+    "check-phm-pass": STARTUP | {"homology", "ghs"},
+    "from-fan": STARTUP | {"homology", "quasitoric"},
+    "check-charfun-pass": STARTUP | {"homology", "quasitoric"},
+    "betti-pass": STARTUP | {"homology", "ghs", "quasitoric"},
+}
+LOADED = """
+import contextlib, io, sys
+from cornerkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("cornerkit.")))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(MODULES_BY_CASE))
+def test_each_subcommand_imports_only_its_modules(tmp_path, case):
+    argv, exit_code = REPORT_CASES[case]
+    env = dict(os.environ, CORNERKIT_DATA=str(report_inputs(tmp_path)),
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                         capture_output=True, text=True, env=env,
+                         cwd=tmp_path, check=True)
+    code, *loaded = run.stdout.split()
+    assert int(code) == exit_code
+    assert set(loaded) == {f"cornerkit.{m}" for m in MODULES_BY_CASE[case]}
+
+
+def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
+    for module, names in cli.LIBRARY.items():
+        source = importlib.import_module(f"cornerkit.{module}")
+        for name in names:
+            assert getattr(cli, name) is getattr(source, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+    is_ghs, calls = cli.is_ghs, []
+
+    def wrapper(K, n):
+        calls.append(n)
+        return is_ghs(K, n)
+    monkeypatch.setattr(cli, "is_ghs", wrapper)
+    code, _, _ = run_cli(capsys, "check-ghs", "-i", str(DATA / "rp2_6.json"),
+                         "-n", "3")
+    assert code == 1 and calls == [3]
