@@ -19,7 +19,6 @@ directory (override with the CORNERKIT_DATA environment variable), so
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -105,15 +104,17 @@ def parse_json(raw: bytes, label: str) -> dict:
 
 
 def content_hash(raw: bytes) -> str:
+    import hashlib  # only a job that writes a JSON run report hashes
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def load(path: str, hashes: dict, decode=None):
-    """Read, hash and decode one input document; `decode` defaults to
+    """Read and decode one input document, keeping its raw bytes in
+    `hashes` under its label for the report to hash; `decode` defaults to
     jsonio.complex_from_obj, looked up per call so a wrapped decoder
     takes effect."""
     label, raw = read_input(path)
-    hashes[label] = content_hash(raw)
+    hashes[label] = raw
     try:
         return (decode or jsonio.complex_from_obj)(parse_json(raw, label))
     except ValueError as exc:
@@ -137,11 +138,13 @@ def load_labeled(path: str, hashes: dict) -> LabeledComplex:
 def write_report(args, hashes: dict, parameters: dict, body: dict,
                  lines, verdict) -> int:
     """Write the run report in `args.format`: the JSON object keyed by
-    command, input hashes and parameters plus `body`, or the text
-    `lines`.  Return the exit code of `verdict`."""
+    command, the content hashes of the inputs in `hashes` (raw bytes by
+    label) and parameters plus `body`, or the text `lines`.  Return the
+    exit code of `verdict`."""
     if args.format == "json":
+        inputs = {label: content_hash(raw) for label, raw in hashes.items()}
         sys.stdout.write(jsonio.dumps({"command": args.command,
-                                       "inputs": hashes,
+                                       "inputs": inputs,
                                        "parameters": parameters, **body}))
     else:
         for line in lines:
@@ -151,8 +154,9 @@ def write_report(args, hashes: dict, parameters: dict, body: dict,
 
 # --- subcommand implementations -------------------------------------------
 # Each handler takes the parsed arguments and the dict that collects its
-# input hashes.  The library functions are module globals looked up when a
-# handler runs, so a wrapper installed on this module takes effect.
+# inputs' raw bytes by label, for the report's input hashes.  The library
+# functions are module globals looked up when a handler runs, so a wrapper
+# installed on this module takes effect.
 
 def cmd_check_links(args, hashes: dict) -> int:
     """check-ghs and check-phm: `args.check` names the library test and

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
-from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, _complex,
-                         simplex, simplices)
+from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, _Value,
+                         _complex, simplex, simplices)
 
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
 
@@ -34,27 +32,28 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(_Value):
     """Symmetric matrix with 1 on the diagonal; 0 encodes infinity.
 
     vertices names the generators, so a matrix restricted to a vertex
     subset still reports verdicts in the original ids.
     """
 
-    vertices: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("vertices", "entries")
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+    def __init__(self, vertices: tuple[int, ...],
+                 entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "entries", entries)
+        n = len(vertices)
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("matrix shape does not match generator count")
         for i in range(n):
-            if self.entries[i][i] != 1:
+            if entries[i][i] != 1:
                 raise ValueError("diagonal entries must be 1")
             for j in range(i + 1, n):
-                m = self.entries[i][j]
-                if m != self.entries[j][i]:
+                m = entries[i][j]
+                if m != entries[j][i]:
                     raise ValueError("matrix must be symmetric")
                 if m != INFINITE and m < 2:
                     raise ValueError(f"off-diagonal order {m} must be >= 2 or ∞")
@@ -67,15 +66,17 @@ class CoxeterMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class FinitenessVerdict:
-    finite: bool
-    components: tuple[tuple[tuple[int, ...], str], ...]
-    order: int | None
+class FinitenessVerdict(_Value):
+    _fields = ("finite", "components", "order")
 
-    def __post_init__(self):
-        assert self.finite == all(tag != "infinite" for _, tag in self.components)
-        assert (self.order is not None) == self.finite
+    def __init__(self, finite: bool,
+                 components: tuple[tuple[tuple[int, ...], str], ...],
+                 order: int | None):
+        assert finite == all(tag != "infinite" for _, tag in components)
+        assert (order is not None) == finite
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "order", order)
 
 
 def coxeter_matrix(LK: LabeledComplex, subset=None) -> CoxeterMatrix:

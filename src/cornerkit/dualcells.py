@@ -19,20 +19,20 @@ positive degree is solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
                        homology_all, simplicial_boundary_matrix,
                        solve_integer, Z)
-from .simplicial import Simplex, SimplicialComplex, simplices
+from .simplicial import Simplex, SimplicialComplex, _Value, simplices
 
 
-@dataclass(frozen=True)
-class DualFace:
+class DualFace(_Value):
     """Dual cell of a nerve simplex; label ∅ names the top cell."""
 
-    label: Simplex
-    dim: int
+    _fields = ("label", "dim")
+
+    def __init__(self, label: Simplex, dim: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dim", dim)
 
 
 class DualComplex:
@@ -95,14 +95,17 @@ def dual_complex(N: SimplicialComplex, n: int,
     return DualComplex(N, n, include_top)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Value):
     """Degree-k cochain: one group element per k-dimensional dual face."""
 
-    degree: int
-    group: FGAbelianGroup
-    values: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    # (face label vertices, element coordinates), sorted by label
+    _fields = ("degree", "group", "values")
+
+    def __init__(self, degree: int, group: FGAbelianGroup,
+                 values: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "group", group)
+        # (face label vertices, element coordinates), sorted by label
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def build(cls, D: DualComplex, degree: int, group: FGAbelianGroup,

@@ -20,29 +20,32 @@ its own witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z, reduced_homology_all
-from .simplicial import EMPTY_SIMPLEX, Simplex, SimplicialComplex, link, simplices
+from .simplicial import (EMPTY_SIMPLEX, Simplex, SimplicialComplex, _Value,
+                         link, simplices)
 
 
-@dataclass(frozen=True)
-class GhsFailure:
-    simplex: Simplex
-    degree: int
-    expected: FGAbelianGroup
-    actual: FGAbelianGroup
+class GhsFailure(_Value):
+    _fields = ("simplex", "degree", "expected", "actual")
+
+    def __init__(self, simplex: Simplex, degree: int,
+                 expected: FGAbelianGroup, actual: FGAbelianGroup):
+        object.__setattr__(self, "simplex", simplex)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
 
-@dataclass(frozen=True)
-class GhsReport:
-    verdict: bool
-    dimension: int
-    failures: tuple[GhsFailure, ...]
-    links_checked: int
+class GhsReport(_Value):
+    _fields = ("verdict", "dimension", "failures", "links_checked")
 
-    def __post_init__(self):
-        assert self.verdict == (not self.failures)
+    def __init__(self, verdict: bool, dimension: int,
+                 failures: tuple[GhsFailure, ...], links_checked: int):
+        assert verdict == (not failures)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "links_checked", links_checked)
 
 
 def sphere_homology_defects(L: SimplicialComplex, d: int):
@@ -76,12 +79,18 @@ def sphere_homology_defects(L: SimplicialComplex, d: int):
 
 
 def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
+    """A witness for each facet f of dimension other than m.  The link of
+    f is {∅}, with H̃_{-1} = Z and nothing else, where S^d for
+    d = m - f.dim - 1 is asked for: below m, Z is missing in degree d >= 0;
+    above m (d <= -2, where nothing is asked for) the Z in degree -1 is
+    extra."""
     out = []
     for f in K.facets:
-        if f.dim != m:
-            d = m - f.dim - 1
-            out.append(GhsFailure(f, d, Z if d >= 0 else TRIVIAL_GROUP,
-                                  TRIVIAL_GROUP))
+        d = m - f.dim - 1
+        if d >= 0:
+            out.append(GhsFailure(f, d, Z, TRIVIAL_GROUP))
+        elif d < -1:
+            out.append(GhsFailure(f, -1, TRIVIAL_GROUP, Z))
     return out
 
 

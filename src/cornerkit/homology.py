@@ -25,23 +25,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-
-from .simplicial import EMPTY_SIMPLEX, SimplicialComplex, simplices
+from .simplicial import EMPTY_SIMPLEX, SimplicialComplex, _Value, simplices
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_Value):
     """Dense immutable integer matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, rows: int, cols: int,
+                 entries: tuple[tuple[int, ...], ...]):
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-        if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
 
     @classmethod
@@ -70,14 +68,17 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(_Value):
     """Immutable integer matrix stored by columns: column j holds the
     (row, value) pairs of its nonzero entries in increasing row order."""
 
-    rows: int
-    cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    _fields = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int,
+                 columns: tuple[tuple[tuple[int, int], ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_dense(cls, A: IntegerMatrix) -> "SparseMatrix":
@@ -115,13 +116,15 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Value):
     """U·A·V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
 
-    U: IntegerMatrix
-    D: IntegerMatrix
-    V: IntegerMatrix
+    _fields = ("U", "D", "V")
+
+    def __init__(self, U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     def diagonal(self) -> list[int]:
         n = min(self.D.rows, self.D.cols)
@@ -325,21 +328,20 @@ def invariant_factors(M: SparseMatrix) -> list[int]:
     return [1] * units + [d for d in snf_diagonal(leftover) if d]
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(_Value):
     """Z^free_rank ⊕ Z/q1 ⊕ ... with q1 | q2 | ... and all qi >= 2.
 
     Elements are coordinate tuples: free coordinates first, then one
     coordinate mod each torsion divisor.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        tor = tuple(int(q) for q in self.torsion)
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        tor = tuple(int(q) for q in torsion)
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for q in tor:
             if q < 2:
@@ -411,8 +413,7 @@ TRIVIAL_GROUP = FGAbelianGroup(0, ())
 Z = FGAbelianGroup(1, ())
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Value):
     """Boundary maps keyed by degree, with named bases.
 
     boundary[k] maps C_k -> C_{k-1}: rows index basis[k-1], columns index
@@ -421,10 +422,17 @@ class ChainComplex:
     construction, over the sparse columns).
     """
 
-    boundary: dict[int, SparseMatrix] = field(default_factory=dict)
-    basis: dict[int, tuple] = field(default_factory=dict)
+    _fields = ("boundary", "basis")
+
+    def __init__(self, boundary: dict[int, SparseMatrix],
+                 basis: dict[int, tuple]):
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "basis", basis)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the shapes and ∂∘∂ = 0.  A method of its own, looked up
+        on every construction, so bench/spans.py can time it."""
         for k, mat in self.boundary.items():
             n_k = len(self.basis.get(k, ()))
             n_km1 = len(self.basis.get(k - 1, ()))

@@ -17,30 +17,30 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .homology import (FGAbelianGroup, IntegerMatrix, cokernel, snf,
                        snf_diagonal, unimodular_inverse)
-from .simplicial import Simplex, SimplicialComplex, build_complex, f_vector
+from .simplicial import (Simplex, SimplicialComplex, _Value, build_complex,
+                         f_vector)
 
-@dataclass(frozen=True)
-class CharacteristicPair:
+class CharacteristicPair(_Value):
     """nerve on m vertices, torus rank n, and an m×n matrix whose row i is
     the vector attached to vertex i."""
 
-    nerve: SimplicialComplex
-    n: int
-    lam: IntegerMatrix
+    _fields = ("nerve", "n", "lam")
 
-    def __post_init__(self):
-        m = self.nerve.num_vertices
-        if self.lam.rows != m:
-            raise ValueError(f"lambda has {self.lam.rows} rows for {m} vertices")
-        if self.lam.cols != self.n:
-            raise ValueError(f"lambda has {self.lam.cols} columns, expected n={self.n}")
-        if m < self.n:
-            raise ValueError(f"need at least n={self.n} vertices, got {m}")
-        for i, row in enumerate(self.lam.entries):
+    def __init__(self, nerve: SimplicialComplex, n: int, lam: IntegerMatrix):
+        object.__setattr__(self, "nerve", nerve)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lam", lam)
+        m = nerve.num_vertices
+        if lam.rows != m:
+            raise ValueError(f"lambda has {lam.rows} rows for {m} vertices")
+        if lam.cols != n:
+            raise ValueError(f"lambda has {lam.cols} columns, expected n={n}")
+        if m < n:
+            raise ValueError(f"need at least n={n} vertices, got {m}")
+        for i, row in enumerate(lam.entries):
             if all(x == 0 for x in row):
                 raise ValueError(f"row {i} of lambda is zero")
 
@@ -48,20 +48,19 @@ class CharacteristicPair:
         return self.lam.entries[i]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_Value):
     """Simplicial fan data: primitive rays and maximal cones as ray-index
     sets of size <= n."""
 
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    _fields = ("rays", "max_cones")
 
-    def __post_init__(self):
-        if not self.rays:
+    def __init__(self, rays: tuple[tuple[int, ...], ...],
+                 max_cones: tuple[tuple[int, ...], ...]):
+        if not rays:
             raise ValueError("fan needs at least one ray")
-        dim = len(self.rays[0])
-        rays = []
-        for i, r in enumerate(self.rays):
+        dim = len(rays[0])
+        primitive = []
+        for i, r in enumerate(rays):
             if len(r) != dim:
                 raise ValueError("rays of mixed dimension")
             g = math.gcd(*r) if any(r) else 0
@@ -71,16 +70,16 @@ class Fan:
                 warnings.warn(f"ray {i} = {list(r)} is not primitive; "
                               f"dividing by gcd {g}")
                 r = tuple(x // g for x in r)
-            rays.append(tuple(int(x) for x in r))
-        object.__setattr__(self, "rays", tuple(rays))
-        cones = tuple(tuple(sorted(c)) for c in self.max_cones)
+            primitive.append(tuple(int(x) for x in r))
+        object.__setattr__(self, "rays", tuple(primitive))
+        cones = tuple(tuple(sorted(c)) for c in max_cones)
         object.__setattr__(self, "max_cones", cones)
         for c in cones:
             repeated = sorted({i for i, j in zip(c, c[1:]) if i == j})
             if repeated:
                 raise ValueError(f"a cone of {len(c)} rays repeats "
                                  f"{len(repeated)} rays, first {repeated[:5]}")
-            missing = [i for i in c if i < 0 or i >= len(rays)]
+            missing = [i for i in c if i < 0 or i >= len(primitive)]
             if missing:
                 raise ValueError(f"a cone of {len(c)} rays references "
                                  f"{len(missing)} missing rays, first "

@@ -16,34 +16,87 @@ the unchecked `_complex`.  Every complex holds its facets sorted, so `==`
 compares complexes as sets of simplices.
 
 All values are immutable after construction and every operation is a pure
-function.  A complex computes its hash and derived tables, such as its
-vertex-to-facet star index, the first time they are needed and keeps them
-outside its dataclass fields, so equality and repr never see them.
-Concurrent reads stay safe: two threads that both build a table store
-equal ones.
+function.  The value classes of every module derive from `_Value`, which
+gives them ==, hash and repr over their fields and forbids assignment, as
+frozen dataclasses would, without importing `dataclasses` (and with it
+`inspect`) into every job.  A complex computes its hash and derived
+tables, such as its vertex-to-facet star index, the first time they are
+needed and keeps them outside its fields, so equality and repr never see
+them.  Concurrent reads stay safe: two threads that both build a table
+store equal ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Simplex:
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields, in order, in `_fields`, and its __init__
+    sets them with object.__setattr__; afterwards no attribute can be set
+    or deleted.  ==, hash and the default repr read the fields only: ==
+    holds between instances of the same class with equal fields (any other
+    operand gets NotImplemented), the hash is that of the tuple of fields,
+    and the repr reads ``Name(field=value, ...)``.  Tables that `_cached`
+    keeps on an instance are not fields, so none of the three sees them.
+    Simplex, the one class of a single field, writes its own == and hash.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the tuple of field values, for two fields or more
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Simplex(_Value):
     """A face: strictly increasing tuple of non-negative vertex ids."""
 
-    vertices: tuple[int, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        vs = tuple(self.vertices)
+    def __init__(self, vertices: tuple[int, ...]):
+        vs = tuple(vertices)
         object.__setattr__(self, "vertices", vs)
         for v in vs:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
         if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
             raise ValueError(f"vertices must be strictly increasing, got {vs}")
+
+    # Faces are hashed and compared in every link lookup and face index,
+    # so == and hash read the one field directly; the hash is that of the
+    # 1-tuple of fields, as in the other value classes.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices,))
 
     @property
     def dim(self) -> int:
@@ -73,8 +126,7 @@ def simplex(vertices) -> Simplex:
     return Simplex(tuple(vs))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Facet list over vertices 0..num_vertices-1.
 
     Invariants: no facet contains another, every id is < num_vertices, and
@@ -82,11 +134,11 @@ class SimplicialComplex:
     the empty simplex) has num_vertices 0 and facet list ``(EMPTY_SIMPLEX,)``.
     """
 
-    num_vertices: int
-    facets: tuple[Simplex, ...]
+    _fields = ("num_vertices", "facets")
 
-    def __post_init__(self):
-        facets = tuple(sorted(self.facets, key=lambda s: s.vertices))
+    def __init__(self, num_vertices: int, facets: tuple[Simplex, ...]):
+        facets = tuple(sorted(facets, key=lambda s: s.vertices))
+        object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "facets", facets)
         if not facets:
             raise ValueError("facet list may not be empty; use the empty complex {∅}")
@@ -94,10 +146,10 @@ class SimplicialComplex:
         for f in facets:
             seen.update(f.vertices)
         if seen:
-            if max(seen) >= self.num_vertices:
+            if max(seen) >= num_vertices:
                 raise ValueError("facet vertex id exceeds num_vertices")
-            _check_no_gaps(seen, self.num_vertices)
-        elif self.num_vertices != 0:
+            _check_no_gaps(seen, num_vertices)
+        elif num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
         for i, j in enumerate(_containers([f.vertices for f in facets])):
             if j is not None:
@@ -136,8 +188,9 @@ def _check_no_gaps(used: set[int], num_vertices: int) -> None:
 
 def _cached(obj, name: str, build):
     """The table `name` of obj: build(obj) on first use, then kept on obj
-    as a plain attribute, so a frozen dataclass's eq and repr do not see
-    it.  Meant for tables (and the hash) that depend on obj's value only."""
+    as a plain attribute outside its fields, so its ==, hash and repr do
+    not see it.  Meant for tables (and the hash) that depend on obj's value
+    only."""
     table = getattr(obj, name, None)
     if table is None:
         table = build(obj)
@@ -194,14 +247,21 @@ def _containers(faces) -> list[int | None]:
 EMPTY_COMPLEX = SimplicialComplex(0, (EMPTY_SIMPLEX,))
 
 
-@dataclass(frozen=True)
-class LabeledComplex:
+class LabeledComplex(_Value):
     """A complex together with one integer label m >= 2 on every edge."""
 
-    complex: SimplicialComplex
-    labels: tuple[tuple[int, int, int], ...]  # (u, v, m) with u < v, sorted
+    _fields = ("complex", "labels")
+
+    def __init__(self, complex: SimplicialComplex,
+                 labels: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "complex", complex)
+        # (u, v, m) with u < v, sorted, once __post_init__ has run
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Canonicalize and check the labels.  A method of its own, looked
+        up on every construction, so bench/spans.py can time it."""
         canon = tuple(sorted((min(u, v), max(u, v), m) for u, v, m in self.labels))
         object.__setattr__(self, "labels", canon)
         edge_set = {e.vertices for e in simplices(self.complex, 1)}

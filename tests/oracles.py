@@ -28,19 +28,51 @@ same way scan_link finds a link's facets by scanning every facet and
 builds it through the validating constructor, and per_link_check decides
 every link on its own with the library's sphere_homology_defects: the
 references for the star-index link and the per-shape link memo.
+
+The value classes write ==, hash, repr and frozen fields by hand;
+DATACLASS_TWINS holds for each the frozen dataclass with the same fields
+(and defaults), whose generated methods they must match.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import deque
 from fractions import Fraction
 
-from cornerkit.coxeter import BudgetExceeded, coxeter_matrix, is_finite
-from cornerkit.ghs import GhsFailure, sphere_homology_defects
-from cornerkit.homology import IntegerMatrix, SNFResult, SparseMatrix
-from cornerkit.simplicial import SimplicialComplex, simplex, simplices
+from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
+                               FinitenessVerdict, coxeter_matrix, is_finite)
+from cornerkit.dualcells import Cochain, DualFace
+from cornerkit.ghs import GhsFailure, GhsReport, sphere_homology_defects
+from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
+                                SNFResult, SparseMatrix)
+from cornerkit.quasitoric import CharacteristicPair, Fan
+from cornerkit.simplicial import (LabeledComplex, Simplex, SimplicialComplex,
+                                  simplex, simplices)
+
+DATACLASS_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in {
+        Simplex: ["vertices"],
+        SimplicialComplex: ["num_vertices", "facets"],
+        LabeledComplex: ["complex", "labels"],
+        IntegerMatrix: ["rows", "cols", "entries"],
+        SparseMatrix: ["rows", "cols", "columns"],
+        SNFResult: ["U", "D", "V"],
+        FGAbelianGroup: [("free_rank", int, dataclasses.field(default=0)),
+                         ("torsion", tuple, dataclasses.field(default=()))],
+        ChainComplex: ["boundary", "basis"],
+        DualFace: ["label", "dim"],
+        Cochain: ["degree", "group", "values"],
+        GhsFailure: ["simplex", "degree", "expected", "actual"],
+        GhsReport: ["verdict", "dimension", "failures", "links_checked"],
+        CoxeterMatrix: ["vertices", "entries"],
+        FinitenessVerdict: ["finite", "components", "order"],
+        CharacteristicPair: ["nerve", "n", "lam"],
+        Fan: ["rays", "max_cones"],
+    }.items()}
 
 
 def rational_rank(rows: list[list[int]]) -> int:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cornerkit import ghs
 from cornerkit.ghs import (is_ghs, is_polyhedral_homology_manifold,
                            sphere_homology_defects)
+from cornerkit.homology import TRIVIAL_GROUP, Z
 from cornerkit.simplicial import (EMPTY_COMPLEX, barycentric,
                                   boundary_simplex, build_complex, join,
                                   point_complex, suspension)
@@ -43,6 +44,12 @@ def test_impure_complex_fails_purity():
     report = is_polyhedral_homology_manifold(K, 2)
     assert not report.verdict
     assert any(f.simplex.vertices == (2, 3) for f in report.failures)
+    # a facet above the dimension: its link {∅} has H̃_{-1} = Z, where a
+    # "sphere" of dimension -3 has nothing
+    for report in (is_polyhedral_homology_manifold(boundary_simplex(3), 0),
+                   is_ghs(boundary_simplex(3), 1)):
+        assert [(f.simplex.dim, f.degree, f.expected, f.actual)
+                for f in report.failures] == [(2, -1, TRIVIAL_GROUP, Z)] * 4
 
 
 def test_facet_deletion_breaks_sphere():
@@ -172,6 +179,16 @@ def test_shape_memo_reports_equal_per_link_reports(case):
     with mock.patch.object(ghs, "_check_links", per_link_check):
         reference = check()
     assert memoized == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_cases())
+def test_every_witness_differs_from_what_was_expected(case):
+    K, _, _ = case
+    for m in range(K.dim + 2):
+        for report in (is_ghs(K, m + 1),
+                       is_polyhedral_homology_manifold(K, m)):
+            assert all(f.expected != f.actual for f in report.failures), m
 
 
 def test_bary_poincare_decides_each_link_shape_once(poincare16, monkeypatch):
