@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+# simplices is not called here, but bench/spans.py wraps it by this name
 from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, _Value,
-                         _complex, simplex, simplices)
+                         _complex, simplex, simplices)  # noqa: F401
 
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
 
@@ -287,11 +288,14 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
 
     A finite subgroup forces all pairwise labels finite, so candidates are
     exactly the cliques of LK's 1-skeleton; the family is closed under
-    subsets, which lets the enumeration extend finite cliques only.
-    Finiteness is decided once per label pattern (_pattern).  `budget`
-    caps the number of candidate cliques, whether or not their pattern
-    was seen before; past it a BudgetExceeded (with the count) is raised
-    rather than silently truncating.
+    subsets, which lets the enumeration extend finite cliques only.  Each
+    finite clique carries its candidates, the common neighbours of its
+    vertices above its last one, so an extension by w gets its own with
+    one intersection (Chiba and Nishizeki's clique listing).  Finiteness
+    is decided once per label pattern (_pattern).  `budget` caps the
+    number of candidate cliques, whether or not their pattern was seen
+    before; past it a BudgetExceeded (with the count) is raised rather
+    than silently truncating.
     """
     K = LK.complex
     if K.is_empty():
@@ -300,36 +304,32 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
         max_rank = K.num_vertices
     if max_rank < K.dim + 1:
         raise ValueError(f"max_rank {max_rank} below dim+1 = {K.dim + 1}")
-    edge_set = {e.vertices for e in simplices(K, 1)}
-    adjacency: dict[int, set[int]] = {v: set() for v in range(K.num_vertices)}
-    for u, v in edge_set:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    labels = LK.label_dict()
+    # up[v]: the neighbours above v; below[w]: {t: m(t, w)} for t below w
+    up: list[set[int]] = [set() for _ in range(K.num_vertices)]
+    below: list[dict[int, int]] = [{} for _ in range(K.num_vertices)]
+    for u, v, m in LK.labels:  # exactly the edges, with u < v
+        up[u].add(v)
+        below[v][u] = m
     memo: dict[tuple[int, ...], bool] = {}
     tested = 0
     finite_sets: list[tuple[int, ...]] = []
     covered: set[tuple[int, ...]] = set()  # sets with a finite extension
-    # each finite clique carries its label pattern to its extensions
-    level = [((v,), ()) for v in range(K.num_vertices)]
-    finite_sets.extend(T for T, _ in level)  # rank-1 groups are Z/2
+    # each finite clique carries its label pattern and its candidates
+    level = [((v,), (), up[v]) for v in range(K.num_vertices)]
+    finite_sets.extend(T for T, _, _ in level)  # rank-1 groups are Z/2
     while level and len(level[0][0]) < max_rank:
         nxt = []
-        for T, pattern in level:
-            common = set.intersection(*(adjacency[v] for v in T))
+        for T, pattern, common in level:
             for w in sorted(common):
-                if w <= T[-1]:
-                    continue
                 cand = T + (w,)
                 tested += 1
                 if tested > budget:
                     raise BudgetExceeded(tested, budget)
-                extended = pattern + tuple(labels[t, w] for t in T)
+                extended = pattern + tuple(map(below[w].__getitem__, T))
                 if _finite(LK, cand, extended, memo):
-                    nxt.append((cand, extended))
-                    covered.update(cand[:i] + cand[i + 1:]
-                                   for i in range(len(cand)))
-        finite_sets.extend(T for T, _ in nxt)
+                    nxt.append((cand, extended, common & up[w]))
+                    covered.update(itertools.combinations(cand, len(T)))
+        finite_sets.extend(T for T, _, _ in nxt)
         level = nxt
     # the uncovered sets are the maximal ones, so pairwise incomparable,
     # and every vertex is a rank-1 set: a valid complex as it stands

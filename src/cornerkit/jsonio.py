@@ -14,6 +14,7 @@ newline.  parse(print(x)) == x on everything this module emits.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 # The value types of the other modules are imported in the functions that
 # build them, so a job loads only the modules its subcommand runs.
@@ -51,9 +52,10 @@ def _int(value, what: str) -> int:
 
 
 def _int_lists(rows, what: str) -> list[list[int]]:
-    if not (isinstance(rows, list) and all(
-            isinstance(r, list) and all(type(x) is int for x in r)
-            for r in rows)):
+    # one flat pass over the entries, once every row is a list
+    if not (isinstance(rows, list)
+            and all(map(isinstance, rows, repeat(list)))
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
         raise ValueError(f"{what}: expected lists of integers")
     return rows
 

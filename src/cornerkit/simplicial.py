@@ -248,7 +248,13 @@ EMPTY_COMPLEX = SimplicialComplex(0, (EMPTY_SIMPLEX,))
 
 
 class LabeledComplex(_Value):
-    """A complex together with one integer label m >= 2 on every edge."""
+    """A complex together with one integer label m >= 2 on every edge.
+
+    The labels are checked in one pass: sorted with each pair as (u, v),
+    u < v, they must run along simplices(complex, 1) edge for edge, each
+    with m >= 2.  Only when they do not does the per-label loop run, to
+    name the first fault.
+    """
 
     _fields = ("complex", "labels")
 
@@ -264,22 +270,30 @@ class LabeledComplex(_Value):
         up on every construction, so bench/spans.py can time it."""
         canon = tuple(sorted((min(u, v), max(u, v), m) for u, v, m in self.labels))
         object.__setattr__(self, "labels", canon)
-        edge_set = {e.vertices for e in simplices(self.complex, 1)}
-        seen: set[tuple[int, int]] = set()
-        for u, v, m in canon:
-            if u == v:
-                raise ValueError(f"label on degenerate pair ({u},{v})")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate label on edge ({u},{v})")
-            seen.add((u, v))
-            if (u, v) not in edge_set:
-                raise ValueError(f"label on non-edge ({u},{v})")
-            if m < 2:
-                raise ValueError(f"label on edge ({u},{v}) must be >= 2, got {m}")
-        missing = sorted(edge_set - seen)
-        if missing:
-            raise ValueError(f"{len(missing)} edges carry no label, "
-                             f"first {missing[:5]}")
+        edges = simplices(self.complex, 1)
+        # a label on the next edge passes every check of the loop below,
+        # and m is compared as there (m < 2)
+        if not (len(canon) == len(edges)
+                and all((u, v) == e.vertices and not m < 2
+                        for (u, v, m), e in zip(canon, edges))):
+            # label by label, to name the first fault
+            edge_set = {e.vertices for e in edges}
+            seen: set[tuple[int, int]] = set()
+            for u, v, m in canon:
+                if u == v:
+                    raise ValueError(f"label on degenerate pair ({u},{v})")
+                if (u, v) in seen:
+                    raise ValueError(f"duplicate label on edge ({u},{v})")
+                seen.add((u, v))
+                if (u, v) not in edge_set:
+                    raise ValueError(f"label on non-edge ({u},{v})")
+                if m < 2:
+                    raise ValueError(f"label on edge ({u},{v}) must be "
+                                     f">= 2, got {m}")
+            missing = sorted(edge_set - seen)
+            if missing:
+                raise ValueError(f"{len(missing)} edges carry no label, "
+                                 f"first {missing[:5]}")
         object.__setattr__(self, "_label_map",
                            {(u, v): m for u, v, m in canon})
 
@@ -303,7 +317,10 @@ def build_complex(raw_facets) -> SimplicialComplex:
     Deduplicates, sorts, prunes non-maximal faces, and sets num_vertices to
     max id + 1.  Rejects, in this order, an empty facet list, negative ids,
     non-integer ids and vertex-id gaps (an id in range that occurs in no
-    facet).  What is left after pruning is valid, so it is not checked again.
+    facet).  Once the sets are distinct, none lies in another of the same
+    size, so a pure input (one facet size) skips the containment test and
+    builds no star index.  What is left after pruning is valid, so it is
+    not checked again.
     """
     raw = list(raw_facets)
     if not raw:
@@ -316,14 +333,16 @@ def build_complex(raw_facets) -> SimplicialComplex:
                              f"vertices, first {sorted(fs)[:5]}")
         sets.append(fs)
     sets = list(set(sets))
-    maximal = [tuple(sorted(f))
-               for f, j in zip(sets, _containers(sets)) if j is None]
-    for f in maximal:
-        for v in f:
-            if not isinstance(v, int):
-                raise ValueError(f"vertex ids must be non-negative "
-                                 f"integers, got {v!r}")
+    top = max(map(len, sets))
+    if any(len(f) < top for f in sets):
+        sets = [f for f, j in zip(sets, _containers(sets)) if j is None]
+    maximal = [tuple(sorted(f)) for f in sets]
     used = set().union(*maximal)
+    if not all(isinstance(v, int) for v in used):
+        # the first one a scan of the facets in turn meets
+        v = next(v for f in maximal for v in f if not isinstance(v, int))
+        raise ValueError(f"vertex ids must be non-negative integers, "
+                         f"got {v!r}")
     n = max(used) + 1 if used else 0
     _check_no_gaps(used, n)
     return _complex(n, maximal)
@@ -331,11 +350,16 @@ def build_complex(raw_facets) -> SimplicialComplex:
 
 @lru_cache(maxsize=4096)
 def simplices(K: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
-    """All k-simplices of K in lexicographic order; k = -1 gives (∅,)."""
+    """All k-simplices of K in lexicographic order; k = -1 gives (∅,).
+
+    A face of top dimension is a facet, so k = K.dim gives those facets,
+    which K holds sorted already."""
     if k < -1:
         raise ValueError(f"dimension must be >= -1, got {k}")
     if k == -1:
         return (EMPTY_SIMPLEX,)
+    if k == K.dim:
+        return tuple(f for f in K.facets if len(f.vertices) == k + 1)
     found: set[tuple[int, ...]] = set()
     for f in K.facets:
         if f.dim >= k:

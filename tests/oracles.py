@@ -29,6 +29,10 @@ builds it through the validating constructor, and per_link_check decides
 every link on its own with the library's sphere_homology_defects: the
 references for the star-index link and the per-shape link memo.
 
+per_label_check is the label-by-label validation that LabeledComplex
+runs only when its one-pass comparison with the edges fails; the error
+it raises, or the labels it accepts, must be the library's.
+
 The value classes write ==, hash, repr and frozen fields by hand;
 DATACLASS_TWINS holds for each the frozen dataclass with the same fields
 (and defaults), whose generated methods they must match.
@@ -521,6 +525,31 @@ def per_candidate_nerve(LK, max_rank=None, budget=1_000_000):
         finite_sets.extend(nxt)
         level = nxt
     return sorted(T for T in finite_sets if T not in covered)
+
+
+def per_label_check(K, labels):
+    """(labels, label dict) of a LabeledComplex on K, from a check of each
+    label in turn: sorted as (min, max, m) triples, a ValueError at the
+    first degenerate pair, repeated pair, non-edge or label below 2, in
+    that order within a label, then at edges that carry no label."""
+    canon = tuple(sorted((min(u, v), max(u, v), m) for u, v, m in labels))
+    edge_set = {e.vertices for e in simplices(K, 1)}
+    seen = set()
+    for u, v, m in canon:
+        if u == v:
+            raise ValueError(f"label on degenerate pair ({u},{v})")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate label on edge ({u},{v})")
+        seen.add((u, v))
+        if (u, v) not in edge_set:
+            raise ValueError(f"label on non-edge ({u},{v})")
+        if m < 2:
+            raise ValueError(f"label on edge ({u},{v}) must be >= 2, got {m}")
+    missing = sorted(edge_set - seen)
+    if missing:
+        raise ValueError(f"{len(missing)} edges carry no label, "
+                         f"first {missing[:5]}")
+    return canon, {(u, v): m for u, v, m in canon}
 
 
 def per_facet_proper(LK):

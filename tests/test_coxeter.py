@@ -198,6 +198,24 @@ def test_pattern_memo_matches_per_candidate_tests(LK, extra_rank, budget):
         exceeded_at(per_candidate_nerve, LK, max_rank, budget)
 
 
+def test_pattern_memo_matches_per_candidate_tests_at_workload_scale(
+        poincare16):
+    # the labeled-nerves benchmark inputs: barycentric(poincare16) labeled
+    # all 2 and labeled from 2..6 by a seeded draw per edge
+    bary = barycentric(poincare16)
+    rng = random.Random(16)
+    seeded = LabeledComplex(bary, tuple((*e.vertices, rng.choice(range(2, 7)))
+                                        for e in simplices(bary, 1)))
+    for LK in (label_all(bary, 2), seeded):
+        nerve = coxeter_nerve(LK)
+        assert sorted(f.vertices for f in nerve.facets) == \
+            per_candidate_nerve(LK)
+        for budget in (1, 2552, 7000):
+            count = exceeded_at(coxeter_nerve, LK, None, budget)
+            assert count == budget + 1
+            assert count == exceeded_at(per_candidate_nerve, LK, None, budget)
+
+
 def test_coxeter_nerve_pentagon():
     nerve = coxeter_nerve(label_all(PENTAGON, 2))
     assert nerve == PENTAGON

@@ -7,10 +7,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornerkit import simplicial
 from cornerkit.coxeter import coxeter_nerve
 from cornerkit.homology import reduced_homology
-from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
-                                  SimplicialComplex, all_simplices,
+from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX,
+                                  LabeledComplex, Simplex, SimplicialComplex,
+                                  all_simplices,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
                                   cone,
@@ -19,7 +21,8 @@ from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX, Simplex,
                                   simplices, suspension)
 from conftest import random_complex, random_labeled
 from oracles import (count_chains, faces_of, first_containment,
-                     maximal_cliques, maximal_faces, scan_link)
+                     maximal_cliques, maximal_faces, per_label_check,
+                     scan_link)
 
 
 def test_simplex_canonical_form():
@@ -56,9 +59,20 @@ def facet_families(draw):
     return faces
 
 
-@settings(max_examples=300, deadline=None)
-@given(facet_families())
-def test_build_keeps_exactly_the_maximal_faces(raw):
+@st.composite
+def pure_facet_families(draw):
+    """Vertex lists over 0..7 of one size (the empty size among them), plus
+    repeats of lists already drawn in permuted vertex order."""
+    size = draw(st.integers(0, 5))
+    faces = draw(st.lists(st.lists(st.integers(0, 7), min_size=size,
+                                   max_size=size, unique=True),
+                          min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 5))):
+        faces.append(draw(st.permutations(draw(st.sampled_from(faces)))))
+    return faces
+
+
+def assert_builds_the_maximal_faces(raw):
     expected = maximal_faces(raw)
     used = set().union(*expected)
     if used != set(range(len(used))):
@@ -66,6 +80,29 @@ def test_build_keeps_exactly_the_maximal_faces(raw):
             build_complex(raw)
         return
     assert [f.vertices for f in build_complex(raw).facets] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families())
+def test_build_keeps_exactly_the_maximal_faces(raw):
+    assert_builds_the_maximal_faces(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_facet_families())
+def test_build_keeps_every_distinct_face_of_a_pure_family(raw):
+    assert_builds_the_maximal_faces(raw)
+
+
+def test_only_an_impure_input_is_tested_for_containment(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simplicial, "_containers",
+                        lambda sets: calls.append(sets) or [None] * len(sets))
+    build_complex([[0, 1], [2, 1], [1, 0], [1, 2]])
+    build_complex([[]])
+    assert calls == []
+    build_complex([[0, 1], [1, 2], [1]])
+    assert len(calls) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,7 +179,23 @@ def test_build_rejects_bad_input():
              "negative vertex id in a facet of 1 vertices, first [-1]"),
             ([[0, 0.5]], "vertex ids must be non-negative integers, got 0.5"),
             ([[0.5], [3]], "vertex ids must be non-negative integers, got 0.5"),
-            ([[0], [2]], "1 vertex ids appear in no facet, first [1]")]:
+            ([[0], [2]], "1 vertex ids appear in no facet, first [1]"),
+            # pure: one facet size, so no containment test runs
+            ([[0.5, 3], [1, 2], [2, -1]],
+             "negative vertex id in a facet of 2 vertices, first [-1, 2]"),
+            ([[0, 5], [1, 0.5], [0, 5]],
+             "vertex ids must be non-negative integers, got 0.5"),
+            ([[0, 5], [5, 0]],
+             "4 vertex ids appear in no facet, first [1, 2, 3, 4]"),
+            # impure: the faces are tested for containment
+            ([[0, 1, 2], [0.5], [7, -2, 1], [1, 2]],
+             "negative vertex id in a facet of 3 vertices, first [-2, 1, 7]"),
+            ([[0, 1, 2], [1, 2], [4, 2.5], [6]],
+             "vertex ids must be non-negative integers, got 2.5"),
+            ([[0, 1, 2], [1, 2], [2.5, 1, 0, 2]],
+             "vertex ids must be non-negative integers, got 2.5"),
+            ([[0, 1, 2], [1, 2], [4], [2, 6]],
+             "2 vertex ids appear in no facet, first [3, 5]")]:
         with pytest.raises(ValueError) as exc:
             build_complex(raw)
         assert str(exc.value) == message
@@ -456,6 +509,21 @@ def test_barycentric_all_two():
     assert is_proper_labeling(LK)[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(facet_families())
+def test_top_faces_and_f_vector_of_impure_complexes(raw):
+    # two new facets of sizes 1 and 2 make every complex impure
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    n = len(used)
+    facets = [[dense[v] for v in f] for f in raw] + [[n], [n + 1, n + 2]]
+    K = build_complex(facets)
+    assert len({len(f) for f in K.facets}) > 1
+    assert simplices(K, K.dim) == tuple(map(Simplex, faces_of(facets, K.dim)))
+    assert f_vector(K) == tuple(len(faces_of(facets, k))
+                                for k in range(K.dim + 1))
+
+
 def test_f_vector_examples():
     assert f_vector(boundary_simplex(3)) == (4, 6, 4)
     assert f_vector(build_complex([[0, 1], [1, 2], [0, 2]])) == (3, 3)
@@ -487,3 +555,64 @@ def test_labeled_complex_validation():
         label_all(K, 1)
     LK = label_all(K, 3)
     assert LK.label_dict() == {(0, 1): 3, (1, 2): 3}
+
+
+FAULTS = ("degenerate", "repeat", "non-edge", "low", "missing")
+
+
+@st.composite
+def labelings_with_faults(draw):
+    """A complex built from facet_families, renumbered densely, and labels
+    for it: each edge one label m in 2..6, written (u, v) or (v, u), and
+    up to three faults: a degenerate pair, a second label on an edge
+    written the other way round, a non-edge (ids up to num_vertices + 1), a
+    label below 2, or an edge that carries no label.  The list comes
+    shuffled."""
+    raw = draw(facet_families())
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    K = build_complex([[dense[v] for v in f] for f in raw])
+    n = K.num_vertices
+    label = st.integers(2, 6)
+    labels = {e.vertices: draw(label) for e in simplices(K, 1)}
+    extra = []
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        if fault == "degenerate":
+            w = draw(st.integers(0, n))
+            extra.append((w, w, draw(label)))
+        elif fault == "non-edge":
+            u, v = draw(st.lists(st.integers(0, n + 1), min_size=2,
+                                 max_size=2, unique=True))
+            if (min(u, v), max(u, v)) not in labels:
+                extra.append((u, v, draw(label)))
+        elif labels:
+            e = draw(st.sampled_from(sorted(labels)))
+            if fault == "repeat":
+                extra.append((e[1], e[0], draw(label)))
+            elif fault == "low":
+                labels[e] = draw(st.integers(-1, 1))
+            else:
+                del labels[e]
+    triples = [(v, u, m) if draw(st.booleans()) else (u, v, m)
+               for (u, v), m in labels.items()]
+    return K, draw(st.permutations(triples + extra))
+
+
+def outcome(check):
+    """What check() returns, or the text of the ValueError it raises."""
+    try:
+        return check()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelings_with_faults())
+def test_label_check_equals_the_per_label_loop(case):
+    K, labels = case
+
+    def labeled():
+        LK = LabeledComplex(K, tuple(labels))
+        return LK.labels, LK.label_dict()
+
+    assert outcome(labeled) == outcome(lambda: per_label_check(K, labels))
