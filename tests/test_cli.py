@@ -483,6 +483,11 @@ REPORT_INPUTS = {
                                  "3": [5, 0]}},
     "non-cocycle.json": {"degree": 1, "group": {"rank": 0, "torsion": [2]},
                          "values": {"0 1": [1]}},
+    # degree 0 on dual(∂Δ³, 3): one face, and the zero cochain
+    "non-cocycle-0.json": {"degree": 0, "group": {"rank": 1, "torsion": []},
+                           "values": {"0 1 2": [1]}},
+    "zero-0.json": {"degree": 0, "group": {"rank": 1, "torsion": []},
+                    "values": {}},
     # the empty triangle 013 of rp2_6: a loop that bounds over Q only
     "unsolvable.json": {"degree": 1, "group": {"rank": 1, "torsion": []},
                         "values": {"0 1": [1], "1 3": [1], "0 3": [-1]}},
@@ -525,6 +530,12 @@ REPORT_CASES = {
                              "-n", "3", "--cochain", "non-cocycle.json"), 1),
     "solve-unsolvable": (("solve-obstruction", "--complex", "rp2_6.json",
                           "-n", "3", "--cochain", "unsolvable.json"), 1),
+    # the cocycle check comes before the degree check
+    "solve-not-a-cocycle-degree-0": (("solve-obstruction", "--complex",
+                                      "b3.json", "-n", "3", "--cochain",
+                                      "non-cocycle-0.json"), 1),
+    "error-solve-degree-0": (("solve-obstruction", "--complex", "b3.json",
+                              "-n", "3", "--cochain", "zero-0.json"), 2),
     "check-charfun-pass": (("check-charfun", "-i", "cp2_pair.json"), 0),
     "check-charfun-fail": (("check-charfun", "-i", "bad-pair.json"), 1),
     "betti-pass": (("betti", "-i", "cp2_pair.json"), 0),
@@ -652,6 +663,9 @@ REPORT_DIGESTS = {
     "error-not-an-integer": [
         "71912be11655c0619fd15b89ff72206e2374e81b7f03f7e6cd19c2ab3de0e715",
         "71912be11655c0619fd15b89ff72206e2374e81b7f03f7e6cd19c2ab3de0e715"],
+    "error-solve-degree-0": [
+        "4ffc89c0080d67ed095f66bdfc4f5ca033b890673f4abaf250393f966ef9e22a",
+        "4ffc89c0080d67ed095f66bdfc4f5ca033b890673f4abaf250393f966ef9e22a"],
     "error-unlabeled": [
         "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a",
         "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a"],
@@ -670,6 +684,9 @@ REPORT_DIGESTS = {
     "solve-not-a-cocycle": [
         "9cb825ccc854f800315ed15079d38ce222102452030aa2ebc8411d84c8e4833e",
         "a4429d90b49e30811d65299455e6b869e7c47459a79d991f3ab60f807e46d5a7"],
+    "solve-not-a-cocycle-degree-0": [
+        "4e0d20b72a92197fd0c1accc4c404d41fe32ce6f7c75b754f9e2a095d3886aba",
+        "28b5daf44ad2a91638d3fd8f450afd5c68d36f440f663c298e5a813cb86ffa4b"],
     "solve-solved": [
         "b05e19229f5b2f85fa84254673932c4f9a39b52e33fd3210e2b999154cc2f938",
         "eff6716f4cc23c198630c6055a3e7ab3ebbb1f5bd6d2b904397f7ce1d568d472"],
