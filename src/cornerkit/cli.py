@@ -35,8 +35,10 @@ from .simplicial import LabeledComplex
 LIBRARY = {
     "coxeter": ("coxeter_matrix", "coxeter_nerve", "is_aspherical",
                 "is_finite", "is_proper_labeling"),
-    "dualcells": ("acyclicity_report", "dual_complex", "is_cocycle",
-                  "is_resolution_ready", "solve_obstruction"),
+    # cli calls no is_cocycle (solve_obstruction checks the cocycle), but
+    # bench/spans.py wraps it by this name
+    "dualcells": ("NotACocycle", "acyclicity_report", "dual_complex",
+                  "is_cocycle", "is_resolution_ready", "solve_obstruction"),
     "equivalence": ("find_isomorphism",),
     "ghs": ("is_ghs", "is_polyhedral_homology_manifold"),
     "homology": ("TRIVIAL_GROUP", "reduced_homology_all"),
@@ -168,7 +170,7 @@ def cmd_check_links(args, hashes: dict) -> int:
         "dimension": report.dimension,
         "links_checked": report.links_checked,
         "failures": [
-            {"simplex": list(f.simplex.vertices), "degree": f.degree,
+            {"simplex": list(f.simplex), "degree": f.degree,
              "expected": jsonio.group_to_obj(f.expected),
              "actual": jsonio.group_to_obj(f.actual)}
             for f in report.failures
@@ -177,7 +179,7 @@ def cmd_check_links(args, hashes: dict) -> int:
     lines = [f"{args.command} {args.letter}={args.dim} verdict="
              f"{'PASS' if report.verdict else 'FAIL'} "
              f"links_checked={report.links_checked}"]
-    lines += [f"  failure simplex={list(f.simplex.vertices)} degree={f.degree} "
+    lines += [f"  failure simplex={list(f.simplex)} degree={f.degree} "
               f"expected={f.expected.describe()} actual={f.actual.describe()}"
               for f in report.failures]
     return write_report(args, hashes, {"dim": args.dim}, body, lines,
@@ -188,13 +190,13 @@ def cmd_check_proper(args, hashes: dict) -> int:
     LK = load_labeled(args.input, hashes)
     proper, offending = is_proper_labeling(LK)
     body = {"verdict": proper,
-            "offending": list(offending.vertices) if offending else None}
+            "offending": list(offending) if offending else None}
     lines = [f"check-proper verdict={'PASS' if proper else 'FAIL'}"]
     if offending:
-        verdict = is_finite(coxeter_matrix(LK, offending.vertices))
+        verdict = is_finite(coxeter_matrix(LK, offending))
         body["components"] = [{"vertices": list(vs), "type": tag}
                               for vs, tag in verdict.components]
-        lines.append(f"  offending simplex={list(offending.vertices)}")
+        lines.append(f"  offending simplex={list(offending)}")
         lines += [f"  component vertices={list(vs)} type={tag}"
                   for vs, tag in verdict.components]
     return write_report(args, hashes, {}, body, lines, proper)
@@ -251,13 +253,15 @@ def cmd_solve_obstruction(args, hashes: dict) -> int:
     D = dual_complex(N, args.dim, include_top=not args.no_top)
     c = load(args.cochain, hashes,
              lambda obj: jsonio.cochain_from_obj(obj, D))
-    ok, witness = is_cocycle(D, c)
-    solution = solve_obstruction(D, c) if ok else None
-    if not ok:
-        body = {"status": "not-a-cocycle",
-                "witness": list(witness.label.vertices)}
+    witness = None
+    try:
+        solution = solve_obstruction(D, c)
+    except NotACocycle as exc:
+        solution, witness = None, list(exc.witness)
+    if witness is not None:
+        body = {"status": "not-a-cocycle", "witness": witness}
         lines = [f"NOT A COCYCLE: coboundary nonzero on dual face of "
-                 f"{list(witness.label.vertices)}"]
+                 f"{witness}"]
     elif solution is None:
         body = {"status": "unsolvable", "witness": None}
         lines = ["UNSOLVABLE: the dual complex is not acyclic in this degree"]
@@ -292,12 +296,12 @@ def cmd_check_charfun(args, hashes: dict) -> int:
     ok, offending = is_characteristic(pair)
     pi1 = pi1_orbit_union(pair)
     body = {"verdict": ok,
-            "offending": list(offending.vertices) if offending else None,
+            "offending": list(offending) if offending else None,
             "pi1_orbit_union": jsonio.group_to_obj(pi1)}
     lines = [f"check-charfun verdict={'PASS' if ok else 'FAIL'} "
              f"pi1_orbit_union={pi1.describe()}"]
     if offending:
-        lines.append(f"  offending simplex={list(offending.vertices)}")
+        lines.append(f"  offending simplex={list(offending)}")
     return write_report(args, hashes, {}, body, lines, ok)
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 # simplices is not called here, but bench/spans.py wraps it by this name
-from .simplicial import (LabeledComplex, Simplex, SimplicialComplex, _Value,
-                         _complex, simplex, simplices)  # noqa: F401
+from .simplicial import (LabeledComplex, SimplicialComplex, _Value, _complex,
+                         simplices)  # noqa: F401
 
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
 
@@ -262,7 +262,8 @@ def _finite(LK: LabeledComplex, verts: tuple[int, ...],
     return finite
 
 
-def is_proper_labeling(LK: LabeledComplex) -> tuple[bool, Simplex | None]:
+def is_proper_labeling(
+        LK: LabeledComplex) -> tuple[bool, tuple[int, ...] | None]:
     """True when every facet spans a finite special subgroup.
 
     Checking facets suffices: special subgroups of finite Coxeter groups
@@ -273,11 +274,11 @@ def is_proper_labeling(LK: LabeledComplex) -> tuple[bool, Simplex | None]:
     labels = LK.label_dict()
     memo: dict[tuple[int, ...], bool] = {}
     for f in LK.complex.facets:
-        if not _finite(LK, f.vertices, _pattern(labels, f.vertices), memo):
+        if not _finite(LK, f, _pattern(labels, f), memo):
             for size in range(2, len(f) + 1):
-                for sub in itertools.combinations(f.vertices, size):
+                for sub in itertools.combinations(f, size):
                     if not is_finite(coxeter_matrix(LK, sub)).finite:
-                        return False, simplex(sub)
+                        return False, sub
             raise AssertionError("failing facet with no failing subset")
     return True, None
 
@@ -348,7 +349,7 @@ def is_aspherical(LK: LabeledComplex, budget: int = 1_000_000) -> bool:
     proper, witness = is_proper_labeling(LK)
     if not proper:
         raise ValueError(f"labeling is not proper (offending simplex "
-                         f"{list(witness.vertices)})")
+                         f"{list(witness)})")
     nerve = coxeter_nerve(LK, max_rank=LK.complex.dim + 2, budget=budget)
     return nerve == LK.complex
 

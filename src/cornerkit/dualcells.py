@@ -1,12 +1,13 @@
 """Dual-cell skeleton of the resolution of the cone on a nerve, and the
 obstruction-cochain algebra living on it.
 
-Each simplex σ of the nerve N contributes a dual face of dimension
-n - |σ|, plus one top cell for the empty simplex.  The boundary incidence
-[D_τ : D_σ] for τ = σ ∪ {v} is the sign of v's position in sorted τ — the
-simplicial coboundary convention.  Orientations have to be chosen somehow
-and any consistent choice gives an isomorphic complex; this one is
-deterministic.
+Each face σ of the nerve N contributes a dual face D_σ of dimension
+n - |σ|, plus one top cell for the empty face ().  A dual face is named by
+its nerve face, a sorted vertex tuple, so its grade is n - len(σ).  The
+boundary incidence [D_τ : D_σ] for τ = σ ∪ {v} is the sign of v's position
+in sorted τ — the simplicial coboundary convention.  Orientations have to
+be chosen somehow and any consistent choice gives an isomorphic complex;
+this one is deterministic.
 
 Cochains take values in a caller-supplied finitely generated abelian
 group, one coordinate per summand.  Solving δd = c is one solve over
@@ -22,24 +23,25 @@ from __future__ import annotations
 from .homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
                        homology_all, simplicial_boundary_matrix,
                        solve_integer, Z)
-from .simplicial import Simplex, SimplicialComplex, _Value, simplices
+from .simplicial import SimplicialComplex, _Value, simplices
 
 
-class DualFace(_Value):
-    """Dual cell of a nerve simplex; label ∅ names the top cell."""
+class NotACocycle(ValueError):
+    """A cochain handed to the solver is not a cocycle."""
 
-    _fields = ("label", "dim")
-
-    def __init__(self, label: Simplex, dim: int):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "dim", dim)
+    def __init__(self, witness: tuple[int, ...]):
+        super().__init__(f"input cochain is not a cocycle; δc is nonzero on "
+                         f"{witness}")
+        self.witness = witness
 
 
 class DualComplex:
     """Graded dual-face poset with ±1 incidence numbers.
 
-    faces[d] lists the d-dimensional dual faces (label size n - d) in
-    lexicographic label order; boundary[d] maps grade d to grade d-1.
+    faces[d] is simplices(N, n - d - 1): the nerve faces of size n - d,
+    which name the d-dimensional dual faces, in lexicographic order; with
+    include_top, faces[n] is ((),), the top cell.  boundary[d] maps grade
+    d to grade d-1.
     """
 
     def __init__(self, N: SimplicialComplex, n: int, include_top: bool = True):
@@ -49,12 +51,9 @@ class DualComplex:
         self.n = n
         self.include_top = include_top
         top = n if include_top else n - 1
-        # label size n - d; simplices(N, -1) is the empty simplex alone
-        self.faces: dict[int, tuple[DualFace, ...]] = {
-            d: tuple(DualFace(s, d) for s in simplices(N, n - d - 1))
-            for d in range(top + 1)}
-        self._index = {d: {f.label.vertices: i for i, f in enumerate(fs)}
-                       for d, fs in self.faces.items()}
+        # label size n - d; simplices(N, -1) is the empty face alone
+        self.faces: dict[int, tuple[tuple[int, ...], ...]] = {
+            d: simplices(N, n - d - 1) for d in range(top + 1)}
         # [D_τ : D_σ] for τ = σ ∪ {v} is the simplicial sign of deleting v
         # from τ, so ∂_d is the transposed augmented ∂_{n-d} of the nerve
         self.boundary: dict[int, SparseMatrix] = {
@@ -65,23 +64,17 @@ class DualComplex:
     def top_dim(self) -> int:
         return self.n if self.include_top else self.n - 1
 
-    def face(self, label: Simplex) -> DualFace:
-        d = self.n - len(label)
-        i = self._index.get(d, {}).get(label.vertices)
-        if i is None:
-            raise KeyError(f"no dual face labeled {label!r}")
-        return self.faces[d][i]
-
-    def incidence(self, G: DualFace, F: DualFace) -> int:
-        """[G : F] for G one grade below F."""
-        if G.dim != F.dim - 1:
+    def incidence(self, G: tuple[int, ...], F: tuple[int, ...]) -> int:
+        """[D_G : D_F], zero unless D_G lies one grade below D_F, that is,
+        unless G has one vertex more than F."""
+        if len(G) != len(F) + 1:
             return 0
-        return self.boundary[F.dim][self._index[G.dim][G.label.vertices],
-                                    self._index[F.dim][F.label.vertices]]
+        d = self.n - len(F)
+        return self.boundary[d][self.faces[d - 1].index(G),
+                                self.faces[d].index(F)]
 
     def chain_complex(self) -> ChainComplex:
-        return ChainComplex(dict(self.boundary),
-                            {d: fs for d, fs in self.faces.items()})
+        return ChainComplex(dict(self.boundary), dict(self.faces))
 
 
 def dual_complex(N: SimplicialComplex, n: int,
@@ -104,7 +97,7 @@ class Cochain(_Value):
                  values: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "group", group)
-        # (face label vertices, element coordinates), sorted by label
+        # (nerve face naming a dual face, element coordinates), sorted
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -115,8 +108,7 @@ class Cochain(_Value):
             raise ValueError(f"degree {degree} out of range 0..{D.top_dim}")
         assignment = dict(assignment or {})
         values = []
-        for f in D.faces[degree]:
-            key = f.label.vertices
+        for key in D.faces[degree]:
             coords = assignment.pop(key, None)
             if coords is None:
                 coords = group.zero()
@@ -135,10 +127,11 @@ def zero_cochain(D: DualComplex, degree: int, group: FGAbelianGroup) -> Cochain:
     return Cochain.build(D, degree, group)
 
 
-def indicator_cochain(D: DualComplex, G: DualFace, gamma,
+def indicator_cochain(D: DualComplex, G: tuple[int, ...], gamma,
                       group: FGAbelianGroup) -> Cochain:
-    """The cochain assigning gamma to the single face G and zero elsewhere."""
-    return Cochain.build(D, G.dim, group, {G.label.vertices: gamma})
+    """The cochain assigning gamma to the single dual face D_G and zero
+    elsewhere."""
+    return Cochain.build(D, D.n - len(G), group, {G: gamma})
 
 
 def coboundary(D: DualComplex, d: Cochain) -> Cochain:
@@ -153,13 +146,14 @@ def coboundary(D: DualComplex, d: Cochain) -> Cochain:
     n = d.group.num_coords
     # rows of D.boundary[k]: grade k-1 faces, columns: grade k faces
     return Cochain.build(D, k, d.group, {
-        F.label.vertices: [sum(coeff * values[i][c] for i, coeff in col)
-                           for c in range(n)]
+        F: [sum(coeff * values[i][c] for i, coeff in col) for c in range(n)]
         for F, col in zip(D.faces[k], D.boundary[k].columns)})
 
 
-def is_cocycle(D: DualComplex, c: Cochain) -> tuple[bool, DualFace | None]:
-    """δc = 0?  On failure, also hand back a face above c where it fails.
+def is_cocycle(D: DualComplex,
+               c: Cochain) -> tuple[bool, tuple[int, ...] | None]:
+    """δc = 0?  On failure, also hand back the nerve face naming a dual
+    face above c where it fails.
 
     Top-degree cochains are cocycles vacuously: there is nothing above
     them for δ to land on.
@@ -169,24 +163,24 @@ def is_cocycle(D: DualComplex, c: Cochain) -> tuple[bool, DualFace | None]:
     dc = coboundary(D, c)
     for key, coords in dc.values:
         if not dc.group.is_zero_element(coords):
-            return False, D.face(Simplex(key))
+            return False, key
     return True, None
 
 
 def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
     """Find d of degree k-1 with δd = c, or None when no solution exists.
 
-    Rejects non-cocycle input outright (a distinct outcome from None,
-    which signals that the complex fails to be acyclic in this degree).
-    Any returned cochain has been pushed back through coboundary and
-    checked against c.
+    Rejects non-cocycle input outright with NotACocycle, which carries a
+    witness (a distinct outcome from None, which signals that the complex
+    fails to be acyclic in this degree); the cocycle check comes before
+    the degree check.  Any returned cochain has been pushed back through
+    coboundary and checked against c.
     """
-    if c.degree < 1:
-        raise ValueError("obstruction solving needs degree >= 1")
     ok, witness = is_cocycle(D, c)
     if not ok:
-        raise ValueError(f"input cochain is not a cocycle; δc is nonzero on "
-                         f"{witness.label.vertices}")
+        raise NotACocycle(witness)
+    if c.degree < 1:
+        raise ValueError("obstruction solving needs degree >= 1")
     group = c.group
     # δ: rows k-faces, cols (k-1)-faces; the solve replays the Smith
     # reduction's pivot order on its sparse rows, which fixes the preimage
@@ -195,7 +189,7 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
     if x is None:
         return None
     d = Cochain.build(D, c.degree - 1, group, {
-        G.label.vertices: e for G, e in zip(D.faces[c.degree - 1], x)})
+        G: e for G, e in zip(D.faces[c.degree - 1], x)})
     check = coboundary(D, d)
     assert all(group.reduce(a[1]) == group.reduce(b[1])
                for a, b in zip(check.values, c.values)), "solver postcondition"

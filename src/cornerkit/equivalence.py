@@ -37,11 +37,11 @@ def _vertex_data(X) -> tuple[SimplicialComplex, list[dict[int, int]], list[tuple
     K, raw = _parts(X)
     adj: list[dict[int, int]] = [{} for _ in range(K.num_vertices)]
     for e in simplices(K, 1):
-        u, v = e.vertices
-        adj[u][v] = adj[v][u] = raw.get(e.vertices, 0)
+        u, v = e
+        adj[u][v] = adj[v][u] = raw.get(e, 0)
     facet_count = [0] * K.num_vertices
     for f in K.facets:
-        for v in f.vertices:
+        for v in f:
             facet_count[v] += 1
     return K, adj, [(len(a), tuple(sorted(a.values())), c)
                     for a, c in zip(adj, facet_count)]
@@ -77,9 +77,8 @@ def verify_isomorphism(A, B, mapping: VertexMapping) -> bool:
         return False
     if sorted(mapping.values()) != list(range(n)):
         return False
-    b_facets = {f.vertices for f in KB.facets}
-    mapped = {tuple(sorted(mapping[v] for v in f.vertices)) for f in KA.facets}
-    if mapped != b_facets:
+    mapped = {tuple(sorted(mapping[v] for v in f)) for f in KA.facets}
+    if mapped != set(KB.facets):
         return False
     for (u, v), m in rawA.items():
         mu, mv = mapping[u], mapping[v]
@@ -148,8 +147,8 @@ def _static_order(adjA, invA, by_inv) -> list[int]:
 
 def complexes_match(mapping: VertexMapping, KA: SimplicialComplex,
                     KB: SimplicialComplex) -> bool:
-    mapped = {tuple(sorted(mapping[v] for v in f.vertices)) for f in KA.facets}
-    return mapped == {f.vertices for f in KB.facets}
+    mapped = {tuple(sorted(mapping[v] for v in f)) for f in KA.facets}
+    return mapped == set(KB.facets)
 
 
 def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:

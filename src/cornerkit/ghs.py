@@ -21,14 +21,14 @@ its own witnesses.
 from __future__ import annotations
 
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z, reduced_homology_all
-from .simplicial import (EMPTY_SIMPLEX, Simplex, SimplicialComplex, _Value,
-                         link, simplices)
+from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, link,
+                         simplices)
 
 
 class GhsFailure(_Value):
     _fields = ("simplex", "degree", "expected", "actual")
 
-    def __init__(self, simplex: Simplex, degree: int,
+    def __init__(self, simplex: tuple[int, ...], degree: int,
                  expected: FGAbelianGroup, actual: FGAbelianGroup):
         object.__setattr__(self, "simplex", simplex)
         object.__setattr__(self, "degree", degree)
@@ -81,12 +81,12 @@ def sphere_homology_defects(L: SimplicialComplex, d: int):
 def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     """A witness for each facet f of dimension other than m.  The link of
     f is {∅}, with H̃_{-1} = Z and nothing else, where S^d for
-    d = m - f.dim - 1 is asked for: below m, Z is missing in degree d >= 0;
-    above m (d <= -2, where nothing is asked for) the Z in degree -1 is
-    extra."""
+    d = m - dim f - 1 = m - len(f) is asked for: below m, Z is missing in
+    degree d >= 0; above m (d <= -2, where nothing is asked for) the Z in
+    degree -1 is extra."""
     out = []
     for f in K.facets:
-        d = m - f.dim - 1
+        d = m - len(f)
         if d >= 0:
             out.append(GhsFailure(f, d, Z, TRIVIAL_GROUP))
         elif d < -1:
@@ -94,11 +94,13 @@ def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     return out
 
 
-def _link_defects(K: SimplicialComplex, s: Simplex, m: int, memo: dict):
-    """sphere_homology_defects of the link of s, looked up in memo by
-    link shape and computed only on a miss."""
+def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
+                  memo: dict):
+    """sphere_homology_defects of the link of s, which must look like
+    S^{m - dim s - 1}, looked up in memo by link shape and computed only
+    on a miss."""
     L, _ = link(K, s)
-    key = (L.facets, m - s.dim - 1)
+    key = (L.facets, m - len(s))
     defects = memo.get(key)
     if defects is None:
         defects = memo[key] = sphere_homology_defects(L, key[1])

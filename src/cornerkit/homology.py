@@ -452,10 +452,9 @@ def simplicial_boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
     """∂_k for K: sign (-1)^i on deleting the i-th vertex of a sorted
     simplex.  k = 0 is the augmentation onto the empty simplex."""
     lower = simplices(K, k - 1)
-    index = {s.vertices: i for i, s in enumerate(lower)}
+    index = {s: i for i, s in enumerate(lower)}
     columns = []
-    for s in simplices(K, k):
-        vs = s.vertices
+    for vs in simplices(K, k):
         columns.append(tuple(sorted(
             (index[vs[:i] + vs[i + 1:]], -1 if i % 2 else 1)
             for i in range(len(vs)))))

@@ -27,7 +27,7 @@ def dumps(obj) -> str:
 
 def complex_to_obj(K: SimplicialComplex) -> dict:
     return {"num_vertices": K.num_vertices,
-            "facets": [list(f.vertices) for f in K.facets]}
+            "facets": [list(f) for f in K.facets]}
 
 
 def labeled_to_obj(LK: LabeledComplex) -> dict:

@@ -20,12 +20,11 @@ import warnings
 
 from .homology import (FGAbelianGroup, IntegerMatrix, cokernel, snf,
                        snf_diagonal, unimodular_inverse)
-from .simplicial import (Simplex, SimplicialComplex, _Value, build_complex,
-                         f_vector)
+from .simplicial import SimplicialComplex, _Value, build_complex, f_vector
 
 class CharacteristicPair(_Value):
-    """nerve on m vertices, torus rank n, and an m×n matrix whose row i is
-    the vector attached to vertex i."""
+    """nerve on m vertices, torus rank n >= 1, and an m×n matrix whose row
+    i is the vector attached to vertex i."""
 
     _fields = ("nerve", "n", "lam")
 
@@ -33,6 +32,8 @@ class CharacteristicPair(_Value):
         object.__setattr__(self, "nerve", nerve)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", lam)
+        if n < 1:
+            raise ValueError(f"torus rank n must be >= 1, got {n}")
         m = nerve.num_vertices
         if lam.rows != m:
             raise ValueError(f"lambda has {lam.rows} rows for {m} vertices")
@@ -114,7 +115,8 @@ def unimodular_span(vectors, n: int | None = None) -> bool:
     return len(diag) == len(vecs) and all(d == 1 for d in diag)
 
 
-def is_characteristic(p: CharacteristicPair) -> tuple[bool, Simplex | None]:
+def is_characteristic(
+        p: CharacteristicPair) -> tuple[bool, tuple[int, ...] | None]:
     """Facet-by-facet unimodular-span validation.
 
     Subsets of a summand basis are summand bases, so checking facets is
@@ -124,7 +126,7 @@ def is_characteristic(p: CharacteristicPair) -> tuple[bool, Simplex | None]:
     for f in p.nerve.facets:
         if len(f) > p.n:
             return False, f
-        if not unimodular_span([p.row(v) for v in f.vertices], p.n):
+        if not unimodular_span([p.row(v) for v in f], p.n):
             return False, f
     return True, None
 
@@ -242,5 +244,5 @@ def even_betti_report(p: CharacteristicPair) -> tuple[int, ...]:
     ok, witness = is_characteristic(p)
     if not ok:
         raise ValueError(f"pair is not characteristic; offending simplex "
-                         f"{list(witness.vertices)}")
+                         f"{list(witness)}")
     return h_vector(p)

@@ -1,19 +1,20 @@
 """Finite abstract simplicial complexes and the constructions built on them.
 
-A complex is stored as its list of facets (maximal simplices) over a dense
-0-based vertex range; all other faces are enumerated on demand.  Vertices
-inside a simplex are kept strictly increasing, which fixes the orientation
-conventions used by the homology and dual-cell machinery.  The empty simplex
-is a first-class value: it is the unique face of dimension -1, the link of a
-facet is the complex ``{empty}`` on zero vertices, and joining with that
-complex is the identity.
+A face is a plain tuple of vertex ids, strictly increasing: the sorted
+vertex word a simplex tree stores.  That order fixes the orientation
+conventions used by the homology and dual-cell machinery, and a face of
+dimension k has k + 1 ids.  A complex is stored as its tuple of facets
+(maximal faces) over a dense 0-based vertex range; all other faces are
+enumerated on demand.  The empty face ``()`` is a first-class value: it is
+the unique face of dimension -1, the link of a facet is the complex
+``{()}`` on zero vertices, and joining with that complex is the identity.
 
-Outside input is checked once: `build_complex` and the public
+Outside input is checked once: `simplex`, `build_complex` and the public
 `SimplicialComplex` constructor validate every id and facet.  Constructions
 whose results are valid by construction (links, joins, subdivisions, the
 Coxeter nerve and `build_complex` after pruning) are trusted and go through
 the unchecked `_complex`.  Every complex holds its facets sorted, so `==`
-compares complexes as sets of simplices.
+compares complexes as sets of faces.
 
 All values are immutable after construction and every operation is a pure
 function.  The value classes of every module derive from `_Value`, which
@@ -43,7 +44,6 @@ class _Value:
     operand gets NotImplemented), the hash is that of the tuple of fields,
     and the repr reads ``Name(field=value, ...)``.  Tables that `_cached`
     keeps on an instance are not fields, so none of the three sees them.
-    Simplex, the one class of a single field, writes its own == and hash.
     """
 
     _fields: tuple[str, ...] = ()
@@ -73,57 +73,28 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Simplex(_Value):
-    """A face: strictly increasing tuple of non-negative vertex ids."""
-
-    _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple[int, ...]):
-        vs = tuple(vertices)
-        object.__setattr__(self, "vertices", vs)
-        for v in vs:
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-            raise ValueError(f"vertices must be strictly increasing, got {vs}")
-
-    # Faces are hashed and compared in every link lookup and face index,
-    # so == and hash read the one field directly; the hash is that of the
-    # 1-tuple of fields, as in the other value classes.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices,))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __repr__(self):
-        return f"Simplex({list(self.vertices)})"
+EMPTY_SIMPLEX = ()
 
 
-EMPTY_SIMPLEX = Simplex(())
+def _check_face(vs: tuple) -> None:
+    """Reject a face whose ids are not non-negative integers or not
+    strictly increasing."""
+    for v in vs:
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"vertex ids must be non-negative integers, "
+                             f"got {v!r}")
+    if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+        raise ValueError(f"vertices must be strictly increasing, got {vs}")
 
 
-def simplex(vertices) -> Simplex:
-    """Build a Simplex from any iterable of distinct vertex ids."""
-    vs = sorted(vertices)
+def simplex(vertices) -> tuple[int, ...]:
+    """The face on any iterable of distinct vertex ids: their sorted
+    tuple, checked."""
+    vs = tuple(sorted(vertices))
     if len(set(vs)) != len(vs):
         raise ValueError(f"repeated vertex in {vertices!r}")
-    return Simplex(tuple(vs))
+    _check_face(vs)
+    return vs
 
 
 class SimplicialComplex(_Value):
@@ -131,46 +102,51 @@ class SimplicialComplex(_Value):
 
     Invariants: no facet contains another, every id is < num_vertices, and
     every id in range occurs in some facet.  The empty complex (only face
-    the empty simplex) has num_vertices 0 and facet list ``(EMPTY_SIMPLEX,)``.
+    the empty one) has num_vertices 0 and facet tuple ``((),)``.  The
+    constructor checks each facet as `simplex` does, a strictly increasing
+    tuple of non-negative integer ids, before the invariants.
     """
 
     _fields = ("num_vertices", "facets")
 
-    def __init__(self, num_vertices: int, facets: tuple[Simplex, ...]):
-        facets = tuple(sorted(facets, key=lambda s: s.vertices))
+    def __init__(self, num_vertices: int, facets: tuple[tuple[int, ...], ...]):
+        facets = tuple(map(tuple, facets))
+        for f in facets:
+            _check_face(f)
+        facets = tuple(sorted(facets))
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "facets", facets)
         if not facets:
             raise ValueError("facet list may not be empty; use the empty complex {∅}")
         seen: set[int] = set()
         for f in facets:
-            seen.update(f.vertices)
+            seen.update(f)
         if seen:
             if max(seen) >= num_vertices:
                 raise ValueError("facet vertex id exceeds num_vertices")
             _check_no_gaps(seen, num_vertices)
         elif num_vertices != 0:
             raise ValueError("complex with no facet vertices must have num_vertices 0")
-        for i, j in enumerate(_containers([f.vertices for f in facets])):
+        for i, j in enumerate(_containers(facets)):
             if j is not None:
                 raise ValueError(f"facet {facets[i]} is contained in {facets[j]}")
 
     @property
     def dim(self) -> int:
-        return max(f.dim for f in self.facets)
+        return max(map(len, self.facets)) - 1
 
     def is_empty(self) -> bool:
         return self.num_vertices == 0
 
-    def __contains__(self, s: Simplex) -> bool:
-        return not s.vertices or bool(_containing_facets(self, s.vertices))
+    def __contains__(self, s: tuple[int, ...]) -> bool:
+        return not s or bool(_containing_facets(self, s))
 
     def __hash__(self):
         return _cached(self, "_hash", lambda K: hash((K.num_vertices, K.facets)))
 
     def __repr__(self):
         return (f"SimplicialComplex(num_vertices={self.num_vertices}, "
-                f"facets={[list(f.vertices) for f in self.facets]})")
+                f"facets={[list(f) for f in self.facets]})")
 
 
 def _check_no_gaps(used: set[int], num_vertices: int) -> None:
@@ -208,7 +184,7 @@ def _stars(faces) -> dict[int, set[int]]:
 
 
 def _star_index(K: SimplicialComplex) -> dict[int, set[int]]:
-    return _stars(f.vertices for f in K.facets)
+    return _stars(K.facets)
 
 
 def _containing_facets(K: SimplicialComplex, vertices) -> set[int]:
@@ -244,7 +220,7 @@ def _containers(faces) -> list[int | None]:
     return out
 
 
-EMPTY_COMPLEX = SimplicialComplex(0, (EMPTY_SIMPLEX,))
+EMPTY_COMPLEX = SimplicialComplex(0, ((),))
 
 
 class LabeledComplex(_Value):
@@ -274,10 +250,10 @@ class LabeledComplex(_Value):
         # a label on the next edge passes every check of the loop below,
         # and m is compared as there (m < 2)
         if not (len(canon) == len(edges)
-                and all((u, v) == e.vertices and not m < 2
+                and all((u, v) == e and not m < 2
                         for (u, v, m), e in zip(canon, edges))):
             # label by label, to name the first fault
-            edge_set = {e.vertices for e in edges}
+            edge_set = set(edges)
             seen: set[tuple[int, int]] = set()
             for u, v, m in canon:
                 if u == v:
@@ -307,8 +283,7 @@ class LabeledComplex(_Value):
 
 def label_all(K: SimplicialComplex, m: int) -> LabeledComplex:
     """Label every edge of K with the same integer m."""
-    return LabeledComplex(K, tuple((e.vertices[0], e.vertices[1], m)
-                                   for e in simplices(K, 1)))
+    return LabeledComplex(K, tuple((u, v, m) for u, v in simplices(K, 1)))
 
 
 def build_complex(raw_facets) -> SimplicialComplex:
@@ -349,8 +324,8 @@ def build_complex(raw_facets) -> SimplicialComplex:
 
 
 @lru_cache(maxsize=4096)
-def simplices(K: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
-    """All k-simplices of K in lexicographic order; k = -1 gives (∅,).
+def simplices(K: SimplicialComplex, k: int) -> tuple[tuple[int, ...], ...]:
+    """All k-faces of K in lexicographic order; k = -1 gives ((),).
 
     A face of top dimension is a facet, so k = K.dim gives those facets,
     which K holds sorted already."""
@@ -359,26 +334,17 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[Simplex, ...]:
     if k == -1:
         return (EMPTY_SIMPLEX,)
     if k == K.dim:
-        return tuple(f for f in K.facets if len(f.vertices) == k + 1)
+        return tuple(f for f in K.facets if len(f) == k + 1)
     found: set[tuple[int, ...]] = set()
     for f in K.facets:
-        if f.dim >= k:
-            found.update(itertools.combinations(f.vertices, k + 1))
-    return tuple(_face(t) for t in sorted(found))
+        if len(f) > k:
+            found.update(itertools.combinations(f, k + 1))
+    return tuple(sorted(found))
 
 
-def _face(t: tuple[int, ...]) -> Simplex:
-    """Simplex(t) without the checks, for t a strictly increasing tuple
-    of non-negative integer ids, such as a combination of a valid
-    simplex's vertices."""
-    s = object.__new__(Simplex)
-    object.__setattr__(s, "vertices", t)
-    return s
-
-
-def all_simplices(K: SimplicialComplex) -> tuple[Simplex, ...]:
-    """Every nonempty simplex of K, ordered by (dimension, lex)."""
-    out: list[Simplex] = []
+def all_simplices(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty face of K, ordered by (dimension, lex)."""
+    out: list[tuple[int, ...]] = []
     for k in range(K.dim + 1):
         out.extend(simplices(K, k))
     return tuple(out)
@@ -404,11 +370,12 @@ def _complex(num_vertices: int, facets) -> SimplicialComplex:
     """
     K = object.__new__(SimplicialComplex)
     object.__setattr__(K, "num_vertices", num_vertices)
-    object.__setattr__(K, "facets", tuple(map(_face, sorted(facets))))
+    object.__setattr__(K, "facets", tuple(sorted(facets)))
     return K
 
 
-def link(K: SimplicialComplex, s: Simplex) -> tuple[SimplicialComplex, tuple[int, ...]]:
+def link(K: SimplicialComplex,
+         s: tuple[int, ...]) -> tuple[SimplicialComplex, tuple[int, ...]]:
     """Link of s in K, densely renumbered.
 
     Returns (L, vertex_map) where vertex_map[i] is the original id of L's
@@ -419,13 +386,12 @@ def link(K: SimplicialComplex, s: Simplex) -> tuple[SimplicialComplex, tuple[int
     need no checks: distinct facets that contain s leave distinct
     residues, none inside another, and the renumbering leaves no gap.
     """
-    if len(s) == 0:
+    if not s:
         return K, tuple(range(K.num_vertices))
-    containing = _containing_facets(K, s.vertices)
+    containing = _containing_facets(K, s)
     if not containing:
         raise ValueError(f"{s!r} is not a simplex of the complex")
-    sv = s.vertices
-    residues = [tuple(v for v in K.facets[i].vertices if v not in sv)
+    residues = [tuple(v for v in K.facets[i] if v not in s)
                 for i in containing]
     old_ids = sorted(set().union(*residues))
     renum = {old: new for new, old in enumerate(old_ids)}
@@ -439,7 +405,7 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     f ∪ g lies in f' ∪ g' only when f lies in f' and g in g', so facets of
     the factors give incomparable facets of the join."""
     shift = K.num_vertices
-    facets = [f.vertices + tuple(v + shift for v in g.vertices)
+    facets = [f + tuple(v + shift for v in g)
               for f in K.facets for g in L.facets]
     return _complex(K.num_vertices + L.num_vertices, facets)
 
@@ -480,10 +446,10 @@ def barycentric(K: SimplicialComplex) -> SimplicialComplex:
     if K.is_empty():
         return K
     faces = all_simplices(K)
-    index = {f.vertices: i for i, f in enumerate(faces)}
+    index = {f: i for i, f in enumerate(faces)}
     facets = []
     for f in K.facets:
-        for order in itertools.permutations(f.vertices):
+        for order in itertools.permutations(f):
             facets.append(tuple(index[tuple(sorted(order[:j + 1]))]
                                 for j in range(len(order))))
     return _complex(len(faces), facets)

@@ -74,15 +74,14 @@ def shuffled_copy(K, rng: random.Random):
     from cornerkit.simplicial import build_complex
     perm = list(range(K.num_vertices))
     rng.shuffle(perm)
-    return build_complex([[perm[v] for v in f.vertices]
+    return build_complex([[perm[v] for v in f]
                           for f in K.facets]), perm
 
 
 def random_labeled(rng: random.Random, n: int, labels=(2, 3, 4, 5)):
     from cornerkit.simplicial import LabeledComplex, simplices
     K = random_complex(rng, n)
-    lab = tuple((e.vertices[0], e.vertices[1], rng.choice(labels))
-                for e in simplices(K, 1))
+    lab = tuple((u, v, rng.choice(labels)) for u, v in simplices(K, 1))
     return LabeledComplex(K, lab)
 
 
@@ -90,7 +89,7 @@ def shuffle_labeled(LK, rng: random.Random):
     from cornerkit.simplicial import LabeledComplex, build_complex
     perm = list(range(LK.complex.num_vertices))
     rng.shuffle(perm)
-    K = build_complex([[perm[v] for v in f.vertices]
+    K = build_complex([[perm[v] for v in f]
                        for f in LK.complex.facets])
     labels = tuple((min(perm[u], perm[v]), max(perm[u], perm[v]), m)
                    for u, v, m in LK.labels)

@@ -48,18 +48,17 @@ from fractions import Fraction
 
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
                                FinitenessVerdict, coxeter_matrix, is_finite)
-from cornerkit.dualcells import Cochain, DualFace
+from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport, sphere_homology_defects
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
                                 SNFResult, SparseMatrix)
 from cornerkit.quasitoric import CharacteristicPair, Fan
-from cornerkit.simplicial import (LabeledComplex, Simplex, SimplicialComplex,
-                                  simplex, simplices)
+from cornerkit.simplicial import (LabeledComplex, SimplicialComplex, simplex,
+                                  simplices)
 
 DATACLASS_TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
     for cls, fields in {
-        Simplex: ["vertices"],
         SimplicialComplex: ["num_vertices", "facets"],
         LabeledComplex: ["complex", "labels"],
         IntegerMatrix: ["rows", "cols", "entries"],
@@ -68,7 +67,6 @@ DATACLASS_TWINS = {
         FGAbelianGroup: [("free_rank", int, dataclasses.field(default=0)),
                          ("torsion", tuple, dataclasses.field(default=()))],
         ChainComplex: ["boundary", "basis"],
-        DualFace: ["label", "dim"],
         Cochain: ["degree", "group", "values"],
         GhsFailure: ["simplex", "degree", "expected", "actual"],
         GhsReport: ["verdict", "dimension", "failures", "links_checked"],
@@ -533,7 +531,7 @@ def per_label_check(K, labels):
     first degenerate pair, repeated pair, non-edge or label below 2, in
     that order within a label, then at edges that carry no label."""
     canon = tuple(sorted((min(u, v), max(u, v), m) for u, v, m in labels))
-    edge_set = {e.vertices for e in simplices(K, 1)}
+    edge_set = set(simplices(K, 1))
     seen = set()
     for u, v, m in canon:
         if u == v:
@@ -553,13 +551,13 @@ def per_label_check(K, labels):
 
 
 def per_facet_proper(LK):
-    """(proper, witness vertices or None), testing every facet afresh;
+    """(proper, witness face or None), testing every facet afresh;
     the witness is the first infinite subset of the first infinite facet,
     smallest size first."""
     for f in LK.complex.facets:
-        if not is_finite(coxeter_matrix(LK, f.vertices)).finite:
+        if not is_finite(coxeter_matrix(LK, f)).finite:
             for size in range(2, len(f) + 1):
-                for sub in itertools.combinations(f.vertices, size):
+                for sub in itertools.combinations(f, size):
                     if not is_finite(coxeter_matrix(LK, sub)).finite:
                         return False, sub
     return True, None
@@ -589,7 +587,7 @@ def full_map_search(KA, KB, invA, by_inv, adjA, adjB, order):
     first assignment that maps facets onto facets, sorted by vertex, or
     None, and the number of nodes of the search tree visited."""
     n = KA.num_vertices
-    b_facets = {f.vertices for f in KB.facets}
+    b_facets = set(KB.facets)
     mapping = {}
     used = set()
     nodes = 0
@@ -598,7 +596,7 @@ def full_map_search(KA, KB, invA, by_inv, adjA, adjB, order):
         nonlocal nodes
         nodes += 1
         if idx == n:
-            return {tuple(sorted(mapping[v] for v in f.vertices))
+            return {tuple(sorted(mapping[v] for v in f))
                     for f in KA.facets} == b_facets
         a = order[idx]
         for b in by_inv[invA[a]]:
@@ -625,9 +623,9 @@ def scan_link(K, s):
     validating constructor."""
     if len(s) == 0:
         return K, tuple(range(K.num_vertices))
-    sv = set(s.vertices)
-    residues = [frozenset(f.vertices) - sv for f in K.facets
-                if sv.issubset(f.vertices)]
+    sv = set(s)
+    residues = [frozenset(f) - sv for f in K.facets
+                if sv.issubset(f)]
     if not residues:
         raise ValueError(f"{s!r} is not a simplex of the complex")
     old_ids = sorted(set().union(*residues))

@@ -54,7 +54,7 @@ def test_criterion_2_poincare_pipeline(poincare16):
     susp = suspension(poincare16)
     ghs5 = is_ghs(susp, 5).verdict
     # independent rational-rank oracle on the global homology
-    facets = [list(f.vertices) for f in poincare16.facets]
+    facets = [list(f) for f in poincare16.facets]
     oracle_ok = (rational_reduced_betti(facets, 3) == 1
                  and all(rational_reduced_betti(facets, k) == 0
                          for k in (0, 1, 2)))
@@ -168,8 +168,8 @@ def test_criterion_6_equivalence_campaign():
             a_labels = LK.label_dict()
             for other, expect in ((shuffled, True), (perturbed, False)):
                 brute = brute_force_isomorphic(
-                    [f.vertices for f in LK.complex.facets],
-                    [f.vertices for f in other.complex.facets],
+                    list(LK.complex.facets),
+                    list(other.complex.facets),
                     a_labels, other.label_dict())
                 if (brute is not None) != expect:
                     ok = False
@@ -189,8 +189,7 @@ def test_criterion_7_obstruction_algebra():
         degree, bits = task
         faces = D3.faces[degree]
         c = Cochain.build(D3, degree, Z2,
-                          {f.label.vertices: (b,)
-                           for f, b in zip(faces, bits)})
+                          {f: (b,) for f, b in zip(faces, bits)})
         good = True
         if degree + 2 <= D3.top_dim:
             good &= coboundary(D3, coboundary(D3, c)).is_zero()
@@ -230,8 +229,8 @@ def test_criterion_7_obstruction_algebra():
             k = rng.randrange(1, 5)
             d0 = Cochain.build(
                 D4, k - 1, group,
-                {f.label.vertices: tuple(rng.randrange(-6, 7)
-                                         for _ in range(group.num_coords))
+                {f: tuple(rng.randrange(-6, 7)
+                          for _ in range(group.num_coords))
                  for f in D4.faces[k - 1]})
             c = coboundary(D4, d0)
             d1 = solve_obstruction(D4, c)
@@ -252,7 +251,7 @@ def test_criterion_8_quasitoric(cp2_pair):
     bad = CharacteristicPair(cp2_pair.nerve, 2,
                              IntegerMatrix.from_rows([[2, 0], [0, 1], [1, 1]]))
     verdict, witness = is_characteristic(bad)
-    ok_witness = (not verdict) and witness.vertices == (0, 1)
+    ok_witness = (not verdict) and witness == (0, 1)
     rng = random.Random(20248)
     done = 0
     ok_coker = True

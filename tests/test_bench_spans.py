@@ -59,8 +59,8 @@ def test_tracer_finds_every_name_it_wraps(monkeypatch):
      ("dualcells.cells", "dualcells.acyclicity_calls")),
     (("solve-obstruction", "--complex", "b3.json", "-n", "3",
       "--cochain", "zero.json"), 0, ("dualcells.cells", "dualcells.solve_s")),
-    # the solve checks the cocycle again inside the library, so only a
-    # cochain it never reaches isolates the CLI's own check
+    # the handler leaves the cocycle check to the library's solve, which
+    # looks is_cocycle up in dualcells
     (("solve-obstruction", "--complex", "b3.json", "-n", "3",
       "--cochain", "non-cocycle.json"), 1, ("dualcells.cocycle_checks",)),
     (("check-charfun", "-i", str(DATA / "cp2_pair.json")), 0,
@@ -82,3 +82,20 @@ def test_spans_reach_the_cli_lookups(monkeypatch, tmp_path, capsys, argv,
     values = tracer.metrics()
     assert all(values.get(m, 0) > 0 for m in metrics), (
         {m: values.get(m, 0) for m in metrics})
+
+
+@pytest.mark.parametrize("cochain,exit_code", [("zero.json", 0),
+                                               ("non-cocycle.json", 1)])
+def test_a_solve_job_checks_the_cocycle_once(monkeypatch, tmp_path, capsys,
+                                             cochain, exit_code):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(tmp_path)
+    for name, doc in INPUTS.items():
+        Path(name).write_text(json.dumps(doc))
+    spans = importlib.import_module("spans")
+    with spans.Tracer() as tracer:
+        code = main(["solve-obstruction", "--complex", "b3.json", "-n", "3",
+                     "--cochain", cochain])
+    capsys.readouterr()
+    assert code == exit_code
+    assert tracer.metrics()["dualcells.cocycle_checks"] == 1

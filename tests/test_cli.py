@@ -156,7 +156,7 @@ def test_coxeter_nerve_output_is_composable(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "coxeter-nerve", "-i", str(path))
     assert code == 0
     nerve = complex_from_obj(json.loads(out))
-    assert [list(f.vertices) for f in nerve.facets] == [[0, 1, 2]]
+    assert [list(f) for f in nerve.facets] == [[0, 1, 2]]
 
 
 def test_equiv_command(capsys, tmp_path):
@@ -438,7 +438,7 @@ def test_printed_preimages_are_pinned(capsys, tmp_path, monkeypatch,
     D = dual_complex(K, n)
     group = FGAbelianGroup(1, (6,))
     d0 = Cochain.build(D, grade - 1, group, {
-        f.label.vertices: (7 * i % 9 - 4, (5 * i + 1) % 6)
+        f: (7 * i % 9 - 4, (5 * i + 1) % 6)
         for i, f in enumerate(D.faces[grade - 1])})
     Path("c.json").write_text(dumps(cochain_to_obj(coboundary(D, d0))))
     code, out, _ = run_cli(capsys, "solve-obstruction", "--complex", path,
@@ -494,6 +494,7 @@ REPORT_INPUTS = {
     "bad-pair.json": {"n": 2, "lambda": [[1, 0], [0, 1], [1, 2]],
                       "nerve": {"num_vertices": 3,
                                 "facets": [[0, 1], [0, 2], [1, 2]]}},
+    "rank-0-pair.json": {"n": 0, "lambda": [], "nerve": {"facets": [[]]}},
     "fan.json": {"rays": [[1, 0], [0, 1], [-1, -1]],
                  "cones": [[0, 1], [1, 2], [0, 2]]},
     "singular-fan.json": {"rays": [[1, 0], [1, 2], [-1, -1]],
@@ -540,6 +541,9 @@ REPORT_CASES = {
     "check-charfun-fail": (("check-charfun", "-i", "bad-pair.json"), 1),
     "betti-pass": (("betti", "-i", "cp2_pair.json"), 0),
     "betti-fail": (("betti", "-i", "bad-pair.json"), 1),
+    "error-check-charfun-rank-0": (("check-charfun", "-i",
+                                    "rank-0-pair.json"), 2),
+    "error-betti-rank-0": (("betti", "-i", "rank-0-pair.json"), 2),
     "from-fan": (("from-fan", "-i", "fan.json"), 0),
     "from-fan-singular": (("from-fan", "-i", "singular-fan.json"), 1),
     "construct-boundary-simplex": (("construct", "boundary-simplex", "3"), 0),
@@ -642,9 +646,15 @@ REPORT_DIGESTS = {
     "equiv-pass": [
         "c5d10eb76ab7ff08de6ea60bc79090b1a73e3d06ddc3e61e7fee1f96d2bf9a2e",
         "17f19ee25bd06e1022e1bb8740be38d13641e4dfd2d4ccde56bb6871531bcaa8"],
+    "error-betti-rank-0": [
+        "9380faa8449c428ec7f1c1557bdaf3af36dc7f6b9462477f104b4cfb7ff47cf0",
+        "9380faa8449c428ec7f1c1557bdaf3af36dc7f6b9462477f104b4cfb7ff47cf0"],
     "error-budget": [
         "349142ad486b0e5da92a39679222c4e86210b2a25a7339265034f2f9f108bb22",
         "349142ad486b0e5da92a39679222c4e86210b2a25a7339265034f2f9f108bb22"],
+    "error-check-charfun-rank-0": [
+        "9380faa8449c428ec7f1c1557bdaf3af36dc7f6b9462477f104b4cfb7ff47cf0",
+        "9380faa8449c428ec7f1c1557bdaf3af36dc7f6b9462477f104b4cfb7ff47cf0"],
     "error-construct-arity": [
         "e7168635297f0118dbfbf9d78218253e1ee6bf2fdae80a32eb738ba135355c07",
         "e7168635297f0118dbfbf9d78218253e1ee6bf2fdae80a32eb738ba135355c07"],

@@ -126,7 +126,7 @@ def test_proper_labeling_facet_check():
     # triangle group; the minimal witness is the whole facet
     bad = LabeledComplex(TRIANGLE, ((0, 1, 2), (0, 2, 3), (1, 2, 6)))
     proper, witness = is_proper_labeling(bad)
-    assert not proper and witness.vertices == (0, 1, 2)
+    assert not proper and witness == (0, 1, 2)
     # on the hollow triangle the same labels are proper: its facets are
     # edges, and rank-2 groups are always finite
     hollow = LabeledComplex(THREE_CYCLE, ((0, 1, 2), (0, 2, 3), (1, 2, 6)))
@@ -139,7 +139,7 @@ def test_proper_matches_exhaustive_all_simplices():
         LK = random_labeled(rng, rng.randrange(3, 8))
         facet_only = is_proper_labeling(LK)[0]
         exhaustive = all(
-            is_finite(coxeter_matrix(LK, s.vertices)).finite
+            is_finite(coxeter_matrix(LK, s)).finite
             for k in range(LK.complex.dim + 1)
             for s in simplices(LK.complex, k))
         assert facet_only == exhaustive
@@ -171,7 +171,7 @@ def labelings(draw):
     palette = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5,
                             unique=True))
     label = st.one_of(st.just(2), st.sampled_from(palette))
-    return LabeledComplex(K, tuple((*e.vertices, draw(label))
+    return LabeledComplex(K, tuple((*e, draw(label))
                                    for e in simplices(K, 1)))
 
 
@@ -188,11 +188,9 @@ def exceeded_at(nerve, LK, max_rank, budget):
 @given(labelings(), st.sampled_from([None, 1, 2]), st.integers(1, 50))
 def test_pattern_memo_matches_per_candidate_tests(LK, extra_rank, budget):
     max_rank = None if extra_rank is None else LK.complex.dim + extra_rank
-    proper, witness = is_proper_labeling(LK)
-    assert per_facet_proper(LK) == (
-        proper, None if witness is None else witness.vertices)
+    assert per_facet_proper(LK) == is_proper_labeling(LK)
     nerve = coxeter_nerve(LK, max_rank=max_rank)
-    assert sorted(f.vertices for f in nerve.facets) == \
+    assert sorted(nerve.facets) == \
         per_candidate_nerve(LK, max_rank=max_rank)
     assert exceeded_at(coxeter_nerve, LK, max_rank, budget) == \
         exceeded_at(per_candidate_nerve, LK, max_rank, budget)
@@ -204,11 +202,11 @@ def test_pattern_memo_matches_per_candidate_tests_at_workload_scale(
     # all 2 and labeled from 2..6 by a seeded draw per edge
     bary = barycentric(poincare16)
     rng = random.Random(16)
-    seeded = LabeledComplex(bary, tuple((*e.vertices, rng.choice(range(2, 7)))
+    seeded = LabeledComplex(bary, tuple((*e, rng.choice(range(2, 7)))
                                         for e in simplices(bary, 1)))
     for LK in (label_all(bary, 2), seeded):
         nerve = coxeter_nerve(LK)
-        assert sorted(f.vertices for f in nerve.facets) == \
+        assert sorted(nerve.facets) == \
             per_candidate_nerve(LK)
         for budget in (1, 2552, 7000):
             count = exceeded_at(coxeter_nerve, LK, None, budget)
@@ -249,9 +247,9 @@ def test_all_two_nerve_is_clique_complex():
         K = random_labeled(rng, rng.randrange(3, 8), labels=(2,)).complex
         LK = label_all(K, 2)
         nerve = coxeter_nerve(LK)
-        edges = {e.vertices for e in simplices(K, 1)}
+        edges = set(simplices(K, 1))
         cliques = maximal_cliques(K.num_vertices, edges)
-        assert sorted(f.vertices for f in nerve.facets) == cliques
+        assert sorted(nerve.facets) == cliques
 
 
 def test_coxeter_nerve_idempotent():

@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cornerkit.dualcells import (Cochain, acyclicity_report, coboundary,
-                                 dual_complex, indicator_cochain, is_cocycle,
-                                 is_resolution_ready, solve_obstruction,
-                                 zero_cochain)
+from cornerkit import dualcells
+from cornerkit.dualcells import (Cochain, NotACocycle, acyclicity_report,
+                                 coboundary, dual_complex, indicator_cochain,
+                                 is_cocycle, is_resolution_ready,
+                                 solve_obstruction, zero_cochain)
 from cornerkit.homology import FGAbelianGroup, Z, solve_integer
-from cornerkit.simplicial import (Simplex, boundary_simplex, build_complex,
-                                  point_complex)
+from cornerkit.simplicial import boundary_simplex, build_complex, point_complex
 from oracles import dense_snf, per_coordinate_solve, to_dense
 
 Z2 = FGAbelianGroup(0, (2,))
@@ -22,8 +22,7 @@ def all_z2_cochains(D, degree):
     faces = D.faces[degree]
     for bits in itertools.product((0, 1), repeat=len(faces)):
         yield Cochain.build(D, degree, Z2,
-                            {f.label.vertices: (b,)
-                             for f, b in zip(faces, bits)})
+                            {f: (b,) for f, b in zip(faces, bits)})
 
 
 def test_dual_of_triangle_boundary_is_a_disk():
@@ -56,9 +55,9 @@ def test_incidence_is_the_sign_of_the_added_vertex(poincare16, rp2_6):
                       (rp2_6, 5, True), (rp2_6, 3, False)]:
         D = dual_complex(N, n, include_top=top)
         for d in range(1, D.top_dim + 1):
-            lower = {f.label.vertices: i for i, f in enumerate(D.faces[d - 1])}
+            lower = {f: i for i, f in enumerate(D.faces[d - 1])}
             for j, F in enumerate(D.faces[d]):
-                sigma = F.label.vertices
+                sigma = F
                 expected = {}
                 for v in range(N.num_vertices):
                     tau = tuple(sorted(sigma + (v,)))
@@ -75,7 +74,7 @@ def test_dimension_guard():
 def test_top_cell_boundary_signs():
     D = dual_complex(THREE_CYCLE, 2)
     top = D.faces[2][0]
-    assert top.label.vertices == ()
+    assert top == ()
     for v_face in D.faces[1]:
         assert D.incidence(v_face, top) == 1
 
@@ -95,8 +94,7 @@ def test_coboundary_of_zero_and_indicator():
     G = D.faces[1][2]
     ind = indicator_cochain(D, G, (3,), Z4)
     db = coboundary(D, ind)
-    for key, coords in db.values:
-        F = D.face(Simplex(key))
+    for F, coords in db.values:
         assert coords == Z4.reduce((D.incidence(G, F) * 3,))
 
 
@@ -106,8 +104,7 @@ def test_coboundary_squares_to_zero_z4():
     for _ in range(50):
         k = rng.randrange(0, 2)
         d = Cochain.build(D, k, Z4,
-                          {f.label.vertices: (rng.randrange(4),)
-                           for f in D.faces[k]})
+                          {f: (rng.randrange(4),) for f in D.faces[k]})
         assert coboundary(D, coboundary(D, d)).is_zero()
 
 
@@ -123,7 +120,7 @@ def test_coboundary_is_the_dense_incidence_product(rp2_6, data):
     x = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                            min_size=len(faces), max_size=len(faces)))
     d = Cochain.build(D, k - 1, group,
-                      {f.label.vertices: e for f, e in zip(faces, x)})
+                      dict(zip(faces, x)))
     dense = to_dense(D.boundary[k])  # rows: grade k-1, columns: grade k
     values = [coords for _, coords in d.values]
     expected = [group.reduce([sum(dense.entries[i][j] * values[i][c]
@@ -143,14 +140,15 @@ def test_cocycle_detection_with_witness():
     D = dual_complex(boundary_simplex(3), 3)
     assert is_cocycle(D, zero_cochain(D, 1, Z2)) == (True, None)
     rng = random.Random(23)
-    d = Cochain.build(D, 1, Z2, {f.label.vertices: (rng.randrange(2),)
-                                 for f in D.faces[1]})
+    d = Cochain.build(D, 1, Z2, {f: (rng.randrange(2),) for f in D.faces[1]})
     ok, witness = is_cocycle(D, coboundary(D, d))
     assert ok and witness is None
     single = indicator_cochain(D, D.faces[1][0], (1,), Z2)
     ok, witness = is_cocycle(D, single)
     assert not ok
-    assert witness is not None and witness.dim == 2
+    # the first dual face, in label order, where δc is nonzero
+    assert witness == next(F for F, v in coboundary(D, single).values
+                           if v != (0,))
 
 
 def test_exhaustive_z2_solving_on_tetrahedron_dual():
@@ -201,8 +199,43 @@ def test_cocycles_closed_under_indicator_adjustment():
 def test_solver_rejects_non_cocycles():
     D = dual_complex(boundary_simplex(3), 3)
     bad = indicator_cochain(D, D.faces[1][0], (1,), Z2)
-    with pytest.raises(ValueError):
+    ok, witness = is_cocycle(D, bad)
+    assert not ok
+    with pytest.raises(NotACocycle) as exc:
         solve_obstruction(D, bad)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.witness == witness == (0,)
+    assert str(exc.value) == ("input cochain is not a cocycle; δc is "
+                              "nonzero on (0,)")
+
+
+def test_solver_checks_the_cocycle_before_the_degree():
+    D = dual_complex(boundary_simplex(3), 3)
+    bad = indicator_cochain(D, (0, 1, 2), (1,), Z)
+    assert bad.degree == 0
+    with pytest.raises(NotACocycle) as exc:
+        solve_obstruction(D, bad)
+    assert exc.value.witness == is_cocycle(D, bad)[1] == (0, 1)
+    with pytest.raises(ValueError) as exc:
+        solve_obstruction(D, zero_cochain(D, 0, Z))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "obstruction solving needs degree >= 1"
+
+
+def test_one_solve_checks_the_cocycle_once(monkeypatch):
+    calls = []
+    check = dualcells.is_cocycle
+    monkeypatch.setattr(dualcells, "is_cocycle",
+                        lambda D, c: calls.append(c) or check(D, c))
+    D = dual_complex(boundary_simplex(3), 3)
+    for c in (zero_cochain(D, 2, Z),
+              indicator_cochain(D, D.faces[1][0], (1,), Z2)):
+        calls.clear()
+        try:
+            solve_obstruction(D, c)
+        except NotACocycle:
+            pass
+        assert calls == [c]
 
 
 def test_solver_returns_none_on_non_acyclic_complex():
@@ -233,8 +266,8 @@ def test_random_coboundaries_round_trip_many_groups(poincare16):
             k = rng.randrange(1, 5)
             d0 = Cochain.build(
                 D, k - 1, group,
-                {f.label.vertices: tuple(rng.randrange(-4, 5)
-                                         for _ in range(group.num_coords))
+                {f: tuple(rng.randrange(-4, 5)
+                          for _ in range(group.num_coords))
                  for f in D.faces[k - 1]})
             c = coboundary(D, d0)
             d1 = solve_obstruction(D, c)
@@ -256,8 +289,8 @@ def test_solver_complete_on_poincare_dual(poincare16):
         for k in (2, 3, 4):
             d0 = Cochain.build(
                 D, k - 1, group,
-                {f.label.vertices: tuple(rng.randrange(-3, 4)
-                                         for _ in range(group.num_coords))
+                {f: tuple(rng.randrange(-3, 4)
+                          for _ in range(group.num_coords))
                  for f in D.faces[k - 1]})
             c = coboundary(D, d0)
             d1 = solve_obstruction(D, c)
@@ -277,7 +310,7 @@ def test_solve_runs_no_dense_smith_form(poincare16, monkeypatch):
     D = dual_complex(poincare16, 4)
     group = FGAbelianGroup(1, (6,))
     d0 = Cochain.build(D, 1, group, {
-        f.label.vertices: (rng.randrange(-3, 4), rng.randrange(6))
+        f: (rng.randrange(-3, 4), rng.randrange(6))
         for f in D.faces[1]})
     c = coboundary(D, d0)
     assert c.degree == 2
@@ -319,8 +352,7 @@ def test_cochain_json_round_trip():
     rng = random.Random(37)
     group = FGAbelianGroup(1, (2,))
     c = Cochain.build(D, 2, group,
-                      {f.label.vertices: (rng.randrange(-3, 4),
-                                          rng.randrange(2))
+                      {f: (rng.randrange(-3, 4), rng.randrange(2))
                        for f in D.faces[2]})
     assert cochain_from_obj(cochain_to_obj(c), D) == c
 

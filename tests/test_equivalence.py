@@ -103,7 +103,7 @@ def test_agreement_with_brute_force():
             L = random_complex(rng, n)
         ours = find_isomorphism(K, L)
         brute = brute_force_isomorphic(
-            [f.vertices for f in K.facets], [f.vertices for f in L.facets])
+            list(K.facets), list(L.facets))
         assert (ours is None) == (brute is None)
         if ours is not None:
             assert verify_isomorphism(K, L, ours)
@@ -158,8 +158,8 @@ def _shuffled(X, rng):
 
 def _facets_and_labels(X):
     if isinstance(X, LabeledComplex):
-        return [f.vertices for f in X.complex.facets], X.label_dict()
-    return [f.vertices for f in X.facets], None
+        return list(X.complex.facets), X.label_dict()
+    return list(X.facets), None
 
 
 @functools.cache

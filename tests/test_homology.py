@@ -200,7 +200,7 @@ def test_sparse_invariants_multiply_to_the_coset_count(A):
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
 def test_homology_all_matches_rational_betti(seed, n):
     K = random_complex(random.Random(seed), n)
-    facets = [list(f.vertices) for f in K.facets]
+    facets = [list(f) for f in K.facets]
     hom = homology_all(chain_complex(K))
     for k in range(K.dim + 1):
         # unreduced H_0 has one more Z than the reduced one
@@ -230,7 +230,7 @@ def test_rp2_torsion(rp2_6):
     assert hom[1] == FGAbelianGroup(0, (2,))
     assert hom[2].is_trivial()
     # rational-rank cross-check: betti_1 = 0 over Q despite the torsion
-    facets = [list(f.vertices) for f in rp2_6.facets]
+    facets = [list(f) for f in rp2_6.facets]
     assert rational_reduced_betti(facets, 1) == 0
     assert rational_reduced_betti(facets, 2) == 0
 
@@ -239,7 +239,7 @@ def test_homology_matches_rational_betti_on_random_complexes():
     rng = random.Random(31)
     for _ in range(10):
         K = random_complex(rng, rng.randrange(3, 8))
-        facets = [list(f.vertices) for f in K.facets]
+        facets = [list(f) for f in K.facets]
         hom = reduced_homology_all(K)
         for k in range(0, K.dim + 1):
             assert hom[k].free_rank == rational_reduced_betti(facets, k)

@@ -9,8 +9,8 @@ from cornerkit.quasitoric import (CharacteristicPair, Fan, complete_lifts,
                                   even_betti_report, from_fan, h1_total_space,
                                   h_vector, is_characteristic, normalize_rows,
                                   pi1_orbit_union, unimodular_span)
-from cornerkit.simplicial import (boundary_simplex, build_complex,
-                                  point_complex, suspension)
+from cornerkit.simplicial import (EMPTY_COMPLEX, boundary_simplex,
+                                  build_complex, point_complex, suspension)
 from oracles import coset_count, determinant
 
 TRIANGLE_NERVE = build_complex([[0, 1], [0, 2], [1, 2]])
@@ -39,7 +39,7 @@ def test_det2_perturbation_fails_with_witness():
     bad = CharacteristicPair(TRIANGLE_NERVE, 2,
                              IntegerMatrix.from_rows([[2, 0], [0, 1], [1, 1]]))
     ok, witness = is_characteristic(bad)
-    assert not ok and witness.vertices == (0, 1)
+    assert not ok and witness == (0, 1)
 
 
 def test_identity_pair_on_simplex_boundary():
@@ -59,6 +59,16 @@ def test_pair_validation():
     with pytest.raises(ValueError):  # row count mismatch
         CharacteristicPair(TRIANGLE_NERVE, 2,
                            IntegerMatrix.from_rows([[1, 0], [0, 1]]))
+
+
+def test_pair_of_torus_rank_below_one_is_rejected():
+    # the rank is checked first, whatever lambda holds
+    for nerve, n, rows in [(EMPTY_COMPLEX, 0, []),
+                           (TRIANGLE_NERVE, 0, [[], [], []]),
+                           (TRIANGLE_NERVE, -1, [[1], [0], [1]])]:
+        with pytest.raises(ValueError) as exc:
+            CharacteristicPair(nerve, n, IntegerMatrix.from_rows(rows))
+        assert str(exc.value) == f"torus rank n must be >= 1, got {n}"
 
 
 def test_pi1_orbit_union():
@@ -228,7 +238,7 @@ def test_facet_check_agrees_with_all_simplices(cp2_pair):
     for pair in pairs:
         per_facet = is_characteristic(pair)[0]
         exhaustive = all(
-            unimodular_span([pair.row(v) for v in s.vertices], pair.n)
+            unimodular_span([pair.row(v) for v in s], pair.n)
             for k in range(min(pair.nerve.dim, pair.n - 1) + 1)
             for s in simplices(pair.nerve, k))
         assert per_facet == exhaustive

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import simplicial
-from cornerkit.coxeter import coxeter_nerve
-from cornerkit.homology import reduced_homology
+from cornerkit.coxeter import coxeter_nerve, is_proper_labeling
+from cornerkit.dualcells import (Cochain, NotACocycle, coboundary,
+                                 dual_complex, is_cocycle, solve_obstruction)
+from cornerkit.ghs import is_ghs, is_polyhedral_homology_manifold
+from cornerkit.homology import IntegerMatrix, Z, reduced_homology
+from cornerkit.quasitoric import CharacteristicPair, is_characteristic
 from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX,
-                                  LabeledComplex, Simplex, SimplicialComplex,
+                                  LabeledComplex, SimplicialComplex,
                                   all_simplices,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
@@ -27,13 +31,16 @@ from oracles import (count_chains, faces_of, first_containment,
 
 def test_simplex_canonical_form():
     s = simplex([3, 1, 2])
-    assert s.vertices == (1, 2, 3)
-    assert s.dim == 2
-    with pytest.raises(ValueError):
-        Simplex((2, 1))
-    with pytest.raises(ValueError):
-        Simplex((-1, 0))
-    assert EMPTY_SIMPLEX.dim == -1
+    assert s == (1, 2, 3) and type(s) is tuple
+    assert simplex(iter([0])) == (0,)
+    assert EMPTY_SIMPLEX == simplex([]) == ()
+    for vertices, message in [
+            ([1, 1], "repeated vertex in [1, 1]"),
+            ([-1, 0], "vertex ids must be non-negative integers, got -1"),
+            ([0.5, 1], "vertex ids must be non-negative integers, got 0.5")]:
+        with pytest.raises(ValueError) as exc:
+            simplex(vertices)
+        assert str(exc.value) == message
 
 
 def test_build_three_cycle():
@@ -44,7 +51,7 @@ def test_build_three_cycle():
 
 def test_build_prunes_contained_faces():
     K = build_complex([[0, 1, 2], [0, 1]])
-    assert [list(f.vertices) for f in K.facets] == [[0, 1, 2]]
+    assert [list(f) for f in K.facets] == [[0, 1, 2]]
 
 
 @st.composite
@@ -79,7 +86,7 @@ def assert_builds_the_maximal_faces(raw):
         with pytest.raises(ValueError, match="appear in no facet"):
             build_complex(raw)
         return
-    assert [f.vertices for f in build_complex(raw).facets] == expected
+    assert [f for f in build_complex(raw).facets] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,14 +117,13 @@ def test_only_an_impure_input_is_tested_for_containment(monkeypatch):
 def test_constructor_rejects_exactly_the_contained_facets(raw):
     used = sorted(set().union(*map(set, raw)))
     dense = {old: new for new, old in enumerate(used)}
-    facets = sorted((simplex(dense[v] for v in f) for f in raw),
-                    key=lambda s: s.vertices)
-    hit = first_containment([f.vertices for f in facets])
+    facets = sorted(simplex(dense[v] for v in f) for f in raw)
+    hit = first_containment(facets)
     if hit is None:
         assert SimplicialComplex(len(used), tuple(facets)).facets == tuple(facets)
         return
     i, j = hit
-    assert set(facets[i].vertices) <= set(facets[j].vertices)
+    assert set(facets[i]) <= set(facets[j])
     with pytest.raises(ValueError) as exc:
         SimplicialComplex(len(used), tuple(reversed(facets)))
     assert str(exc.value) == f"facet {facets[i]} is contained in {facets[j]}"
@@ -125,12 +131,11 @@ def test_constructor_rejects_exactly_the_contained_facets(raw):
 
 def test_constructor_rejects_contained_and_repeated_facets():
     with pytest.raises(ValueError,
-                       match=r"facet Simplex\(\[0, 1\]\) is contained in "
-                             r"Simplex\(\[0, 1, 2\]\)"):
+                       match=r"facet \(0, 1\) is contained in "
+                             r"\(0, 1, 2\)"):
         SimplicialComplex(3, (simplex([0, 1, 2]), simplex([0, 1])))
     with pytest.raises(ValueError,
-                       match=r"facet Simplex\(\[0, 1\]\) is contained in "
-                             r"Simplex\(\[0, 1\]\)"):
+                       match=r"facet \(0, 1\) is contained in \(0, 1\)"):
         SimplicialComplex(3, (simplex([0, 1]), simplex([1, 2]), simplex([0, 1])))
 
 
@@ -143,12 +148,9 @@ def test_unvalidated_faces_equal_validated_ones(raw):
     K = build_complex(facets)
     for k in range(-1, K.dim + 2):
         faces = simplices(K, k)
-        validated = tuple(Simplex(t) for t in faces_of(facets, k))
-        assert faces == validated
-        for f, g in zip(faces, validated):
-            assert type(f) is Simplex
-            assert Simplex(f.vertices) == f == g
-            assert hash(f) == hash(g)
+        assert faces == tuple(faces_of(facets, k))
+        for f in faces:
+            assert type(f) is tuple and simplex(f) == f
 
 
 def test_build_detects_vertex_gap():
@@ -202,15 +204,26 @@ def test_build_rejects_bad_input():
 
 
 def test_constructor_rejects_bad_input():
+    # each facet is checked, in the given order, before the invariants
     for n, facets, message in [
+            (2, ((0, 1), (-1, 0)),
+             "vertex ids must be non-negative integers, got -1"),
+            (2, ((0, 1.5),),
+             "vertex ids must be non-negative integers, got 1.5"),
+            (3, ((2, 1),), "vertices must be strictly increasing, got (2, 1)"),
+            (3, ((1, 1),), "vertices must be strictly increasing, got (1, 1)"),
+            (2, ((1, -1),),
+             "vertex ids must be non-negative integers, got -1"),
+            (1, ((0,), (5, 3)),
+             "vertices must be strictly increasing, got (5, 3)"),
             (3, (), "facet list may not be empty; use the empty complex {∅}"),
             (2, ((0,), (2,)), "facet vertex id exceeds num_vertices"),
             (3, ((0,), (2,)), "1 vertex ids appear in no facet, first [1]"),
             (2, ((),), "complex with no facet vertices must have num_vertices 0"),
             (3, ((0, 1, 2), (0, 1)),
-             "facet Simplex([0, 1]) is contained in Simplex([0, 1, 2])")]:
+             "facet (0, 1) is contained in (0, 1, 2)")]:
         with pytest.raises(ValueError) as exc:
-            SimplicialComplex(n, tuple(map(Simplex, facets)))
+            SimplicialComplex(n, facets)
         assert str(exc.value) == message
 
 
@@ -218,7 +231,7 @@ def test_build_idempotent():
     rng = random.Random(11)
     for _ in range(20):
         K = random_complex(rng, rng.randrange(3, 9))
-        again = build_complex([list(f.vertices) for f in K.facets])
+        again = build_complex([list(f) for f in K.facets])
         assert again == K
 
 
@@ -285,6 +298,66 @@ def complexes_and_queries(draw):
     return K, queries
 
 
+def assert_sorted_tuples(faces):
+    """Each face is a tuple of strictly increasing non-negative ints."""
+    for f in faces:
+        assert type(f) is tuple
+        assert all(type(v) is int and v >= 0 for v in f)
+        assert all(u < v for u, v in zip(f, f[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(facet_families(), st.integers(0, 2**32 - 1))
+def test_every_face_handed_out_is_a_sorted_tuple(raw, seed):
+    rng = random.Random(seed)
+    used = sorted(set().union(*map(set, raw)))
+    dense = {old: new for new, old in enumerate(used)}
+    K = build_complex([[dense[v] for v in f] for f in raw])
+    LK = random_labeled(rng, rng.randrange(2, 7), labels=(2, 3, 4, 6))
+    L = LK.complex
+    built = [K, L, EMPTY_COMPLEX, join(K, L), cone(K), suspension(L),
+             barycentric(K), barycentric_all_two(L).complex,
+             point_complex(rng.randrange(1, 4)), coxeter_nerve(LK),
+             boundary_simplex(rng.randrange(1, 5))]
+    built += [link(M, s)[0] for M in (K, L) for s in all_simplices(M)]
+    for M in built:
+        assert_sorted_tuples(M.facets)
+        for k in range(-1, M.dim + 2):
+            assert_sorted_tuples(simplices(M, k))
+    assert_sorted_tuples(all_simplices(K))
+    proper, witness = is_proper_labeling(LK)
+    assert proper == (witness is None)
+    assert_sorted_tuples([] if witness is None else [witness])
+    for N in (K, L):
+        if N.is_empty():
+            continue
+        for report in (is_ghs(N, N.dim + 1),
+                       is_polyhedral_homology_manifold(N, N.dim)):
+            assert_sorted_tuples(f.simplex for f in report.failures)
+        n = N.dim + 1
+        rows = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(n - 1)] + [1]
+                for _ in range(N.num_vertices)]
+        ok, witness = is_characteristic(
+            CharacteristicPair(N, n, IntegerMatrix.from_rows(rows)))
+        assert ok == (witness is None) and witness in (None, *N.facets)
+        assert_sorted_tuples([] if witness is None else [witness])
+        D = dual_complex(N, n)
+        for d, faces in D.faces.items():
+            assert_sorted_tuples(faces)
+            if d == D.top_dim:
+                continue
+            c = Cochain.build(D, d, Z, {f: (rng.randrange(-1, 2),)
+                                        for f in faces})
+            ok, witness = is_cocycle(D, c)
+            assert ok == (witness is None)
+            if not ok:
+                assert dict(coboundary(D, c).values)[witness] != (0,)
+                assert_sorted_tuples([witness])
+                with pytest.raises(NotACocycle) as exc:
+                    solve_obstruction(D, c)
+                assert exc.value.witness == witness
+
+
 @settings(max_examples=300, deadline=None)
 @given(complexes_and_queries())
 def test_star_index_link_equals_the_scan(case):
@@ -324,7 +397,7 @@ def test_trusted_link_complex_equals_the_validated_one(case):
         assert L == validated and hash(L) == hash(validated)
         assert repr(L) == repr(validated)
         for f in L.facets:
-            assert type(f) is Simplex and Simplex(f.vertices) == f
+            assert type(f) is tuple and simplex(f) == f
 
 
 @settings(max_examples=300, deadline=None)
@@ -332,7 +405,7 @@ def test_trusted_link_complex_equals_the_validated_one(case):
 def test_contains_equals_a_scan(case):
     K, queries = case
     for s in queries:
-        assert (s in K) == any(set(s.vertices) <= set(f.vertices)
+        assert (s in K) == any(set(s) <= set(f)
                                for f in K.facets)
 
 
@@ -358,12 +431,11 @@ def assert_equals_the_validated_complex(K):
     """K is the complex that the validating constructor builds from K's
     facets, re-checked and given in reverse order; its facets are
     already sorted, and it hashes and prints the same."""
-    validated = SimplicialComplex(
-        K.num_vertices, tuple(Simplex(f.vertices) for f in reversed(K.facets)))
+    validated = SimplicialComplex(K.num_vertices, tuple(reversed(K.facets)))
     assert K.facets == validated.facets
     assert K == validated and hash(K) == hash(validated)
     assert repr(K) == repr(validated)
-    assert all(type(f) is Simplex for f in K.facets)
+    assert all(type(f) is tuple for f in K.facets)
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,16 +465,20 @@ def test_constructions_skip_the_validating_constructors(poincare16,
                                                         monkeypatch):
     runs = []
 
-    def counted(init):
-        def run(self, *args):
-            runs.append(self)
-            init(self, *args)
+    def counted(check):
+        def run(*args):
+            runs.append(args)
+            check(*args)
         return run
 
-    for cls in (Simplex, SimplicialComplex):
-        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    # the constructor's own checks, and the per-face check of it and of
+    # simplex()
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        counted(SimplicialComplex.__init__))
+    monkeypatch.setattr(simplicial, "_check_face",
+                        counted(simplicial._check_face))
     LK = label_all(boundary_simplex(3), 2)
-    raw = [list(f.vertices) for f in barycentric(poincare16).facets]
+    raw = [list(f) for f in barycentric(poincare16).facets]
     for build in (lambda: barycentric(poincare16),
                   lambda: join(poincare16, poincare16),
                   lambda: coxeter_nerve(LK),
@@ -410,7 +486,7 @@ def test_constructions_skip_the_validating_constructors(poincare16,
         runs.clear()
         build()
         assert runs == []
-    SimplicialComplex(1, (Simplex((0,)),))  # the counter sees both
+    SimplicialComplex(1, ((0,),))  # the counter sees both
     assert len(runs) == 2
 
 
@@ -419,7 +495,7 @@ def test_concurrent_first_links_agree(poincare16):
     # whichever table is kept, each link must come out the same
     expected = [scan_link(poincare16, simplex([v]))
                 for v in range(poincare16.num_vertices)]
-    fresh = build_complex([f.vertices for f in poincare16.facets])
+    fresh = build_complex(list(poincare16.facets))
     results, errors = [], []
 
     def work():
@@ -485,7 +561,7 @@ def test_barycentric_small():
 
 def test_barycentric_f_vector_matches_chain_counts():
     B3 = boundary_simplex(3)
-    facets = [list(f.vertices) for f in B3.facets]
+    facets = [list(f) for f in B3.facets]
     expected = tuple(count_chains(facets, L) for L in (1, 2, 3))
     assert expected == (14, 36, 24)  # frozen from the chain-count oracle
     assert f_vector(barycentric(B3)) == expected
@@ -496,9 +572,9 @@ def test_barycentric_is_flag():
     for K in [boundary_simplex(2), boundary_simplex(3),
               random_complex(rng, 5), random_complex(rng, 6)]:
         sd = barycentric(K)
-        edges = {e.vertices for e in simplices(sd, 1)}
+        edges = set(simplices(sd, 1))
         cliques = maximal_cliques(sd.num_vertices, edges)
-        assert sorted(cliques) == sorted(f.vertices for f in sd.facets)
+        assert sorted(cliques) == sorted(sd.facets)
 
 
 def test_barycentric_all_two():
@@ -519,7 +595,7 @@ def test_top_faces_and_f_vector_of_impure_complexes(raw):
     facets = [[dense[v] for v in f] for f in raw] + [[n], [n + 1, n + 2]]
     K = build_complex(facets)
     assert len({len(f) for f in K.facets}) > 1
-    assert simplices(K, K.dim) == tuple(map(Simplex, faces_of(facets, K.dim)))
+    assert simplices(K, K.dim) == tuple(faces_of(facets, K.dim))
     assert f_vector(K) == tuple(len(faces_of(facets, k))
                                 for k in range(K.dim + 1))
 
@@ -574,7 +650,7 @@ def labelings_with_faults(draw):
     K = build_complex([[dense[v] for v in f] for f in raw])
     n = K.num_vertices
     label = st.integers(2, 6)
-    labels = {e.vertices: draw(label) for e in simplices(K, 1)}
+    labels = {e: draw(label) for e in simplices(K, 1)}
     extra = []
     for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
         if fault == "degenerate":

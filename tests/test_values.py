@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from cornerkit.coxeter import (CoxeterMatrix, FinitenessVerdict,
                                coxeter_matrix, is_finite)
-from cornerkit.dualcells import Cochain, DualFace
+from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
                                 SNFResult, SparseMatrix, chain_complex)
 from cornerkit.quasitoric import CharacteristicPair, Fan
-from cornerkit.simplicial import (LabeledComplex, Simplex, SimplicialComplex,
+from cornerkit.simplicial import (LabeledComplex, SimplicialComplex,
                                   build_complex, label_all, simplex)
 from oracles import DATACLASS_TWINS
 
@@ -66,7 +66,6 @@ def reports(draw):
 
 
 INSTANCES = {
-    Simplex: simplices_,
     SimplicialComplex: complexes,
     LabeledComplex: labeled,
     IntegerMatrix: matrices,
@@ -74,7 +73,6 @@ INSTANCES = {
     SNFResult: st.builds(SNFResult, matrices, matrices, matrices),
     FGAbelianGroup: groups,
     ChainComplex: st.builds(chain_complex, complexes, st.booleans()),
-    DualFace: st.builds(DualFace, simplices_, st.integers(0, 3)),
     Cochain: st.builds(Cochain, st.integers(0, 3), groups, st.lists(
         st.tuples(st.tuples(st.integers(0, 4)), st.tuples(st.integers(0, 2))),
         max_size=2).map(tuple)),
@@ -102,7 +100,7 @@ def outcome(op):
 
 
 def test_every_value_class_has_a_twin_and_a_strategy():
-    assert set(INSTANCES) == set(DATACLASS_TWINS) and len(INSTANCES) == 16
+    assert set(INSTANCES) == set(DATACLASS_TWINS) and len(INSTANCES) == 14
     for cls, twin in DATACLASS_TWINS.items():
         assert cls._fields == tuple(f.name for f in
                                     twin.__dataclass_fields__.values())
