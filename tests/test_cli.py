@@ -733,6 +733,79 @@ def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
     assert digests == REPORT_DIGESTS[case]
 
 
+# The parser's own bytes: help, usage and error lines, at a fixed help
+# width.  name: argv
+SUBCOMMANDS = ("check-ghs", "check-phm", "check-proper", "check-aspherical",
+               "coxeter-nerve", "equiv", "homology", "solve-obstruction",
+               "acyclicity", "check-charfun", "from-fan", "betti",
+               "construct")
+PARSER_CASES = {
+    "help": ("-h",),
+    "no-command": (),
+    "unknown-command": ("frobnicate",),
+    "missing-option": ("check-ghs", "-i", "b3.json"),
+    "missing-options": ("solve-obstruction", "-n", "3"),
+    "invalid-kind": ("construct", "frobnicate"),
+    # reported by the top-level parser, whose usage line names every
+    # subcommand
+    "unrecognized-argument": ("homology", "-i", "b3.json", "--seed", "1"),
+    **{f"help-{name}": (name, "-h") for name in SUBCOMMANDS},
+}
+
+# sha256 of json.dumps([exit code, stdout, stderr]), recorded from the CLI
+# while it built every subparser for every job
+PARSER_DIGESTS = {
+    "help":
+        "96c945b1c233a17b3d2fa831a43916ad210e9dad073d8581a953db94804ffcbb",
+    "help-acyclicity":
+        "40ccd2fe962e2d10fb3a9a0246713a469f10fa50f90cc268d23b4ed6ad0ba7f6",
+    "help-betti":
+        "5d6582c77370d23af31c00a71932c86aadd576529f5d79fc04d06e6576a2c9dd",
+    "help-check-aspherical":
+        "7fb1b2ccbd48b8c852399bfe7faecd37071c9cc8e7bd060192719c59d1ed6e9c",
+    "help-check-charfun":
+        "023256958bb4eba7ac9966f208d17f24b701912ea4d3aae2feb48385c4157506",
+    "help-check-ghs":
+        "ff9ace2accc7193dc9388d03011b99d2abca1cc74cfbe43e15b151752af6bc9f",
+    "help-check-phm":
+        "601f6513fd2252ef9b9da466a82cbc1e00f680555b571e9185bbd277fdef43ce",
+    "help-check-proper":
+        "b2603681bbbb14422c4b6aff20e258a438a5b0539e7455ce9a982750f6677779",
+    "help-construct":
+        "ab95fd1ba25217f5748edf2cce0168737b476cf139d6df34b97fa038f40de8d4",
+    "help-coxeter-nerve":
+        "39a59ae9d7271aaa330eb94d6c0cce68c173b67da9805a7510d3a2ae89ecdb4a",
+    "help-equiv":
+        "b407223706a3b33d54f45f3211e6cfdfe15715e41d865ef5b4e4ea46c5e9a740",
+    "help-from-fan":
+        "811354014f53ac7026965e955ecd96b134d6a6975043fd598b05eeb8204ed65c",
+    "help-homology":
+        "540906cd9bd5f5153b5208d72995497dcc091a12d99c9419b54cd1e5527e98ab",
+    "help-solve-obstruction":
+        "d538f0f3b455492eae96c6939284a09d3e9f0cd399a2d6a7f31a7699376dde37",
+    "invalid-kind":
+        "fc582b991894c62bad81bc98437e4868358a2a38627449a149b5f32ce5382bd8",
+    "missing-option":
+        "a3ceb5f1e64e4e0bdf8f2ecc6535252a6490f361b13488ea72791b3a2aa84949",
+    "missing-options":
+        "0f7e448bd1d39f335b68618f1f41132053f253246c637a59456aac022e450df7",
+    "no-command":
+        "1a8982a8a59c6baeb43ca32364d835696bbc5e328db35ebcc233b9aa71e15690",
+    "unknown-command":
+        "b754f6ec2c90707eedc52e9394e89cb116a4312aba2b0401b29bd406ba4cbfff",
+    "unrecognized-argument":
+        "e22b4dede2e6bffefd040ea1e430959e5c96f922d14d04c084f9306b6b4d1b10",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_parser_output_is_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *PARSER_CASES[case])
+    assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() \
+        == PARSER_DIGESTS[case]
+
+
 # --- loader fuzzing ---------------------------------------------------------
 # Documents are mostly valid, so most runs get past the loaders to a
 # verdict, and each field is now and then corrupted.  Facets stay at four
