@@ -351,7 +351,11 @@ def cmd_construct(args, hashes: dict) -> int:
             raise CliError(f"not an integer: {args.args[0]!r}")
         if n < 1:
             raise CliError("boundary-simplex needs n >= 1")
-        out = jsonio.complex_to_obj(boundary_simplex(n))
+        try:
+            K = boundary_simplex(n)
+        except OverflowError:  # n is past the platform's index range
+            raise CliError(f"boundary-simplex n = {n} is too large")
+        out = jsonio.complex_to_obj(K)
     elif kind == "join":
         if len(args.args) != 2:
             raise CliError("construct join takes exactly two complex files")
@@ -377,13 +381,24 @@ def cmd_construct(args, hashes: dict) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone when it
+    names one.  A job needs only its own subparser; help, a missing or
+    unknown command and the top-level usage line name them all."""
     parser = argparse.ArgumentParser(
         prog="cornerkit",
         description="Exact checks for sphere-like nerves, Coxeter labelings, "
                     "dual-cell obstruction cochains, and torus characteristic "
                     "data.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help, func, library, **defaults):
+        """The subparser `name`, or None when another one is asked for."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, library=library, **defaults)
+        return p
 
     def common(p, needs_input=True, needs_dim=False):
         if needs_input:
@@ -395,80 +410,75 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dimension parameter")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("check-ghs", help="generalized homology sphere test")
-    common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_links, library="ghs", check="is_ghs",
-                   letter="n")
+    if p := add("check-ghs", "generalized homology sphere test",
+                cmd_check_links, "ghs", check="is_ghs", letter="n"):
+        common(p, needs_dim=True)
 
-    p = sub.add_parser("check-phm", help="polyhedral homology manifold test")
-    common(p, needs_dim=True)
-    p.set_defaults(func=cmd_check_links, library="ghs",
-                   check="is_polyhedral_homology_manifold", letter="m")
+    if p := add("check-phm", "polyhedral homology manifold test",
+                cmd_check_links, "ghs",
+                check="is_polyhedral_homology_manifold", letter="m"):
+        common(p, needs_dim=True)
 
-    p = sub.add_parser("check-proper", help="proper Coxeter labeling test")
-    common(p)
-    p.set_defaults(func=cmd_check_proper, library="coxeter")
+    if p := add("check-proper", "proper Coxeter labeling test",
+                cmd_check_proper, "coxeter"):
+        common(p)
 
-    p = sub.add_parser("check-aspherical",
-                       help="nerve-equality asphericity test")
-    common(p)
-    p.add_argument("--budget", type=int, default=1_000_000,
-                   help="clique enumeration cap")
-    p.set_defaults(func=cmd_check_aspherical, library="coxeter")
+    if p := add("check-aspherical", "nerve-equality asphericity test",
+                cmd_check_aspherical, "coxeter"):
+        common(p)
+        p.add_argument("--budget", type=int, default=1_000_000,
+                       help="clique enumeration cap")
 
-    p = sub.add_parser("coxeter-nerve",
-                       help="emit the finite-subgroup nerve complex")
-    common(p)
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--budget", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_coxeter_nerve, library="coxeter")
+    if p := add("coxeter-nerve", "emit the finite-subgroup nerve complex",
+                cmd_coxeter_nerve, "coxeter"):
+        common(p)
+        p.add_argument("--max-rank", type=int, default=None)
+        p.add_argument("--budget", type=int, default=1_000_000)
 
-    p = sub.add_parser("equiv", help="label-preserving isomorphism search")
-    p.add_argument("a", help="first complex file")
-    p.add_argument("b", help="second complex file")
-    common(p, needs_input=False)
-    p.set_defaults(func=cmd_equiv, library="equivalence")
+    if p := add("equiv", "label-preserving isomorphism search", cmd_equiv,
+                "equivalence"):
+        p.add_argument("a", help="first complex file")
+        p.add_argument("b", help="second complex file")
+        common(p, needs_input=False)
 
-    p = sub.add_parser("homology", help="reduced integral homology")
-    common(p)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(func=cmd_homology, library="homology")
+    if p := add("homology", "reduced integral homology", cmd_homology,
+                "homology"):
+        common(p)
+        p.add_argument("--degree", type=int, default=None)
 
-    p = sub.add_parser("solve-obstruction",
-                       help="solve c = δd on the dual-cell complex")
-    common(p, needs_input=False, needs_dim=True)
-    p.add_argument("--complex", required=True, help="nerve complex file")
-    p.add_argument("--cochain", required=True, help="cochain file")
-    p.add_argument("--no-top", action="store_true",
-                   help="exclude the top cell (model the boundary only)")
-    p.set_defaults(func=cmd_solve_obstruction, library="dualcells")
+    if p := add("solve-obstruction", "solve c = δd on the dual-cell complex",
+                cmd_solve_obstruction, "dualcells"):
+        common(p, needs_input=False, needs_dim=True)
+        p.add_argument("--complex", required=True, help="nerve complex file")
+        p.add_argument("--cochain", required=True, help="cochain file")
+        p.add_argument("--no-top", action="store_true",
+                       help="exclude the top cell (model the boundary only)")
 
-    p = sub.add_parser("acyclicity",
-                       help="homology of the dual-cell complex per degree")
-    common(p, needs_dim=True)
-    p.add_argument("--no-top", action="store_true")
-    p.set_defaults(func=cmd_acyclicity, library="dualcells")
+    if p := add("acyclicity", "homology of the dual-cell complex per degree",
+                cmd_acyclicity, "dualcells"):
+        common(p, needs_dim=True)
+        p.add_argument("--no-top", action="store_true")
 
-    p = sub.add_parser("check-charfun",
-                       help="unimodular-span validation of a pair")
-    common(p)
-    p.set_defaults(func=cmd_check_charfun, library="quasitoric")
+    if p := add("check-charfun", "unimodular-span validation of a pair",
+                cmd_check_charfun, "quasitoric"):
+        common(p)
 
-    p = sub.add_parser("from-fan",
-                       help="characteristic pair from fan data")
-    common(p)
-    p.set_defaults(func=cmd_from_fan, library="quasitoric")
+    if p := add("from-fan", "characteristic pair from fan data", cmd_from_fan,
+                "quasitoric"):
+        common(p)
 
-    p = sub.add_parser("betti", help="even Betti report from the h-vector")
-    common(p)
-    p.set_defaults(func=cmd_betti, library="quasitoric")
+    if p := add("betti", "even Betti report from the h-vector", cmd_betti,
+                "quasitoric"):
+        common(p)
 
-    p = sub.add_parser("construct", help="emit a constructed complex")
-    p.add_argument("kind", choices=CONSTRUCT_KINDS)
-    p.add_argument("args", nargs="*", help="kind-specific arguments")
-    common(p)
-    p.set_defaults(func=cmd_construct, library="simplicial")
+    if p := add("construct", "emit a constructed complex", cmd_construct,
+                "simplicial"):
+        p.add_argument("kind", choices=CONSTRUCT_KINDS)
+        p.add_argument("args", nargs="*", help="kind-specific arguments")
+        common(p)
 
+    if not sub.choices:  # `command` names no subcommand
+        return build_parser()
     return parser
 
 
@@ -480,9 +490,12 @@ def _budget_errors() -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(argv[0] if argv else None) \
+            .parse_known_args(argv)
+        if extra:  # the error's usage line names every subcommand
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0, None) else 0

@@ -23,8 +23,9 @@ give without forming them; one pass serves every coordinate of the group.
 
 from __future__ import annotations
 
-import heapq
 import math
+from itertools import chain, combinations, cycle, repeat
+
 from .simplicial import EMPTY_SIMPLEX, SimplicialComplex, _Value, simplices
 
 
@@ -272,60 +273,73 @@ def snf_diagonal(A: IntegerMatrix) -> list[int]:
     return diag + [0] * (min(A.rows, A.cols) - len(diag))
 
 
-def invariant_factors(M: SparseMatrix) -> list[int]:
-    """The nonzero invariant factors of M, in divisor-chain order.
+def _reduce(M: SparseMatrix, skip=()) -> tuple[list[int], set[int]]:
+    """(the nonzero invariant factors of M, the rows of its unit pivots),
+    with the columns whose indices are in skip left out.
 
-    A ±1 entry is a pivot whose row and column split off a Smith factor 1:
-    clearing its row by column operations, then its column by row
-    operations, leaves the rest of the matrix as it was after the column
-    operations.  So unit pivots are eliminated sparsely first, shortest
-    column first and then the shortest row in it, which keeps fill-in
-    small; snf_diagonal runs only on the leftover block, which on
-    boundary matrices is usually empty or a few columns.
+    Columns are reduced left to right against the pivots found so far,
+    each pivot a column whose lowest entry is ±1 in a row no other pivot
+    ends in (the standard reduction of persistent homology).  The pivots
+    alone, reordered by their lowest rows, are triangular with a unit
+    diagonal, so each splits off a Smith factor 1.  A column that ends in
+    a non-unit is held back; once the rest is reduced, its entries in
+    pivot rows are cleared, lowest row first, and snf_diagonal runs on
+    what is left, which on boundary matrices is usually nothing.
     """
-    cols = {j: dict(col) for j, col in enumerate(M.columns) if col}
-    where: dict[int, set[int]] = {}  # row -> the columns holding it
-    for j, col in cols.items():
-        for i in col:
-            where.setdefault(i, set()).add(j)
-    queue = [(len(col), j) for j, col in cols.items()]
-    heapq.heapify(queue)
-    units = 0
-    while queue:
-        length, j = heapq.heappop(queue)
-        col = cols.get(j)
-        if col is None or len(col) != length:
-            continue  # stale: the column was eliminated or changed since
-        pivots = [i for i, x in col.items() if x == 1 or x == -1]
-        if not pivots:
-            continue  # requeued if a later column operation changes it
-        i = min(pivots, key=lambda r: (len(where[r]), r))
-        p = col.pop(i)
-        del cols[j]
-        for r in col:
-            where[r].discard(j)
-        for c in sorted(where.pop(i) - {j}):
-            target = cols[c]
-            f = target.pop(i) * p  # p = ±1 is its own inverse
-            for r, x in col.items():
-                y = target.get(r, 0) - f * x
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> its column
+    held = []
+    for j, entries in enumerate(M.columns):
+        if not entries or j in skip:
+            continue
+        col = dict(entries)
+        low = entries[-1][0]
+        while low in pivots:
+            pivot = pivots[low]
+            f = col[low] * pivot[low]  # pivot[low] = ±1 is its own inverse
+            for i, x in pivot.items():
+                y = col.get(i, 0) - f * x
                 if y:
-                    target[r] = y
-                    where[r].add(c)
-                elif r in target:
-                    del target[r]
-                    where[r].discard(c)
-            if target:
-                heapq.heappush(queue, (len(target), c))
+                    col[i] = y
+                else:
+                    del col[i]
+            if not col:
+                break
+            low = max(col)
+        else:
+            if col[low] in (1, -1):
+                pivots[low] = col
             else:
-                del cols[c]
-        units += 1
-    if not cols:
-        return [1] * units
-    rows = sorted({i for col in cols.values() for i in col})
-    leftover = IntegerMatrix(len(rows), len(cols), tuple(
-        tuple(cols[j].get(i, 0) for j in sorted(cols)) for i in rows))
-    return [1] * units + [d for d in snf_diagonal(leftover) if d]
+                held.append(col)
+    left = []
+    for col in held:
+        while True:
+            low = max((i for i in col if i in pivots), default=None)
+            if low is None:
+                break
+            pivot = pivots[low]
+            f = col[low] * pivot[low]
+            for i, x in pivot.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+        if col:
+            left.append(col)
+    factors = [1] * len(pivots)
+    if left:
+        rows = sorted({i for col in left for i in col})
+        factors += [d for d in snf_diagonal(IntegerMatrix(
+            len(rows), len(left),
+            tuple(tuple(col.get(i, 0) for col in left) for i in rows))) if d]
+    return factors, set(pivots)
+
+
+def invariant_factors(M: SparseMatrix) -> list[int]:
+    """The nonzero invariant factors of M, in divisor-chain order: unit
+    pivots from a sparse column reduction, then snf_diagonal on the
+    (usually empty) leftover block."""
+    return _reduce(M)[0]
 
 
 class FGAbelianGroup(_Value):
@@ -450,25 +464,41 @@ class ChainComplex(_Value):
 
 def simplicial_boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
     """∂_k for K: sign (-1)^i on deleting the i-th vertex of a sorted
-    simplex.  k = 0 is the augmentation onto the empty simplex."""
+    simplex.  k = 0 is the augmentation onto the empty simplex.
+
+    Deleting a later vertex leaves a lexicographically smaller face, so
+    combinations(vs, k), which deletes the last vertex first, yields each
+    column's faces in increasing row order; its t-th face drops vertex
+    k - t.  The entries of all columns come in one stream, cut into
+    columns of k + 1."""
     lower = simplices(K, k - 1)
-    index = {s: i for i, s in enumerate(lower)}
-    columns = []
-    for vs in simplices(K, k):
-        columns.append(tuple(sorted(
-            (index[vs[:i] + vs[i + 1:]], -1 if i % 2 else 1)
-            for i in range(len(vs)))))
-    return SparseMatrix(len(lower), len(columns), tuple(columns))
+    index = dict(zip(lower, range(len(lower))))
+    signs = [-1 if (k - t) % 2 else 1 for t in range(k + 1)]
+    faces = chain.from_iterable(map(combinations, simplices(K, k), repeat(k)))
+    entries = zip(map(index.__getitem__, faces), cycle(signs))
+    columns = tuple(zip(*[entries] * (k + 1)))
+    return SparseMatrix(len(lower), len(columns), columns)
+
+
+def _trusted(boundary: dict[int, SparseMatrix],
+             basis: dict[int, tuple]) -> ChainComplex:
+    """The chain complex without the constructor's checks, for maps whose
+    shapes and ∂∘∂ = 0 hold by construction."""
+    C = object.__new__(ChainComplex)
+    object.__setattr__(C, "boundary", boundary)
+    object.__setattr__(C, "basis", basis)
+    return C
 
 
 def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex:
-    """Simplicial chain complex of K; augmented adds C_{-1} = Z⟨∅⟩."""
+    """Simplicial chain complex of K; augmented adds C_{-1} = Z⟨∅⟩.  The
+    sign rule makes every composite vanish, so it is not checked."""
     basis: dict[int, tuple] = {}
     boundary: dict[int, SparseMatrix] = {}
     if augmented:
         basis[-1] = (EMPTY_SIMPLEX,)
     if K.is_empty():
-        return ChainComplex(boundary, basis)
+        return _trusted(boundary, basis)
     for k in range(K.dim + 1):
         basis[k] = simplices(K, k)
     for k in range(1, K.dim + 1):
@@ -476,7 +506,7 @@ def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex
     n_0 = len(basis[0])
     boundary[0] = (simplicial_boundary_matrix(K, 0) if augmented
                    else SparseMatrix(0, n_0, ((),) * n_0))
-    return ChainComplex(boundary, basis)
+    return _trusted(boundary, basis)
 
 
 def homology(C: ChainComplex, k: int) -> FGAbelianGroup:
@@ -485,8 +515,20 @@ def homology(C: ChainComplex, k: int) -> FGAbelianGroup:
 
 
 def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Homology in every degree from the invariant factors of each map."""
-    factors = {k: invariant_factors(mat) for k, mat in C.boundary.items()}
+    """Homology in every degree from the invariant factors of each map.
+
+    The maps are reduced from the top degree down, and ∂_k skips the
+    columns of the unit pivot rows of ∂_{k+1} (clearing, the twist of
+    Chen & Kerber).  This is exact over Z: the lowest-row-first pivots
+    of ∂_{k+1}·V are boundaries, each with ±1 in its own pivot row and
+    zeros below, so replacing those basis vectors of C_k by them is a
+    unimodular change of basis, and ∂_k is zero on each.
+    """
+    factors: dict[int, list[int]] = {}
+    cleared: set[int] = set()
+    for k in sorted(C.boundary, reverse=True):
+        factors[k], cleared = _reduce(C.boundary[k],
+                                      cleared if k + 1 in factors else ())
     out: dict[int, FGAbelianGroup] = {}
     for k in C.degrees():
         up = factors.get(k + 1, [])

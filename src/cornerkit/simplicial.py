@@ -394,8 +394,8 @@ def link(K: SimplicialComplex,
     residues = [tuple(v for v in K.facets[i] if v not in s)
                 for i in containing]
     old_ids = sorted(set().union(*residues))
-    renum = {old: new for new, old in enumerate(old_ids)}
-    facets = [tuple(renum[v] for v in r) for r in residues]
+    renum = dict(zip(old_ids, range(len(old_ids)))).__getitem__
+    facets = [tuple(map(renum, r)) for r in residues]
     return _complex(len(old_ids), facets), tuple(old_ids)
 
 

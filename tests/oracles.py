@@ -374,6 +374,50 @@ def dense_snf(A: IntegerMatrix) -> SNFResult:
         IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
+def boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
+    """∂_k of K with each column sorted by row: sign (-1)^i on deleting
+    the i-th vertex, looked up in an index of the (k-1)-faces."""
+    lower = simplices(K, k - 1)
+    index = {s: i for i, s in enumerate(lower)}
+    columns = tuple(tuple(sorted((index[vs[:i] + vs[i + 1:]],
+                                  -1 if i % 2 else 1)
+                                 for i in range(len(vs))))
+                    for vs in simplices(K, k))
+    return SparseMatrix(len(lower), len(columns), columns)
+
+
+def chain_complex(K: SimplicialComplex, augmented: bool = False):
+    """The simplicial chain complex of K through the validating
+    ChainComplex constructor, which checks the shapes and ∂∘∂ = 0."""
+    basis, boundary = {}, {}
+    if augmented:
+        basis[-1] = ((),)
+    if K.is_empty():
+        return ChainComplex(boundary, basis)
+    for k in range(K.dim + 1):
+        basis[k] = simplices(K, k)
+    for k in range(1, K.dim + 1):
+        boundary[k] = boundary_matrix(K, k)
+    n_0 = len(basis[0])
+    boundary[0] = (boundary_matrix(K, 0) if augmented
+                   else SparseMatrix(0, n_0, ((),) * n_0))
+    return ChainComplex(boundary, basis)
+
+
+def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
+    """Homology in every degree, each map's invariant factors from its own
+    dense_snf, with no column cleared."""
+    factors = {k: [d for d in dense_snf(to_dense(M)).diagonal() if d]
+               for k, M in C.boundary.items()}
+    out = {}
+    for k in C.degrees():
+        up = factors.get(k + 1, [])
+        free = len(C.basis[k]) - len(factors.get(k, ())) - len(up)
+        out[k] = FGAbelianGroup.from_invariants([d for d in up if d > 1],
+                                                free)
+    return out
+
+
 def to_dense(S: SparseMatrix) -> IntegerMatrix:
     grid = [[0] * S.cols for _ in range(S.rows)]
     for j, col in enumerate(S.columns):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -564,12 +565,17 @@ REPORT_CASES = {
     "error-construct-arity": (("construct", "join", "b3.json"), 2),
     "error-construct-positional": (("construct", "cone", "b3.json"), 2),
     "error-not-an-integer": (("construct", "boundary-simplex", "x"), 2),
+    # 2**63 and up fail before anything is allocated; an n just below
+    # would try to enumerate its faces
+    "error-too-large": (("construct", "boundary-simplex",
+                         "99999999999999999999"), 2),
 }
 
 # sha256 of json.dumps([exit code, stdout, stderr]) with --format json and
 # with --format text, recorded from the CLI before its handlers shared one
 # report writer (check-phm-fail-repeated: before the link loop decided
-# each link shape once)
+# each link shape once; error-too-large: once it exited 2, where it had
+# ended in a traceback)
 REPORT_DIGESTS = {
     "acyclicity-fail": [
         "9250c8890b75022a4d79efd67a0313cef05a7910a80ca9dde76ef5eb95576d6f",
@@ -676,6 +682,9 @@ REPORT_DIGESTS = {
     "error-solve-degree-0": [
         "4ffc89c0080d67ed095f66bdfc4f5ca033b890673f4abaf250393f966ef9e22a",
         "4ffc89c0080d67ed095f66bdfc4f5ca033b890673f4abaf250393f966ef9e22a"],
+    "error-too-large": [
+        "9065c628d8d684e97837079f04935714dbc737fdb93421dfa32700ccc84afa65",
+        "9065c628d8d684e97837079f04935714dbc737fdb93421dfa32700ccc84afa65"],
     "error-unlabeled": [
         "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a",
         "159f94f6c3cec314e4dddf4618b4bb356b9dccaa63ec6d109a29b70ee493a48a"],
@@ -804,6 +813,30 @@ def test_parser_output_is_pinned(capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, *PARSER_CASES[case])
     assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() \
         == PARSER_DIGESTS[case]
+
+
+@pytest.mark.parametrize("argv,built", [
+    *[(argv, 1) for argv, _ in REPORT_CASES.values()],
+    (("-h",), len(SUBCOMMANDS)), ((), len(SUBCOMMANDS)),
+    (("frobnicate",), len(SUBCOMMANDS)),
+    # the subcommand's own parse, then every subparser for the error
+    (PARSER_CASES["unrecognized-argument"], 1 + len(SUBCOMMANDS)),
+])
+def test_a_job_builds_only_its_own_subparser(capsys, tmp_path, monkeypatch,
+                                             argv, built):
+    monkeypatch.setenv("CORNERKIT_DATA", str(report_inputs(tmp_path)))
+    monkeypatch.chdir(tmp_path)
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    run_cli(capsys, *argv)
+    assert len(names) == built
+    if built == 1:
+        assert names == [argv[0]]
 
 
 # --- loader fuzzing ---------------------------------------------------------
@@ -1022,3 +1055,28 @@ def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check-ghs", "-i", str(DATA / "rp2_6.json"),
                          "-n", "3")
     assert code == 1 and calls == [3]
+
+
+# Simplicial chain complexes are valid by construction and skip the
+# public constructor's checks; dual complexes go through them.
+@pytest.mark.parametrize("case,checks", [
+    ("check-phm-pass", False), ("check-phm-fail", False),
+    ("check-ghs-fail", False), ("homology", False),
+    ("homology-degree", False), ("acyclicity-pass", True),
+    ("acyclicity-fail", True)])
+def test_simplicial_jobs_skip_the_chain_complex_checks(capsys, tmp_path,
+                                                       monkeypatch, case,
+                                                       checks):
+    from cornerkit.homology import ChainComplex
+    monkeypatch.setenv("CORNERKIT_DATA", str(report_inputs(tmp_path)))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    check = ChainComplex.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        return check(self)
+    monkeypatch.setattr(ChainComplex, "__post_init__", spy)
+    argv, exit_code = REPORT_CASES[case]
+    assert run_cli(capsys, *argv)[0] == exit_code
+    assert bool(calls) == checks

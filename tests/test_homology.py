@@ -1,3 +1,4 @@
+import json
 import random
 import types
 
@@ -11,9 +12,12 @@ from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
                                 reduced_homology, reduced_homology_all, snf,
                                 snf_diagonal, solve_integer,
                                 unimodular_inverse)
+from cornerkit.dualcells import dual_complex
+from cornerkit.jsonio import complex_from_obj
 from cornerkit.simplicial import (barycentric, boundary_simplex, build_complex,
-                                  f_vector, point_complex)
-from conftest import SNF_CALLERS, random_complex
+                                  f_vector, point_complex, suspension)
+from conftest import DATA, SNF_CALLERS, random_complex
+import oracles
 from oracles import (coset_count, dense_snf, determinant, matmul, matvec,
                      per_coordinate_solve, rational_reduced_betti,
                      smith_inverse, to_dense, verify_snf)
@@ -111,6 +115,87 @@ def test_chain_complex_rejects_nonzero_composite():
     one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
     with pytest.raises(ValueError, match="∂∘∂ != 0"):
         ChainComplex({1: one, 2: one}, {0: ("a",), 1: ("b",), 2: ("c",)})
+
+
+def test_public_constructor_messages_are_pinned():
+    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
+    row = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, -1]]))
+    with pytest.raises(ValueError) as shape:
+        ChainComplex({1: row}, {0: ("a",), 1: ("b",)})
+    assert str(shape.value) == \
+        "boundary map degree 1 has shape 1x2, expected 1x1"
+    with pytest.raises(ValueError) as composite:
+        ChainComplex({1: one, 2: one}, {0: ("a",), 1: ("b",), 2: ("c",)})
+    assert str(composite.value) == "∂∘∂ != 0 between degrees 2 and 0"
+
+
+RP2_6 = complex_from_obj(json.loads((DATA / "rp2_6.json").read_text()))
+
+
+@st.composite
+def small_complexes(draw):
+    """Random complexes, and rp2_6 with up to three facets of up to three
+    vertices added, each suspended up to twice: torsion Z/2 in degrees 1
+    to 3 when the added facets leave it."""
+    if draw(st.booleans()):
+        K = random_complex(random.Random(draw(st.integers(0, 2**32 - 1))),
+                           draw(st.integers(1, 7)))
+    else:
+        extra = draw(st.lists(st.lists(st.integers(0, 6), min_size=1,
+                                       max_size=3, unique=True),
+                              max_size=3))
+        K = build_complex([*RP2_6.facets, *extra])
+    for _ in range(draw(st.integers(0, 2))):
+        K = suspension(K)
+    return K
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(), st.booleans())
+def test_trusted_chain_complex_equals_the_validated_one(K, augmented):
+    C = chain_complex(K, augmented)
+    for k in C.boundary:
+        if k - 1 in C.boundary:
+            assert C.boundary[k - 1].mul(C.boundary[k]).is_zero()
+    assert C == oracles.chain_complex(K, augmented)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(), st.booleans())
+def test_clearing_gives_the_groups_of_every_map_on_its_own(K, augmented):
+    C = chain_complex(K, augmented)
+    assert homology_all(C) == oracles.homology_all(C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes(), st.integers(1, 2), st.booleans())
+def test_clearing_on_dual_complexes(N, extra, include_top):
+    C = dual_complex(N, N.dim + extra, include_top).chain_complex()
+    assert homology_all(C) == oracles.homology_all(C)
+
+
+def test_clearing_keeps_torsion():
+    # the torsion of the property tests above, pinned
+    hom = homology_all(chain_complex(suspension(suspension(RP2_6)), True))
+    assert hom[3] == FGAbelianGroup(0, (2,))
+    assert hom == oracles.homology_all(
+        oracles.chain_complex(suspension(suspension(RP2_6)), True))
+
+
+def test_only_the_public_constructor_checks(monkeypatch):
+    calls = []
+    check = ChainComplex.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        return check(self)
+    monkeypatch.setattr(ChainComplex, "__post_init__", spy)
+    chain_complex(RP2_6, augmented=True)
+    reduced_homology_all(suspension(RP2_6))
+    assert calls == []
+    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
+    ChainComplex({1: one}, {0: ("a",), 1: ("b",)})
+    assert len(calls) == 1
 
 
 @st.composite
