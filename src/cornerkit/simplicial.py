@@ -328,11 +328,13 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-faces of K in lexicographic order; k = -1 gives ((),).
 
     A face of top dimension is a facet, so k = K.dim gives those facets,
-    which K holds sorted already."""
+    which K holds sorted already; every id in range is a vertex."""
     if k < -1:
         raise ValueError(f"dimension must be >= -1, got {k}")
     if k == -1:
         return (EMPTY_SIMPLEX,)
+    if k == 0:
+        return tuple((v,) for v in range(K.num_vertices))
     if k == K.dim:
         return tuple(f for f in K.facets if len(f) == k + 1)
     found: set[tuple[int, ...]] = set()

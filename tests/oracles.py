@@ -12,6 +12,12 @@ types.  The one reference that needs a Smith form, per_coordinate_solve,
 takes it as an argument: it pins which solution a solve returns, not
 whether one exists, and the tests pass it dense_snf.
 
+chain_complex is the simplicial chain complex as it was built before the
+library trusted it: each boundary column sorted by row, the result
+through the validating ChainComplex constructor.  homology_all takes
+each map's invariant factors from its own dense_snf and clears no
+column: the reference for the library's reduction with clearing.
+
 The dense matrix helpers live here too, since only tests need them:
 the products matmul and matvec, to_dense, the Bareiss determinant, the
 Smith-form postcondition verify_snf (U·A·V = D, |det U| = |det V| = 1,
