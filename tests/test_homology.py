@@ -174,6 +174,17 @@ def test_clearing_on_dual_complexes(N, extra, include_top):
     assert homology_all(C) == oracles.homology_all(C)
 
 
+def test_only_unit_pivots_clear():
+    # ∂_2 = (2, 1)^T starts with a non-unit, so row 0 is no pivot; were
+    # column 0 of ∂_1 = (1, -2) skipped, H_0 would read Z/2
+    C = ChainComplex(
+        {1: SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, -2]])),
+         2: SparseMatrix.from_dense(IntegerMatrix.from_rows([[2], [1]]))},
+        {0: ("p",), 1: ("a", "b"), 2: ("t",)})
+    assert homology_all(C) == oracles.homology_all(C) == {
+        0: TRIVIAL_GROUP, 1: TRIVIAL_GROUP, 2: TRIVIAL_GROUP}
+
+
 def test_clearing_keeps_torsion():
     # the torsion of the property tests above, pinned
     hom = homology_all(chain_complex(suspension(suspension(RP2_6)), True))
