@@ -540,7 +540,8 @@ def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
     for k in C.degrees():
         up = factors.get(k + 1, [])
         free = len(C.basis[k]) - len(factors.get(k, ())) - len(up)
-        out[k] = FGAbelianGroup.from_invariants([d for d in up if d > 1], free)
+        # the factors are a divisor chain already, as the constructor checks
+        out[k] = FGAbelianGroup(free, tuple(d for d in up if d > 1))
     return out
 
 

@@ -393,11 +393,10 @@ def link(K: SimplicialComplex,
     containing = _containing_facets(K, s)
     if not containing:
         raise ValueError(f"{s!r} is not a simplex of the complex")
-    residues = [tuple(v for v in K.facets[i] if v not in s)
-                for i in containing]
-    old_ids = sorted(set().union(*residues))
-    renum = dict(zip(old_ids, range(len(old_ids)))).__getitem__
-    facets = [tuple(map(renum, r)) for r in residues]
+    star = [K.facets[i] for i in containing]
+    old_ids = sorted(set().union(*star).difference(s))
+    renum = dict(zip(old_ids, range(len(old_ids))))
+    facets = [tuple([renum[v] for v in f if v in renum]) for f in star]
     return _complex(len(old_ids), facets), tuple(old_ids)
 
 
