@@ -73,8 +73,10 @@ class FinitenessVerdict(_Value):
     def __init__(self, finite: bool,
                  components: tuple[tuple[tuple[int, ...], str], ...],
                  order: int | None):
-        assert finite == all(tag != "infinite" for _, tag in components)
-        assert (order is not None) == finite
+        if finite != all(tag != "infinite" for _, tag in components):
+            raise AssertionError
+        if (order is not None) != finite:
+            raise AssertionError
         object.__setattr__(self, "finite", finite)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "order", order)

@@ -9,6 +9,10 @@ in sorted τ — the simplicial coboundary convention.  Orientations have to
 be chosen somehow and any consistent choice gives an isomorphic complex;
 this one is deterministic.
 
+So δ into grade d is the nerve's boundary map ∂_{n-d} as built, and the
+dual complex's homology is the nerve's cohomology (the dual block
+complex, Munkres, Elements of Algebraic Topology, §64).
+
 Cochains take values in a caller-supplied finitely generated abelian
 group, one coordinate per summand.  Solving δd = c is one solve over
 that group on the sparse rows of δ: a single replay of the Smith
@@ -20,7 +24,7 @@ positive degree is solvable.
 
 from __future__ import annotations
 
-from .homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
+from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP, _trusted,
                        homology_all, simplicial_boundary_matrix,
                        solve_integer, Z)
 from .simplicial import SimplicialComplex, _Value, simplices
@@ -40,8 +44,10 @@ class DualComplex:
 
     faces[d] is simplices(N, n - d - 1): the nerve faces of size n - d,
     which name the d-dimensional dual faces, in lexicographic order; with
-    include_top, faces[n] is ((),), the top cell.  boundary[d] maps grade
-    d to grade d-1.
+    include_top, faces[n] is ((),), the top cell.  delta[d] is the
+    coboundary from grade d-1 to grade d, rows faces[d] and columns
+    faces[d-1]: the nerve's augmented boundary map ∂_{n-d}, whose
+    transpose is the dual complex's boundary map from grade d.
     """
 
     def __init__(self, N: SimplicialComplex, n: int, include_top: bool = True):
@@ -55,9 +61,9 @@ class DualComplex:
         self.faces: dict[int, tuple[tuple[int, ...], ...]] = {
             d: simplices(N, n - d - 1) for d in range(top + 1)}
         # [D_τ : D_σ] for τ = σ ∪ {v} is the simplicial sign of deleting v
-        # from τ, so ∂_d is the transposed augmented ∂_{n-d} of the nerve
-        self.boundary: dict[int, SparseMatrix] = {
-            d: simplicial_boundary_matrix(N, n - d).transpose()
+        # from τ, the entry of ∂_{n-d} at (σ, τ)
+        self.delta: dict[int, SparseMatrix] = {
+            d: simplicial_boundary_matrix(N, n - d)
             for d in range(1, top + 1)}
 
     @property
@@ -70,11 +76,8 @@ class DualComplex:
         if len(G) != len(F) + 1:
             return 0
         d = self.n - len(F)
-        return self.boundary[d][self.faces[d - 1].index(G),
-                                self.faces[d].index(F)]
-
-    def chain_complex(self) -> ChainComplex:
-        return ChainComplex(dict(self.boundary), dict(self.faces))
+        return self.delta[d][self.faces[d].index(F),
+                             self.faces[d - 1].index(G)]
 
 
 def dual_complex(N: SimplicialComplex, n: int,
@@ -142,12 +145,15 @@ def coboundary(D: DualComplex, d: Cochain) -> Cochain:
     k = d.degree + 1
     if k not in D.faces:
         raise ValueError(f"coboundary degree {k} out of range 0..{D.top_dim}")
-    values = [coords for _, coords in d.values]
-    n = d.group.num_coords
-    # rows of D.boundary[k]: grade k-1 faces, columns: grade k faces
-    return Cochain.build(D, k, d.group, {
-        F: [sum(coeff * values[i][c] for i, coeff in col) for c in range(n)]
-        for F, col in zip(D.faces[k], D.boundary[k].columns)})
+    # one running sum per coordinate; column j of δ holds the grade-k
+    # faces above the j-th grade k-1 face, so d's value there adds to each
+    out = [[0] * len(D.faces[k]) for _ in range(d.group.num_coords)]
+    for col, (_, coords) in zip(D.delta[k].columns, d.values):
+        for acc, x in zip(out, coords):
+            if x:
+                for i, coeff in col:
+                    acc[i] += coeff * x
+    return Cochain.build(D, k, d.group, dict(zip(D.faces[k], zip(*out))))
 
 
 def is_cocycle(D: DualComplex,
@@ -184,21 +190,30 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
     group = c.group
     # δ: rows k-faces, cols (k-1)-faces; the solve replays the Smith
     # reduction's pivot order on its sparse rows, which fixes the preimage
-    delta = D.boundary[c.degree].transpose()
-    x = solve_integer(delta, [coords for _, coords in c.values], group)
+    x = solve_integer(D.delta[c.degree], [coords for _, coords in c.values],
+                      group)
     if x is None:
         return None
     d = Cochain.build(D, c.degree - 1, group, {
         G: e for G, e in zip(D.faces[c.degree - 1], x)})
     check = coboundary(D, d)
-    assert all(group.reduce(a[1]) == group.reduce(b[1])
-               for a, b in zip(check.values, c.values)), "solver postcondition"
+    if not all(group.reduce(a[1]) == group.reduce(b[1])
+               for a, b in zip(check.values, c.values)):
+        raise AssertionError("solver postcondition")
     return d
 
 
 def acyclicity_report(D: DualComplex) -> dict[int, FGAbelianGroup]:
-    """Homology of the dual chain complex in every grade."""
-    return homology_all(D.chain_complex())
+    """Homology H_d of the dual chain complex in every grade d: by universal
+    coefficients, the free part of the nerve's H_{n-d-1} plus the torsion
+    of its H_{n-d-2}, from one clearing reduction of the nerve's chain
+    complex (augmented with the top cell), which is valid by construction."""
+    n = D.n
+    H = homology_all(_trusted({n - d: M for d, M in D.delta.items()},
+                              {n - d - 1: fs for d, fs in D.faces.items()}))
+    return {d: FGAbelianGroup(H[n - d - 1].free_rank,
+                              H.get(n - d - 2, TRIVIAL_GROUP).torsion)
+            for d in D.faces}
 
 
 def is_resolution_ready(report: dict[int, FGAbelianGroup]) -> bool:

@@ -112,8 +112,8 @@ def find_isomorphism(A, B) -> VertexMapping | None:
     # adjacency-compatible bijections can still scramble facets, so the
     # facet check runs at every completed leaf, not just the first
     result = _search(KA, KB, invA, by_inv, adjA, adjB, order)
-    if result is not None:
-        assert verify_isomorphism(A, B, result)
+    if result is not None and not verify_isomorphism(A, B, result):
+        raise AssertionError
     return result
 
 

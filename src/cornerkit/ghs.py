@@ -41,7 +41,8 @@ class GhsReport(_Value):
 
     def __init__(self, verdict: bool, dimension: int,
                  failures: tuple[GhsFailure, ...], links_checked: int):
-        assert verdict == (not failures)
+        if verdict != (not failures):
+            raise AssertionError
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "failures", failures)

@@ -17,7 +17,8 @@ reduction of the (usually empty) leftover block.  Homology reduces the
 maps from the top degree down with clearing: each degree skips the
 columns that the unit pivots of the degree above turned into
 boundaries.  Simplicial chain complexes are valid by construction and
-skip the checks of the public ChainComplex constructor.
+skip the checks of the public ChainComplex constructor; a dual-cell
+complex is read through its nerve's, so no job runs those checks.
 
 Every Smith reduction here is one replay on sparse rows that carries a
 right-hand side through the row operations and logs the column
@@ -96,13 +97,6 @@ class SparseMatrix(_Value):
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return next((x for r, x in self.columns[j] if r == i), 0)
-
-    def transpose(self) -> "SparseMatrix":
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, x in col:
-                out[i].append((j, x))
-        return SparseMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:

@@ -174,7 +174,8 @@ def complete_lifts(p: CharacteristicPair) -> IntegerMatrix | None:
     u_inv = unimodular_inverse(res.U)
     rows = [p.row(i) + tuple(u_inv.entries[i][n:]) for i in range(m)]
     lifts = IntegerMatrix.from_rows(rows)
-    assert h1_total_space(p, lifts).is_trivial()
+    if not h1_total_space(p, lifts).is_trivial():
+        raise AssertionError
     return lifts
 
 

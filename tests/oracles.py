@@ -17,6 +17,10 @@ library trusted it: each boundary column sorted by row, the result
 through the validating ChainComplex constructor.  homology_all takes
 each map's invariant factors from its own dense_snf and clears no
 column: the reference for the library's reduction with clearing.
+acyclicity_report is the dual-cell complex's homology as it was computed
+before the library read it as its nerve's cohomology: each coboundary
+transposed into a boundary map, the result through the validating
+constructor and into homology_all.
 
 The dense matrix helpers live here too, since only tests need them:
 the products matmul and matvec, to_dense, the Bareiss determinant, the
@@ -361,10 +365,11 @@ def dense_snf(A: IntegerMatrix) -> SNFResult:
                         clean = False
             if not clean:
                 continue
-            # force the pivot to divide every remaining entry
-            offender = next((i for i in range(t + 1, rows)
-                             if any(a[i][jj] % pivot
-                                    for jj in range(t + 1, cols))), None)
+            # force the pivot to divide every remaining entry; a unit
+            # always does
+            offender = None if pivot in (1, -1) else next(
+                (i for i in range(t + 1, rows)
+                 if any(a[i][jj] % pivot for jj in range(t + 1, cols))), None)
             if offender is None:
                 break
             a[t] = [y + z for y, z in zip(at, a[offender])]
@@ -422,6 +427,15 @@ def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
         out[k] = FGAbelianGroup.from_invariants([d for d in up if d > 1],
                                                 free)
     return out
+
+
+def acyclicity_report(D) -> dict[int, FGAbelianGroup]:
+    """Homology of the dual-cell complex D in every grade, from its own
+    boundary maps, the transposes of D.delta, checked and reduced one by
+    one."""
+    boundary = {d: SparseMatrix.from_dense(to_dense(M).transpose())
+                for d, M in D.delta.items()}
+    return homology_all(ChainComplex(boundary, dict(D.faces)))
 
 
 def to_dense(S: SparseMatrix) -> IntegerMatrix:

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +49,7 @@ def test_boundary_composite_vanishes():
                  (THREE_CYCLE, 2)]:
         D = dual_complex(N, n)
         for d in range(2, D.top_dim + 1):
-            assert D.boundary[d - 1].mul(D.boundary[d]).is_zero()
+            assert D.delta[d].mul(D.delta[d - 1]).is_zero()
 
 
 def test_incidence_is_the_sign_of_the_added_vertex(poincare16, rp2_6):
@@ -63,7 +67,9 @@ def test_incidence_is_the_sign_of_the_added_vertex(poincare16, rp2_6):
                     tau = tuple(sorted(sigma + (v,)))
                     if v not in sigma and tau in lower:
                         expected[lower[tau]] = (-1) ** tau.index(v)
-                assert dict(D.boundary[d].columns[j]) == expected
+                # row j of δ into grade d: the faces of grade d-1 below F
+                assert {i: x for i, col in enumerate(D.delta[d].columns)
+                        for r, x in col if r == j} == expected
 
 
 def test_dimension_guard():
@@ -121,12 +127,12 @@ def test_coboundary_is_the_dense_incidence_product(rp2_6, data):
                            min_size=len(faces), max_size=len(faces)))
     d = Cochain.build(D, k - 1, group,
                       dict(zip(faces, x)))
-    dense = to_dense(D.boundary[k])  # rows: grade k-1, columns: grade k
+    dense = to_dense(D.delta[k])  # rows: grade k, columns: grade k-1
     values = [coords for _, coords in d.values]
-    expected = [group.reduce([sum(dense.entries[i][j] * values[i][c]
-                                  for i in range(dense.rows))
+    expected = [group.reduce([sum(row[j] * values[j][c]
+                                  for j in range(dense.cols))
                               for c in range(2)])
-                for j in range(dense.cols)]
+                for row in dense.entries]
     assert [coords for _, coords in coboundary(D, d).values] == expected
 
 
@@ -238,6 +244,30 @@ def test_one_solve_checks_the_cocycle_once(monkeypatch):
         assert calls == [c]
 
 
+WRONG_PREIMAGE = """
+import sys
+from cornerkit import dualcells
+from cornerkit.dualcells import (coboundary, dual_complex, indicator_cochain,
+                                 solve_obstruction)
+from cornerkit.homology import Z
+from cornerkit.simplicial import boundary_simplex
+D = dual_complex(boundary_simplex(3), 3)
+c = coboundary(D, indicator_cochain(D, D.faces[1][0], (1,), Z))
+dualcells.solve_integer = lambda A, b, group: [group.zero()] * A.cols
+try:
+    solve_obstruction(D, c)
+except AssertionError as exc:
+    print(sys.flags.optimize, repr(exc))
+"""
+
+
+def test_solver_postcondition_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", WRONG_PREIMAGE],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "1 AssertionError('solver postcondition')\n"
+
+
 def test_solver_returns_none_on_non_acyclic_complex():
     two_cycles = build_complex([[0, 1], [1, 2], [0, 2],
                                 [3, 4], [4, 5], [3, 5]])
@@ -330,7 +360,7 @@ def test_sparse_solve_matches_the_reference_on_every_dual_grade(
     rng = random.Random(f"{nerve}:{n}:{include_top}")
     unsolvable = 0
     for k in range(1, D.top_dim + 1):
-        delta = D.boundary[k].transpose()
+        delta = D.delta[k]
         dense = to_dense(delta)
         x = [(rng.randrange(-3, 4), rng.randrange(6))
              for _ in range(delta.cols)]
