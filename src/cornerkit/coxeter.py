@@ -151,6 +151,20 @@ def _branch_type(arms: list[int], n: int) -> tuple[str, int] | None:
     return None
 
 
+def _walk(adj: dict[int, list[tuple[int, int]]], prev: int | None,
+          cur: int) -> list[int]:
+    """The edge labels of the walk that leaves prev through cur and ends
+    at a leaf; each vertex after cur has one way on, as on a path or an
+    arm."""
+    labels = []
+    while True:
+        nxt = [(w, m) for w, m in adj[cur] if w != prev]
+        if not nxt:
+            return labels
+        prev, cur = cur, nxt[0][0]
+        labels.append(nxt[0][1])
+
+
 def _classify_component(M: CoxeterMatrix, comp: list[int]) -> tuple[str, int | None]:
     """Finite-type tag and order for one connected diagram component
     (indices into M); returns ("infinite", None) outside the catalog."""
@@ -174,31 +188,14 @@ def _classify_component(M: CoxeterMatrix, comp: list[int]) -> tuple[str, int | N
     if degrees[0] >= 4 or (degrees[0] == 3 and degrees[1] == 3):
         return "infinite", None
     if degrees[0] <= 2:
-        ends = [v for v in comp if len(adj[v]) == 1]
-        prev, cur = None, ends[0]
-        labels = []
-        while True:
-            nxt = [(w, m) for w, m in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0][0]
-            labels.append(nxt[0][1])
-        result = _path_type(labels, n)
+        end = next(v for v in comp if len(adj[v]) == 1)
+        result = _path_type(_walk(adj, None, end), n)
         return result if result else ("infinite", None)
     # exactly one branch vertex; D/E types are simply laced
     if any(m != 3 for _, _, m in edges):
         return "infinite", None
     center = next(v for v in comp if len(adj[v]) == 3)
-    arms = []
-    for start, _ in adj[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [w for w, _ in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
+    arms = [1 + len(_walk(adj, center, start)) for start, _ in adj[center]]
     result = _branch_type(sorted(arms, reverse=True), n)
     return result if result else ("infinite", None)
 

@@ -56,15 +56,14 @@ class DualComplex:
         self.nerve = N
         self.n = n
         self.include_top = include_top
-        top = n if include_top else n - 1
         # label size n - d; simplices(N, -1) is the empty face alone
         self.faces: dict[int, tuple[tuple[int, ...], ...]] = {
-            d: simplices(N, n - d - 1) for d in range(top + 1)}
+            d: simplices(N, n - d - 1) for d in range(self.top_dim + 1)}
         # [D_τ : D_σ] for τ = σ ∪ {v} is the simplicial sign of deleting v
         # from τ, the entry of ∂_{n-d} at (σ, τ)
         self.delta: dict[int, SparseMatrix] = {
             d: simplicial_boundary_matrix(N, n - d)
-            for d in range(1, top + 1)}
+            for d in range(1, self.top_dim + 1)}
 
     @property
     def top_dim(self) -> int:

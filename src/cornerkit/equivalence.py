@@ -57,10 +57,7 @@ def invariant_fingerprint(A) -> tuple:
     """Isomorphism-invariant token; equality is necessary (never
     sufficient) for the existence of an isomorphism."""
     K, _, inv = _shared_vertex_data(A)
-    invs = sorted(inv)
-    return (f_vector(K),
-            tuple(i[0] for i in invs),
-            tuple(invs))
+    return f_vector(K), tuple(sorted(inv))
 
 
 def verify_isomorphism(A, B, mapping: VertexMapping) -> bool:
@@ -99,12 +96,9 @@ def find_isomorphism(A, B) -> VertexMapping | None:
         return None
     KA, adjA, invA = _shared_vertex_data(A)
     KB, adjB, invB = _shared_vertex_data(B)
-    n = KA.num_vertices
-    if n == 0:
-        return {} if complexes_match({}, KA, KB) else None
     # equal fingerprints: A and B have the same invariant classes and sizes
     by_inv: dict[tuple, list[int]] = {}
-    for v in range(n):
+    for v in range(KA.num_vertices):
         by_inv.setdefault(invB[v], []).append(v)
 
     order = _static_order(adjA, invA, by_inv)

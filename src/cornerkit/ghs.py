@@ -8,8 +8,10 @@ list of failing (simplex, degree, expected, actual) witnesses.
 
 Check order: purity first (a facet of the wrong dimension already
 falsifies everything below it), then global homology, then links by
-increasing simplex dimension.  Every check runs to the end, so a report
-lists every failing link.
+increasing simplex dimension.  All three ask one question, whether a link
+has the reduced homology of a sphere, and go through one comparison: a
+facet's link is {∅}, K is the link of the empty simplex.  Every check
+runs to the end, so a report lists every failing link.
 
 Each link shape is decided once per check.  `link` renumbers densely in
 increasing order, so links with equal facet tuples are equal complexes
@@ -49,50 +51,41 @@ class GhsReport(_Value):
         object.__setattr__(self, "links_checked", links_checked)
 
 
-def sphere_homology_defects(L: SimplicialComplex, d: int):
-    """Degrees where the reduced homology of L differs from that of S^d.
-
-    d = -1 means L must be the empty complex.  Returns a list of
-    (degree, expected, actual) triples; empty means L passes.
-    """
+def _compare(hom: dict[int, FGAbelianGroup], d: int):
+    """(degree, expected, actual) wherever hom, a reduced homology by
+    degree, differs from that of S^d (Z in degree d >= -1, else nothing).
+    Only d and the degrees in hom are compared, in increasing order, and
+    degree -1 only when d < 0: for d >= 0, {∅} lacks the Z in degree d."""
     defects = []
-    hom = reduced_homology_all(L)
-    if d == -1:
-        if not L.is_empty():
-            for k in range(0, L.dim + 1):
-                g = hom.get(k, TRIVIAL_GROUP)
-                if not g.is_trivial():
-                    defects.append((k, TRIVIAL_GROUP, g))
-            if not defects:
-                # right homology in degrees >= 0 but nonempty: the
-                # H̃_{-1} = Z requirement is what fails
-                defects.append((-1, Z, TRIVIAL_GROUP))
-        return defects
-    if L.is_empty():
-        defects.append((d, Z, TRIVIAL_GROUP))
-        return defects
-    for k in range(0, max(d, L.dim) + 1):
-        expected = Z if k == d else TRIVIAL_GROUP
+    for k in sorted({d, *hom}):
+        if k == -1 and d >= 0:
+            continue
+        expected = Z if k == d and d >= -1 else TRIVIAL_GROUP
         actual = hom.get(k, TRIVIAL_GROUP)
         if actual != expected:
             defects.append((k, expected, actual))
     return defects
 
 
+def sphere_homology_defects(L: SimplicialComplex, d: int):
+    """Degrees where the reduced homology of L differs from that of S^d,
+    as (degree, expected, actual) triples; empty means L passes.
+
+    S^-1 is {∅}, with H̃_{-1} = Z; below -1 nothing is asked for.  Only d
+    and the degrees -1..dim L are compared, degree -1 only when d < 0.
+    """
+    return _compare(reduced_homology_all(L), d)
+
+
 def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     """A witness for each facet f of dimension other than m.  The link of
     f is {∅}, with H̃_{-1} = Z and nothing else, where S^d for
-    d = m - dim f - 1 = m - len(f) is asked for: below m, Z is missing in
-    degree d >= 0; above m (d <= -2, where nothing is asked for) the Z in
-    degree -1 is extra."""
-    out = []
-    for f in K.facets:
-        d = m - len(f)
-        if d >= 0:
-            out.append(GhsFailure(f, d, Z, TRIVIAL_GROUP))
-        elif d < -1:
-            out.append(GhsFailure(f, -1, TRIVIAL_GROUP, Z))
-    return out
+    d = m - dim f - 1 = m - len(f) is asked for; facets of one size share
+    one comparison."""
+    sizes = {len(f) for f in K.facets}
+    by_size = {n: _compare({-1: Z}, m - n) for n in sizes}
+    return [GhsFailure(f, deg, exp, act)
+            for f in K.facets for deg, exp, act in by_size[len(f)]]
 
 
 def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
@@ -122,17 +115,29 @@ def _check_links(K: SimplicialComplex, m: int) -> tuple[list[GhsFailure], int]:
     return failures, checked
 
 
+def _report(K: SimplicialComplex, m: int, whole: bool) -> GhsReport:
+    """Purity; then, when whole, K itself against S^m (the link of the
+    empty simplex); then the links of its simplices."""
+    failures = _purity_failures(K, m)
+    checked = 0
+    if not failures:
+        if whole:
+            checked += 1
+            failures.extend(GhsFailure(EMPTY_SIMPLEX, deg, exp, act)
+                            for deg, exp, act in sphere_homology_defects(K, m))
+        link_failures, link_checked = _check_links(K, m)
+        failures.extend(link_failures)
+        checked += link_checked
+    return GhsReport(not failures, m, tuple(failures), checked)
+
+
 def is_polyhedral_homology_manifold(K: SimplicialComplex, m: int) -> GhsReport:
     """Check that every k-simplex link looks homologically like S^{m-k-1}."""
     if m < 0:
         raise ValueError("manifold dimension must be non-negative")
     if K.is_empty():
         raise ValueError("the empty complex is not a candidate manifold")
-    failures = _purity_failures(K, m)
-    checked = 0
-    if not failures:
-        failures, checked = _check_links(K, m)
-    return GhsReport(not failures, m, tuple(failures), checked)
+    return _report(K, m, whole=False)
 
 
 def is_ghs(K: SimplicialComplex, n: int) -> GhsReport:
@@ -145,14 +150,4 @@ def is_ghs(K: SimplicialComplex, n: int) -> GhsReport:
         raise ValueError("resolution dimension must be >= 1")
     if K.is_empty():
         raise ValueError("the empty complex is not a candidate sphere")
-    m = n - 1
-    failures = _purity_failures(K, m)
-    checked = 0
-    if not failures:
-        checked += 1
-        failures.extend(GhsFailure(EMPTY_SIMPLEX, deg, exp, act)
-                        for deg, exp, act in sphere_homology_defects(K, m))
-        link_failures, link_checked = _check_links(K, m)
-        failures.extend(link_failures)
-        checked += link_checked
-    return GhsReport(not failures, m, tuple(failures), checked)
+    return _report(K, n - 1, whole=True)

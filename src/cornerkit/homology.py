@@ -553,7 +553,7 @@ def cokernel(A: IntegerMatrix) -> FGAbelianGroup:
     """Z^rows modulo the span of A's columns."""
     d = snf_diagonal(A)
     r = sum(1 for x in d if x)
-    return FGAbelianGroup.from_invariants([x for x in d if x > 1], A.rows - r)
+    return FGAbelianGroup(A.rows - r, tuple(x for x in d if x > 1))
 
 
 def _divide(d: int, c: int, q: int) -> int | None:
@@ -568,7 +568,7 @@ def _divide(d: int, c: int, q: int) -> int | None:
     if c % g:
         return None
     qq = q // g
-    return (c // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
+    return (c // g) * pow(d // g, -1, qq) % qq
 
 
 def solve_integer(A: SparseMatrix, b,

@@ -64,7 +64,7 @@ class Fan(_Value):
         for i, r in enumerate(rays):
             if len(r) != dim:
                 raise ValueError("rays of mixed dimension")
-            g = math.gcd(*r) if any(r) else 0
+            g = math.gcd(*r)
             if g == 0:
                 raise ValueError(f"ray {i} is zero")
             if g != 1:

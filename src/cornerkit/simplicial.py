@@ -444,8 +444,6 @@ def barycentric(K: SimplicialComplex) -> SimplicialComplex:
     facets are distinct and none contains another.  The result is always a
     flag complex.
     """
-    if K.is_empty():
-        return K
     faces = all_simplices(K)
     index = {f: i for i, f in enumerate(faces)}
     facets = []

@@ -36,8 +36,14 @@ vertex in a quadratic min-based order: the slow forms that the library's
 pattern memo and neighbour-only search must reproduce exactly.  In the
 same way scan_link finds a link's facets by scanning every facet and
 builds it through the validating constructor, and per_link_check decides
-every link on its own with the library's sphere_homology_defects: the
-references for the star-index link and the per-shape link memo.
+every link on its own with sphere_homology_defects: the references for
+the star-index link and the per-shape link memo.
+
+sphere_homology_defects and purity_failures are the ghs comparisons as
+they were written before the library sent every check through one
+comparison: a branch for d = -1, one for an empty link, a loop over the
+degrees 0..max(d, dim L), and a witness table for purity.  The homology
+they compare is homology_all of the augmented chain_complex above.
 
 per_label_check is the label-by-label validation that LabeledComplex
 runs only when its one-pass comparison with the edges fails; the error
@@ -59,9 +65,9 @@ from fractions import Fraction
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
                                FinitenessVerdict, coxeter_matrix, is_finite)
 from cornerkit.dualcells import Cochain
-from cornerkit.ghs import GhsFailure, GhsReport, sphere_homology_defects
+from cornerkit.ghs import GhsFailure, GhsReport
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                                SNFResult, SparseMatrix)
+                                SNFResult, SparseMatrix, TRIVIAL_GROUP, Z)
 from cornerkit.quasitoric import CharacteristicPair, Fan
 from cornerkit.simplicial import (LabeledComplex, SimplicialComplex, simplex,
                                   simplices)
@@ -696,6 +702,44 @@ def scan_link(K, s):
     renum = {old: new for new, old in enumerate(old_ids)}
     facets = tuple(simplex(renum[v] for v in r) for r in residues)
     return SimplicialComplex(len(old_ids), facets), tuple(old_ids)
+
+
+def sphere_homology_defects(L, d):
+    """(degree, expected, actual) wherever the reduced homology of L
+    differs from that of S^d; d = -1 means L must be the empty complex."""
+    defects = []
+    hom = homology_all(chain_complex(L, augmented=True))
+    if d == -1:
+        if not L.is_empty():
+            for k in range(0, L.dim + 1):
+                g = hom.get(k, TRIVIAL_GROUP)
+                if not g.is_trivial():
+                    defects.append((k, TRIVIAL_GROUP, g))
+            if not defects:
+                defects.append((-1, Z, TRIVIAL_GROUP))
+        return defects
+    if L.is_empty():
+        defects.append((d, Z, TRIVIAL_GROUP))
+        return defects
+    for k in range(0, max(d, L.dim) + 1):
+        expected = Z if k == d else TRIVIAL_GROUP
+        actual = hom.get(k, TRIVIAL_GROUP)
+        if actual != expected:
+            defects.append((k, expected, actual))
+    return defects
+
+
+def purity_failures(K, m):
+    """A witness for each facet f of dimension other than m: Z missing in
+    degree m - len(f) >= 0 below m, an extra Z in degree -1 above it."""
+    out = []
+    for f in K.facets:
+        d = m - len(f)
+        if d >= 0:
+            out.append(GhsFailure(f, d, Z, TRIVIAL_GROUP))
+        elif d < -1:
+            out.append(GhsFailure(f, -1, TRIVIAL_GROUP, Z))
+    return out
 
 
 def per_link_check(K, m):

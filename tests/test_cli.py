@@ -502,6 +502,9 @@ REPORT_INPUTS = {
     "singular-fan.json": {"rays": [[1, 0], [1, 2], [-1, -1]],
                           "cones": [[0, 1], [1, 2], [0, 2]]},
     "malformed.json": '{"num_vertices": 3, "facets": [[0,1],',
+    # {∅}, the complex with no vertices
+    "empty.json": {"facets": [[]]},
+    "empty-labeled.json": {"facets": [[]], "labels": []},
 }
 
 # name: (argv without --format, exit code)
@@ -572,11 +575,27 @@ REPORT_CASES = {
                          "99999999999999999999"), 2),
 }
 
+# {∅} through the general paths: the search's one leaf, and the
+# subdivision's loop over its one (empty) facet.  Kept apart from
+# REPORT_CASES, whose order numbers the parameters of
+# test_a_job_builds_only_its_own_subparser.
+EMPTY_CASES = {
+    "equiv-empty": (("equiv", "empty.json", "empty.json"), 0),
+    "equiv-empty-labeled": (("equiv", "empty-labeled.json",
+                             "empty-labeled.json"), 0),
+    "construct-barycentric-empty": (("construct", "barycentric", "-i",
+                                     "empty.json"), 0),
+    "construct-barycentric-all-2-empty": (("construct", "barycentric-all-2",
+                                           "-i", "empty.json"), 0),
+}
+PINNED_CASES = {**REPORT_CASES, **EMPTY_CASES}
+
 # sha256 of json.dumps([exit code, stdout, stderr]) with --format json and
 # with --format text, recorded from the CLI before its handlers shared one
 # report writer (check-phm-fail-repeated: before the link loop decided
 # each link shape once; error-too-large: once it exited 2, where it had
-# ended in a traceback)
+# ended in a traceback; the four cases on empty.json: while find_isomorphism
+# and barycentric had a branch of their own for the empty complex)
 REPORT_DIGESTS = {
     "acyclicity-fail": [
         "9250c8890b75022a4d79efd67a0313cef05a7910a80ca9dde76ef5eb95576d6f",
@@ -629,6 +648,12 @@ REPORT_DIGESTS = {
     "construct-barycentric-all-2": [
         "e6094163ad6698aa22f8c25b54143d22f1a3231a67eb51ac77fd628e12b29a64",
         "e6094163ad6698aa22f8c25b54143d22f1a3231a67eb51ac77fd628e12b29a64"],
+    "construct-barycentric-all-2-empty": [
+        "57585c6d4834a8e9ffed3ffcc4cd4fb071f29de28145c987b795aaf4c8268f00",
+        "57585c6d4834a8e9ffed3ffcc4cd4fb071f29de28145c987b795aaf4c8268f00"],
+    "construct-barycentric-empty": [
+        "d38272e67d021fb1638f6d9a02e3c67c99eeabcff834ef221b4993f37402e4fa",
+        "d38272e67d021fb1638f6d9a02e3c67c99eeabcff834ef221b4993f37402e4fa"],
     "construct-boundary-simplex": [
         "dc6ffd4bd8021fd87e74fb18558c6a465040f18685e46d03c1f18f42d260d682",
         "dc6ffd4bd8021fd87e74fb18558c6a465040f18685e46d03c1f18f42d260d682"],
@@ -644,6 +669,12 @@ REPORT_DIGESTS = {
     "coxeter-nerve": [
         "d45174e5ad694f6a88941208c0cc42dc6cef6dfd34e7d7d973cbc7e6df3cec4f",
         "d45174e5ad694f6a88941208c0cc42dc6cef6dfd34e7d7d973cbc7e6df3cec4f"],
+    "equiv-empty": [
+        "8d61e10586d3bc9c0593062b158fbf6827ffce6de352e37cc19ec46de9e38f6e",
+        "6cc431ca49b5960aabb437a3691ef8cad4c55175a144cc171193cab183379e80"],
+    "equiv-empty-labeled": [
+        "b03c2e503bf1063635c4eeff96f30b1aa0a87ccad4654f5d974456e0efeb5981",
+        "6cc431ca49b5960aabb437a3691ef8cad4c55175a144cc171193cab183379e80"],
     "equiv-fail": [
         "0e5c3f53bc556c7464377d743215fe2aeb5b95e81ad56e0c3057fbb425df96dd",
         "da280d8368476840ea62e34db9aa69aebc6947792558470d66ecfff3ae0840e5"],
@@ -716,6 +747,15 @@ REPORT_DIGESTS = {
 }
 
 
+# sha256 of json.dumps([exit code, stdout, stderr]) of check-ghs with
+# -n 99999999999999999999 on poincare16.json, with --format json and with
+# --format text, recorded while purity took its witnesses from a table of
+# its own
+HUGE_N_DIGESTS = [
+    "3a96850089f8331760d29bc87d25fbb4abf13d051b9dbe15792cddccb279e55b",
+    "5d66ee3bc48195ac1818b76c7f77495422ca35e45cb59d60288a234e35ce64bf"]
+
+
 def report_inputs(tmp_path) -> Path:
     """A data directory with the shipped corpus and REPORT_INPUTS."""
     data = tmp_path / "data"
@@ -727,13 +767,13 @@ def report_inputs(tmp_path) -> Path:
     return data
 
 
-@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
 def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.setenv("CORNERKIT_DATA", str(report_inputs(tmp_path)))
     monkeypatch.chdir(cwd)  # so no input resolves as a literal path
-    argv, exit_code = REPORT_CASES[case]
+    argv, exit_code = PINNED_CASES[case]
     digests = []
     for fmt in ("json", "text"):
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
@@ -741,6 +781,25 @@ def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
         digests.append(hashlib.sha256(
             json.dumps([code, out, err]).encode()).hexdigest())
     assert digests == REPORT_DIGESTS[case]
+
+
+def test_check_ghs_at_a_huge_n_fails_purity_at_once(tmp_path):
+    # every facet's link {∅} is compared with S^d for d near 10^20: the
+    # comparison must not walk the degrees up to d
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    env = dict(os.environ, CORNERKIT_DATA=str(report_inputs(tmp_path)),
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    digests = []
+    for fmt in ("json", "text"):
+        run = subprocess.run(
+            [sys.executable, "-m", "cornerkit", "check-ghs", "-n",
+             "99999999999999999999", "-i", "poincare16.json", "--format", fmt],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=20)
+        assert run.returncode == 1
+        digests.append(hashlib.sha256(json.dumps(
+            [run.returncode, run.stdout, run.stderr]).encode()).hexdigest())
+    assert digests == HUGE_N_DIGESTS
 
 
 # The parser's own bytes: help, usage and error lines, at a fixed help

@@ -12,6 +12,7 @@ from cornerkit.homology import TRIVIAL_GROUP, Z
 from cornerkit.simplicial import (EMPTY_COMPLEX, barycentric,
                                   boundary_simplex, build_complex, join,
                                   point_complex, suspension)
+import oracles
 from oracles import per_link_check
 
 
@@ -101,6 +102,19 @@ def test_sphere_defect_helper():
     assert sphere_homology_defects(EMPTY_COMPLEX, 0) != []
 
 
+def test_sphere_defects_below_dimension_zero():
+    # S^-1 is {∅}: ∂Δ² lacks its Z in degree -1 and has an extra one in
+    # degree 1
+    assert sphere_homology_defects(boundary_simplex(2), -1) == [
+        (-1, Z, TRIVIAL_GROUP), (1, TRIVIAL_GROUP, Z)]
+    # below -1 nothing is asked for, so {∅}'s Z in degree -1 is extra: the
+    # witness purity gives a facet one dimension above m
+    assert sphere_homology_defects(EMPTY_COMPLEX, -2) == [
+        (-1, TRIVIAL_GROUP, Z)]
+    assert sphere_homology_defects(EMPTY_COMPLEX, -1) == []
+    assert sphere_homology_defects(EMPTY_COMPLEX, 3) == [(3, Z, TRIVIAL_GROUP)]
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         is_ghs(boundary_simplex(2), 0)
@@ -110,11 +124,14 @@ def test_bad_arguments():
         is_ghs(EMPTY_COMPLEX, 1)
 
 
+# Császár torus: complete 1-skeleton on 7 vertices, 14 triangles
+TORUS = build_complex(
+    [sorted({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    + [sorted({i % 7, (i + 2) % 7, (i + 3) % 7}) for i in range(7)])
+
+
 def test_seven_vertex_torus_is_manifold_but_not_sphere():
-    # Császár torus: complete 1-skeleton on 7 vertices, 14 triangles
-    facets = [sorted({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)] + \
-             [sorted({i % 7, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
-    K = build_complex(facets)
+    K = TORUS
     from cornerkit.simplicial import f_vector
     from cornerkit.homology import FGAbelianGroup, reduced_homology_all
     assert f_vector(K) == (7, 21, 14)
@@ -189,6 +206,48 @@ def test_every_witness_differs_from_what_was_expected(case):
         for report in (is_ghs(K, m + 1),
                        is_polyhedral_homology_manifold(K, m)):
             assert all(f.expected != f.actual for f in report.failures), m
+
+
+def reports_and_oracle_reports(K):
+    """Both checks of K at every m from 0 to dim K + 1, from the library
+    and with the oracle comparisons patched in: purity, the global check
+    and every link decided on its own."""
+    def reports():
+        return [check(K, m + extra)
+                for m in range(K.dim + 2)
+                for check, extra in ((is_ghs, 1),
+                                     (is_polyhedral_homology_manifold, 0))]
+
+    ours = reports()
+    with mock.patch.multiple(
+            ghs, sphere_homology_defects=oracles.sphere_homology_defects,
+            _purity_failures=oracles.purity_failures,
+            _check_links=per_link_check):
+        return ours, reports()
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_cases())
+def test_reports_equal_the_oracle_comparisons(case):
+    ours, reference = reports_and_oracle_reports(case[0])
+    assert ours == reference
+
+
+@pytest.mark.parametrize("name", ["spheres", "poincare16", "torus", "rp2_6",
+                                  "pinched", "impure"])
+def test_fixed_reports_equal_the_oracle_comparisons(name, poincare16, rp2_6):
+    cases = {
+        "spheres": SPHERES,
+        "poincare16": [poincare16],
+        "torus": [TORUS],
+        "rp2_6": [rp2_6, suspension(rp2_6)],
+        "pinched": [build_complex([[0, 1, 2], [0, 3, 4]])],
+        "impure": [build_complex([[0, 1, 2], [2, 3]]),
+                   build_complex([[0, 1, 2, 3], [3, 4], [5]])],
+    }
+    for K in cases[name]:
+        ours, reference = reports_and_oracle_reports(K)
+        assert ours == reference
 
 
 def test_bary_poincare_decides_each_link_shape_once(poincare16, monkeypatch):
