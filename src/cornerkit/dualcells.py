@@ -9,9 +9,9 @@ in sorted τ — the simplicial coboundary convention.  Orientations have to
 be chosen somehow and any consistent choice gives an isomorphic complex;
 this one is deterministic.
 
-So δ into grade d is the nerve's boundary map ∂_{n-d} as built, and the
-dual complex's homology is the nerve's cohomology (the dual block
-complex, Munkres, Elements of Algebraic Topology, §64).
+So δ into grade d is ∂_{n-d} of the nerve's one chain complex, grades
+above dim N + 1 are empty, and the dual complex's homology is the nerve's
+cohomology (dual blocks, Munkres, Elements of Algebraic Topology, §64).
 
 Cochains take values in a caller-supplied finitely generated abelian
 group, one coordinate per summand.  Solving δd = c is one solve over
@@ -24,10 +24,10 @@ positive degree is solvable.
 
 from __future__ import annotations
 
-from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP, _trusted,
-                       homology_all, simplicial_boundary_matrix,
-                       solve_integer, Z)
-from .simplicial import SimplicialComplex, _Value, simplices
+from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP,
+                       chain_complex, homology_all, solve_integer, Z)
+# simplices is not called here, but bench/spans.py wraps it by this name
+from .simplicial import SimplicialComplex, _Value, simplices  # noqa: F401
 
 
 class NotACocycle(ValueError):
@@ -42,12 +42,13 @@ class NotACocycle(ValueError):
 class DualComplex:
     """Graded dual-face poset with ±1 incidence numbers.
 
-    faces[d] is simplices(N, n - d - 1): the nerve faces of size n - d,
-    which name the d-dimensional dual faces, in lexicographic order; with
+    chain is N's chain complex, augmented exactly when include_top, and
+    faces[d] is its degree n - d - 1: the nerve faces of size n - d, which
+    name the d-dimensional dual faces, in lexicographic order; with
     include_top, faces[n] is ((),), the top cell.  delta[d] is the
     coboundary from grade d-1 to grade d, rows faces[d] and columns
-    faces[d-1]: the nerve's augmented boundary map ∂_{n-d}, whose
-    transpose is the dual complex's boundary map from grade d.
+    faces[d-1]: chain's ∂_{n-d}, or a map with no columns where chain has
+    none; its transpose is the dual complex's boundary map from grade d.
     """
 
     def __init__(self, N: SimplicialComplex, n: int, include_top: bool = True):
@@ -56,13 +57,13 @@ class DualComplex:
         self.nerve = N
         self.n = n
         self.include_top = include_top
-        # label size n - d; simplices(N, -1) is the empty face alone
+        self.chain = C = chain_complex(N, augmented=include_top)
         self.faces: dict[int, tuple[tuple[int, ...], ...]] = {
-            d: simplices(N, n - d - 1) for d in range(self.top_dim + 1)}
+            d: C.basis.get(n - d - 1, ()) for d in range(self.top_dim + 1)}
         # [D_τ : D_σ] for τ = σ ∪ {v} is the simplicial sign of deleting v
         # from τ, the entry of ∂_{n-d} at (σ, τ)
         self.delta: dict[int, SparseMatrix] = {
-            d: simplicial_boundary_matrix(N, n - d)
+            d: C.boundary.get(n - d) or SparseMatrix(len(self.faces[d]), 0, ())
             for d in range(1, self.top_dim + 1)}
 
     @property
@@ -205,13 +206,11 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
 def acyclicity_report(D: DualComplex) -> dict[int, FGAbelianGroup]:
     """Homology H_d of the dual chain complex in every grade d: by universal
     coefficients, the free part of the nerve's H_{n-d-1} plus the torsion
-    of its H_{n-d-2}, from one clearing reduction of the nerve's chain
-    complex (augmented with the top cell), which is valid by construction."""
-    n = D.n
-    H = homology_all(_trusted({n - d: M for d, M in D.delta.items()},
-                              {n - d - 1: fs for d, fs in D.faces.items()}))
-    return {d: FGAbelianGroup(H[n - d - 1].free_rank,
-                              H.get(n - d - 2, TRIVIAL_GROUP).torsion)
+    of its H_{n-d-2}, each 0 where the nerve has no faces, from one
+    clearing reduction of D.chain."""
+    H = homology_all(D.chain)
+    return {d: FGAbelianGroup(H.get(D.n - d - 1, TRIVIAL_GROUP).free_rank,
+                              H.get(D.n - d - 2, TRIVIAL_GROUP).torsion)
             for d in D.faces}
 
 

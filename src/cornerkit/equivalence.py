@@ -146,12 +146,14 @@ def complexes_match(mapping: VertexMapping, KA: SimplicialComplex,
 
 
 def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:
-    """Backtrack over adjacency-compatible bijections, facet-checking each
-    completed assignment.
+    """Depth-first search over adjacency-compatible bijections,
+    facet-checking each completed assignment.
 
     b may take a when b's labels to the images of a's mapped neighbours
     are a's labels to them, and b has no other placed neighbour: that is
     agreement with the whole partial map, checked over neighbours only.
+    The path is an explicit stack of candidate iterators, one per depth,
+    so no vertex count can exhaust Python's recursion limit.
     """
     n = KA.num_vertices
     pos = {a: i for i, a in enumerate(order)}
@@ -161,34 +163,35 @@ def _search(KA, KB, invA, by_inv, adjA, adjB, order) -> VertexMapping | None:
     mapping: VertexMapping = {}
     used: set[int] = set()
     placed_nbrs = [0] * KB.num_vertices  # per vertex of B: used neighbours
-    result: VertexMapping | None = None
 
-    def backtrack(idx: int) -> bool:
-        nonlocal result
-        if idx == n:
-            if complexes_match(mapping, KA, KB):
-                result = dict(sorted(mapping.items()))
-                return True
-            return False
-        a = order[idx]
+    def candidates(idx: int):
+        """The images open to order[idx], filtered as they are drawn."""
         need = earlier[idx]
-        for b in by_inv[invA[a]]:
-            if b in used or placed_nbrs[b] != len(need):
-                continue
-            adj_b = adjB[b]
-            if any(adj_b.get(mapping[a2]) != m for a2, m in need):
-                continue
-            mapping[a] = b
-            used.add(b)
-            for b2 in adj_b:
-                placed_nbrs[b2] += 1
-            if backtrack(idx + 1):
-                return True
-            for b2 in adj_b:
-                placed_nbrs[b2] -= 1
-            del mapping[a]
-            used.discard(b)
-        return False
+        return (b for b in by_inv[invA[order[idx]]]
+                if b not in used and placed_nbrs[b] == len(need)
+                and all(adjB[b].get(mapping[a2]) == m for a2, m in need))
 
-    backtrack(0)
-    return result
+    frames = []
+    while True:
+        if len(frames) < n:
+            frames.append(candidates(len(frames)))
+        elif complexes_match(mapping, KA, KB):
+            return dict(sorted(mapping.items()))
+        # advance the deepest depth that has a candidate left
+        while frames:
+            a = order[len(frames) - 1]
+            if a in mapping:  # back from below a: undo its image
+                b = mapping.pop(a)
+                used.discard(b)
+                for b2 in adjB[b]:
+                    placed_nbrs[b2] -= 1
+            b = next(frames[-1], None)
+            if b is not None:
+                mapping[a] = b
+                used.add(b)
+                for b2 in adjB[b]:
+                    placed_nbrs[b2] += 1
+                break
+            frames.pop()
+        else:
+            return None

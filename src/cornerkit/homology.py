@@ -16,9 +16,9 @@ from a sparse column reduction against ±1 pivots followed by a Smith
 reduction of the (usually empty) leftover block.  Homology reduces the
 maps from the top degree down with clearing: each degree skips the
 columns that the unit pivots of the degree above turned into
-boundaries.  Simplicial chain complexes are valid by construction and
-skip the checks of the public ChainComplex constructor; a dual-cell
-complex is read through its nerve's, so no job runs those checks.
+boundaries.  chain_complex builds simplicial chain complexes, valid by
+construction, without the checks of the public ChainComplex constructor;
+a dual-cell complex is its nerve's read upside down, so no job runs them.
 
 Every Smith reduction here is one replay on sparse rows that carries a
 right-hand side through the row operations and logs the column
@@ -481,33 +481,24 @@ def simplicial_boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
     return SparseMatrix(len(lower), len(columns), columns)
 
 
-def _trusted(boundary: dict[int, SparseMatrix],
-             basis: dict[int, tuple]) -> ChainComplex:
-    """The chain complex without the constructor's checks, for maps whose
-    shapes and ∂∘∂ = 0 hold by construction."""
+def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex:
+    """Simplicial chain complex of K; augmented adds C_{-1} = Z⟨∅⟩.  The
+    sign rule makes every shape right and every composite vanish, so it
+    is built without the constructor's checks."""
+    basis: dict[int, tuple] = {-1: (EMPTY_SIMPLEX,)} if augmented else {}
+    boundary: dict[int, SparseMatrix] = {}
+    if not K.is_empty():
+        for k in range(K.dim + 1):
+            basis[k] = simplices(K, k)
+        for k in range(1, K.dim + 1):
+            boundary[k] = simplicial_boundary_matrix(K, k)
+        n_0 = len(basis[0])
+        boundary[0] = (simplicial_boundary_matrix(K, 0) if augmented
+                       else SparseMatrix(0, n_0, ((),) * n_0))
     C = object.__new__(ChainComplex)
     object.__setattr__(C, "boundary", boundary)
     object.__setattr__(C, "basis", basis)
     return C
-
-
-def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex:
-    """Simplicial chain complex of K; augmented adds C_{-1} = Z⟨∅⟩.  The
-    sign rule makes every composite vanish, so it is not checked."""
-    basis: dict[int, tuple] = {}
-    boundary: dict[int, SparseMatrix] = {}
-    if augmented:
-        basis[-1] = (EMPTY_SIMPLEX,)
-    if K.is_empty():
-        return _trusted(boundary, basis)
-    for k in range(K.dim + 1):
-        basis[k] = simplices(K, k)
-    for k in range(1, K.dim + 1):
-        boundary[k] = simplicial_boundary_matrix(K, k)
-    n_0 = len(basis[0])
-    boundary[0] = (simplicial_boundary_matrix(K, 0) if augmented
-                   else SparseMatrix(0, n_0, ((),) * n_0))
-    return _trusted(boundary, basis)
 
 
 def homology(C: ChainComplex, k: int) -> FGAbelianGroup:

@@ -20,7 +20,10 @@ column: the reference for the library's reduction with clearing.
 acyclicity_report is the dual-cell complex's homology as it was computed
 before the library read it as its nerve's cohomology: each coboundary
 transposed into a boundary map, the result through the validating
-constructor and into homology_all.
+constructor and into homology_all.  per_grade_dual_complex is the
+dual-cell complex as it was built before it read its nerve's one chain
+complex: faces and a boundary map built for every grade up to the top
+one, past the nerve's dimension too.
 
 The dense matrix helpers live here too, since only tests need them:
 the products matmul and matvec, to_dense, the Bareiss determinant, the
@@ -33,7 +36,10 @@ The per-candidate nerve and per-facet properness loops run the library's
 finiteness classifier (coxeter.is_finite) on every subset with no memo,
 and the full-map search checks each candidate against every mapped
 vertex in a quadratic min-based order: the slow forms that the library's
-pattern memo and neighbour-only search must reproduce exactly.  In the
+pattern memo and neighbour-only search must reproduce exactly.
+recursive_search is the neighbour-only search as it was written before
+it kept its path on an explicit stack: one recursion level per vertex,
+which exhausts Python's recursion limit on large complexes.  In the
 same way scan_link finds a link's facets by scanning every facet and
 builds it through the validating constructor, and per_link_check decides
 every link on its own with sphere_homology_defects: the references for
@@ -59,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import types
 from collections import deque
 from fractions import Fraction
 
@@ -67,7 +74,8 @@ from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
 from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                                SNFResult, SparseMatrix, TRIVIAL_GROUP, Z)
+                                SNFResult, SparseMatrix, TRIVIAL_GROUP, Z,
+                                simplicial_boundary_matrix)
 from cornerkit.quasitoric import CharacteristicPair, Fan
 from cornerkit.simplicial import (LabeledComplex, SimplicialComplex, simplex,
                                   simplices)
@@ -444,6 +452,18 @@ def acyclicity_report(D) -> dict[int, FGAbelianGroup]:
     return homology_all(ChainComplex(boundary, dict(D.faces)))
 
 
+def per_grade_dual_complex(N: SimplicialComplex, n: int,
+                           include_top: bool = True):
+    """The dual-cell complex's faces and delta, grade by grade: faces[d]
+    is simplices(N, n - d - 1) and delta[d] is ∂_{n-d} of N, built on its
+    own for every grade d up to the top one."""
+    top = n if include_top else n - 1
+    return types.SimpleNamespace(
+        faces={d: simplices(N, n - d - 1) for d in range(top + 1)},
+        delta={d: simplicial_boundary_matrix(N, n - d)
+               for d in range(1, top + 1)})
+
+
 def to_dense(S: SparseMatrix) -> IntegerMatrix:
     grid = [[0] * S.cols for _ in range(S.rows)]
     for j, col in enumerate(S.columns):
@@ -685,6 +705,50 @@ def full_map_search(KA, KB, invA, by_inv, adjA, adjB, order):
 
     found = backtrack(0)
     return (dict(sorted(mapping.items())) if found else None), nodes
+
+
+def recursive_search(KA, KB, invA, by_inv, adjA, adjB, order):
+    """The library's neighbour-only search as one recursion level per
+    vertex: the first assignment that maps facets onto facets, sorted by
+    vertex, or None, and the number of leaves it facet-checked."""
+    n = KA.num_vertices
+    b_facets = set(KB.facets)
+    pos = {a: i for i, a in enumerate(order)}
+    earlier = [[(a2, m) for a2, m in adjA[a].items() if pos[a2] < i]
+               for i, a in enumerate(order)]
+    mapping = {}
+    used = set()
+    placed_nbrs = [0] * KB.num_vertices
+    leaves = 0
+
+    def backtrack(idx):
+        nonlocal leaves
+        if idx == n:
+            leaves += 1
+            return {tuple(sorted(mapping[v] for v in f))
+                    for f in KA.facets} == b_facets
+        a = order[idx]
+        need = earlier[idx]
+        for b in by_inv[invA[a]]:
+            if b in used or placed_nbrs[b] != len(need):
+                continue
+            adj_b = adjB[b]
+            if any(adj_b.get(mapping[a2]) != m for a2, m in need):
+                continue
+            mapping[a] = b
+            used.add(b)
+            for b2 in adj_b:
+                placed_nbrs[b2] += 1
+            if backtrack(idx + 1):
+                return True
+            for b2 in adj_b:
+                placed_nbrs[b2] -= 1
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    found = backtrack(0)
+    return (dict(sorted(mapping.items())) if found else None), leaves
 
 
 def scan_link(K, s):

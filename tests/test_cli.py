@@ -755,11 +755,17 @@ HUGE_N_DIGESTS = [
     "3a96850089f8331760d29bc87d25fbb4abf13d051b9dbe15792cddccb279e55b",
     "5d66ee3bc48195ac1818b76c7f77495422ca35e45cb59d60288a234e35ce64bf"]
 
+# the same digests of acyclicity -n 1000 on rp2_6.json, recorded while the
+# dual-cell complex built faces and a boundary map for every grade
+LARGE_N_ACYCLICITY_DIGESTS = [
+    "99c7d81235f978a644b73e955d2492486f160a2ac852580d7786babd7189caf7",
+    "83cc27697cd12677a3048d21b91684b827babfef5141ad6240d16755f94efadb"]
+
 
 def report_inputs(tmp_path) -> Path:
     """A data directory with the shipped corpus and REPORT_INPUTS."""
     data = tmp_path / "data"
-    data.mkdir()
+    data.mkdir(exist_ok=True)
     for name in ("poincare16.json", "rp2_6.json", "cp2_pair.json"):
         (data / name).write_bytes((DATA / name).read_bytes())
     for name, doc in REPORT_INPUTS.items():
@@ -783,23 +789,56 @@ def test_every_report_is_pinned(capsys, tmp_path, monkeypatch, case):
     assert digests == REPORT_DIGESTS[case]
 
 
+def run_module(tmp_path, *argv, timeout):
+    """A `python -m cornerkit` run on report_inputs, from a directory of
+    its own."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir(exist_ok=True)
+    env = dict(os.environ, CORNERKIT_DATA=str(report_inputs(tmp_path)),
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "cornerkit", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=timeout)
+
+
 def test_check_ghs_at_a_huge_n_fails_purity_at_once(tmp_path):
     # every facet's link {∅} is compared with S^d for d near 10^20: the
     # comparison must not walk the degrees up to d
-    cwd = tmp_path / "cwd"
-    cwd.mkdir()
-    env = dict(os.environ, CORNERKIT_DATA=str(report_inputs(tmp_path)),
-               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     digests = []
     for fmt in ("json", "text"):
-        run = subprocess.run(
-            [sys.executable, "-m", "cornerkit", "check-ghs", "-n",
-             "99999999999999999999", "-i", "poincare16.json", "--format", fmt],
-            capture_output=True, text=True, env=env, cwd=cwd, timeout=20)
+        run = run_module(tmp_path, "check-ghs", "-n", "99999999999999999999",
+                         "-i", "poincare16.json", "--format", fmt, timeout=20)
         assert run.returncode == 1
         digests.append(hashlib.sha256(json.dumps(
             [run.returncode, run.stdout, run.stderr]).encode()).hexdigest())
     assert digests == HUGE_N_DIGESTS
+
+
+def test_acyclicity_at_a_large_n_is_pinned(tmp_path):
+    digests = []
+    for fmt in ("json", "text"):
+        run = run_module(tmp_path, "acyclicity", "-n", "1000", "-i",
+                         "rp2_6.json", "--format", fmt, timeout=20)
+        digests.append(hashlib.sha256(json.dumps(
+            [run.returncode, run.stdout, run.stderr]).encode()).hexdigest())
+    assert digests == LARGE_N_ACYCLICITY_DIGESTS
+
+
+def test_acyclicity_and_solve_at_n_20000_finish_in_seconds(tmp_path):
+    # 20000 grades, of which rp2_6 fills four: a boundary map built per
+    # grade made these runs quadratic in n, over 20 s each
+    run = run_module(tmp_path, "acyclicity", "-n", "20000", "-i",
+                     "rp2_6.json", timeout=10)
+    assert run.returncode == 1
+    assert json.loads(run.stdout)["verdict"] is False
+    (tmp_path / "zero.json").write_text(dumps(
+        {"degree": 19999, "group": {"rank": 1, "torsion": []},
+         "values": {}}))
+    run = run_module(tmp_path, "solve-obstruction", "-n", "20000",
+                     "--complex", "rp2_6.json", "--cochain",
+                     str(tmp_path / "zero.json"), timeout=10)
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["status"] == "solved"
 
 
 # The parser's own bytes: help, usage and error lines, at a fixed help

@@ -14,7 +14,10 @@ from cornerkit.dualcells import (Cochain, NotACocycle, acyclicity_report,
                                  is_cocycle, is_resolution_ready,
                                  solve_obstruction, zero_cochain)
 from cornerkit.homology import FGAbelianGroup, Z, solve_integer
+from cornerkit.jsonio import complex_from_obj
 from cornerkit.simplicial import boundary_simplex, build_complex, point_complex
+import oracles
+from conftest import random_complex
 from oracles import dense_snf, per_coordinate_solve, to_dense
 
 Z2 = FGAbelianGroup(0, (2,))
@@ -70,6 +73,33 @@ def test_incidence_is_the_sign_of_the_added_vertex(poincare16, rp2_6):
                 # row j of δ into grade d: the faces of grade d-1 below F
                 assert {i: x for i, col in enumerate(D.delta[d].columns)
                         for r, x in col if r == j} == expected
+
+
+def assert_equals_the_per_grade_build(N, n, include_top):
+    D = dual_complex(N, n, include_top)
+    old = oracles.per_grade_dual_complex(N, n, include_top)
+    assert D.faces == old.faces
+    assert D.delta == old.delta  # rows, cols and columns
+    assert acyclicity_report(D) == oracles.acyclicity_report(old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 4),
+       st.booleans())
+def test_dual_cells_equal_the_per_grade_build(seed, size, extra, include_top):
+    # grades past dim N + 1 are empty and their δ has no columns
+    N = random_complex(random.Random(seed), size)
+    assert_equals_the_per_grade_build(N, N.dim + extra, include_top)
+
+
+@pytest.mark.parametrize("include_top", [True, False])
+@pytest.mark.parametrize("extra", [1, 2, 3, 4])
+@pytest.mark.parametrize("nerve", ["empty", "three-points"])
+def test_degenerate_dual_cells_equal_the_per_grade_build(nerve, extra,
+                                                         include_top):
+    N = (complex_from_obj({"num_vertices": 0, "facets": [[]]})
+         if nerve == "empty" else point_complex(3))
+    assert_equals_the_per_grade_build(N, N.dim + extra, include_top)
 
 
 def test_dimension_guard():

@@ -1,6 +1,10 @@
 import functools
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +13,13 @@ from cornerkit import equivalence
 from cornerkit.equivalence import (_search, _static_order, _vertex_data,
                                    find_isomorphism, invariant_fingerprint,
                                    verify_isomorphism)
+from cornerkit.jsonio import complex_to_obj, dumps
 from cornerkit.simplicial import (LabeledComplex, boundary_simplex,
                                   build_complex, join, label_all)
 from conftest import (random_complex, random_labeled, shuffle_labeled,
                       shuffled_copy)
-from oracles import brute_force_isomorphic, full_map_search, min_order
+from oracles import (brute_force_isomorphic, full_map_search, min_order,
+                     recursive_search)
 
 PENTAGON = build_complex([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
 
@@ -206,13 +212,14 @@ def search_cases(draw):
     return A, _shuffled(A, rng)
 
 
-def count_backtrack_calls(search, *args):
-    """search(*args) and the number of calls of its nested backtrack()."""
+def count_calls(names, search, *args):
+    """search(*args) and the number of calls of the equivalence functions
+    named in names."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "backtrack" \
+        if event == "call" and frame.f_code.co_name in names \
                 and frame.f_code.co_filename == equivalence.__file__:
             calls += 1
 
@@ -225,22 +232,55 @@ def count_backtrack_calls(search, *args):
     return result, calls
 
 
-@settings(max_examples=300, deadline=None)
-@given(search_cases())
-def test_neighbour_search_matches_full_map_search(case):
-    A, B = case
-    assert invariant_fingerprint(A) == invariant_fingerprint(B)
+def search_inputs(A, B):
+    """The arguments find_isomorphism(A, B) hands _search."""
     KA, adjA, invA = _vertex_data(A)
     KB, adjB, invB = _vertex_data(B)
     by_inv: dict[tuple, list[int]] = {}
     for v in range(KB.num_vertices):
         by_inv.setdefault(invB[v], []).append(v)
-    order = _static_order(adjA, invA, by_inv)
+    return KA, KB, invA, by_inv, adjA, adjB, _static_order(adjA, invA, by_inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_neighbour_search_matches_full_map_search(case):
+    A, B = case
+    assert invariant_fingerprint(A) == invariant_fingerprint(B)
+    args = search_inputs(A, B)
+    KA, KB, invA, by_inv, adjA, adjB, order = args
     assert order == min_order(adjA, invA, by_inv)
-    expected, nodes = full_map_search(KA, KB, invA, by_inv, adjA, adjB,
-                                      order)
-    result, calls = count_backtrack_calls(
-        _search, KA, KB, invA, by_inv, adjA, adjB, order)
+    expected, nodes = full_map_search(*args)
+    # a node is an inner one, whose candidates are drawn, or a leaf
+    result, calls = count_calls(("candidates", "complexes_match"),
+                                _search, *args)
     assert result == expected
     assert calls == nodes  # the same depth-first tree, node for node
     assert find_isomorphism(A, B) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases())
+def test_iterative_search_matches_the_recursive_one(case):
+    args = search_inputs(*case)
+    assert count_calls(("complexes_match",), _search, *args) == \
+        recursive_search(*args)
+
+
+def test_equiv_of_a_3000_cycle_runs_no_recursion(tmp_path):
+    # one depth per vertex: a recursive search would exceed Python's
+    # recursion limit here and end in a traceback
+    n = 3000
+    perm = list(range(n))
+    random.Random(3000).shuffle(perm)
+    A = build_complex([[i, (i + 1) % n] for i in range(n)])
+    B = build_complex([[perm[i], perm[(i + 1) % n]] for i in range(n)])
+    (tmp_path / "a.json").write_text(dumps(complex_to_obj(A)))
+    (tmp_path / "b.json").write_text(dumps(complex_to_obj(B)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "cornerkit", "equiv", "a.json", "b.json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert run.returncode == 0, run.stderr
+    mapping = dict(json.loads(run.stdout)["mapping"])
+    assert verify_isomorphism(A, B, mapping)
