@@ -351,13 +351,3 @@ def is_aspherical(LK: LabeledComplex, budget: int = 1_000_000) -> bool:
                          f"{list(witness)})")
     nerve = coxeter_nerve(LK, max_rank=LK.complex.dim + 2, budget=budget)
     return nerve == LK.complex
-
-
-def presentation(LK: LabeledComplex) -> str:
-    """Deterministic ⟨generators | relators⟩ listing; ∞ pairs are omitted."""
-    n = LK.complex.num_vertices
-    gens = [f"s{v}" for v in range(n)]
-    relators = [f"s{v}^2" for v in range(n)]
-    for u, v, m in LK.labels:
-        relators.append(f"(s{u} s{v})^{m}")
-    return " ".join(gens) + " | " + ", ".join(relators)

@@ -70,15 +70,6 @@ class DualComplex:
     def top_dim(self) -> int:
         return self.n if self.include_top else self.n - 1
 
-    def incidence(self, G: tuple[int, ...], F: tuple[int, ...]) -> int:
-        """[D_G : D_F], zero unless D_G lies one grade below D_F, that is,
-        unless G has one vertex more than F."""
-        if len(G) != len(F) + 1:
-            return 0
-        d = self.n - len(F)
-        return self.delta[d][self.faces[d].index(F),
-                             self.faces[d - 1].index(G)]
-
 
 def dual_complex(N: SimplicialComplex, n: int,
                  include_top: bool = True) -> DualComplex:
@@ -124,17 +115,6 @@ class Cochain(_Value):
 
     def is_zero(self) -> bool:
         return all(self.group.is_zero_element(c) for _, c in self.values)
-
-
-def zero_cochain(D: DualComplex, degree: int, group: FGAbelianGroup) -> Cochain:
-    return Cochain.build(D, degree, group)
-
-
-def indicator_cochain(D: DualComplex, G: tuple[int, ...], gamma,
-                      group: FGAbelianGroup) -> Cochain:
-    """The cochain assigning gamma to the single dual face D_G and zero
-    elsewhere."""
-    return Cochain.build(D, D.n - len(G), group, {G: gamma})
 
 
 def coboundary(D: DualComplex, d: Cochain) -> Cochain:

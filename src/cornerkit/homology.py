@@ -94,10 +94,6 @@ class SparseMatrix(_Value):
             tuple((i, x) for i, x in enumerate(A.column(j)) if x)
             for j in range(A.cols)))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return next((x for r, x in self.columns[j] if r == i), 0)
-
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -334,13 +330,6 @@ def _reduce(M: SparseMatrix, skip=()) -> tuple[list[int], set[int]]:
     return factors, set(pivots)
 
 
-def invariant_factors(M: SparseMatrix) -> list[int]:
-    """The nonzero invariant factors of M, in divisor-chain order: unit
-    pivots from a sparse column reduction, then snf_diagonal on the
-    (usually empty) leftover block."""
-    return _reduce(M)[0]
-
-
 class FGAbelianGroup(_Value):
     """Z^free_rank ⊕ Z/q1 ⊕ ... with q1 | q2 | ... and all qi >= 2.
 
@@ -501,11 +490,6 @@ def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex
     return C
 
 
-def homology(C: ChainComplex, k: int) -> FGAbelianGroup:
-    """H_k = ker ∂_k / im ∂_{k+1}, exact including torsion."""
-    return homology_all(C).get(k, TRIVIAL_GROUP)
-
-
 def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
     """Homology in every degree from the invariant factors of each map.
 
@@ -594,17 +578,3 @@ def solve_integer(A: SparseMatrix, b,
     y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
     x = _replay_columns(log, [y[p] for p in col_pos])
     return [group.reduce(e) for e in x]
-
-
-def unimodular_inverse(A: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular integer matrix: the solution of
-    A·X = I over Z, one row of X per column of A.  A square integer
-    matrix has an integral inverse exactly when its determinant is ±1,
-    so the solve alone decides; ValueError when there is none."""
-    if A.rows == A.cols:
-        x = solve_integer(SparseMatrix.from_dense(A),
-                          IntegerMatrix.identity(A.rows).entries,
-                          FGAbelianGroup(A.rows))
-        if x is not None:
-            return IntegerMatrix.from_rows(x)
-    raise ValueError("matrix is not unimodular")

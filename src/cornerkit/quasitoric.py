@@ -8,9 +8,9 @@ isotropy subtori to be direct summands, and the H₁-vanishing criterion
 for lifted actions forces the same reading.
 
 Rows are used exactly as given: a non-primitive row can never span a
-summand, and silently fixing it would turn invalid input valid.  Callers
-who want gcd-normalization apply normalize_rows explicitly; fan rays are
-normalized on ingestion (with a warning) since rays are directions.
+summand, and silently fixing it would turn invalid input valid.  Fan
+rays are normalized on ingestion (with a warning), since rays are
+directions.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 
-from .homology import (FGAbelianGroup, IntegerMatrix, cokernel, snf,
-                       snf_diagonal, unimodular_inverse)
+from .homology import FGAbelianGroup, IntegerMatrix, cokernel, snf_diagonal
+# snf is not called here, but bench/spans.py wraps it by this name
+from .homology import snf  # noqa: F401
 from .simplicial import SimplicialComplex, _Value, build_complex, f_vector
 
 class CharacteristicPair(_Value):
@@ -137,48 +138,6 @@ def pi1_orbit_union(p: CharacteristicPair) -> FGAbelianGroup:
     return cokernel(p.lam.transpose())
 
 
-def h1_total_space(p: CharacteristicPair, lifts: IntegerMatrix) -> FGAbelianGroup:
-    """Z^m modulo the span of the lifted vectors.
-
-    Each lift row must project onto the matching lambda row in the first
-    n coordinates; the quotient vanishes exactly when the lifts span Z^m
-    unimodularly.
-    """
-    m = p.nerve.num_vertices
-    if lifts.rows != m or lifts.cols != m:
-        raise ValueError(f"lifts must be {m}x{m}")
-    for i in range(m):
-        if lifts.entries[i][:p.n] != p.row(i):
-            raise ValueError(f"lift row {i} does not project onto lambda row {i}")
-    return cokernel(lifts.transpose())
-
-
-def complete_lifts(p: CharacteristicPair) -> IntegerMatrix | None:
-    """Search for lifts making H1 of the total space vanish.
-
-    Extends the columns of lambda to a basis of Z^m via the Smith
-    transform when the columns span a direct summand; returns None when
-    they do not.  This is a convenience completion (the choice of
-    characteristic classes is the caller's in general), not part of the
-    validation contract.
-    """
-    m = p.nerve.num_vertices
-    n = p.n
-    res = snf(p.lam)
-    # U (m×m) · lam (m×n) · V (n×n) = D; columns of lam extend to a basis
-    # of Z^m iff D has n unit diagonal entries, and then
-    # [lam | last m-n columns of U⁻¹] = U⁻¹·diag(V⁻¹, I) is unimodular
-    diag = res.diagonal()
-    if len(diag) != n or any(d != 1 for d in diag):
-        return None
-    u_inv = unimodular_inverse(res.U)
-    rows = [p.row(i) + tuple(u_inv.entries[i][n:]) for i in range(m)]
-    lifts = IntegerMatrix.from_rows(rows)
-    if not h1_total_space(p, lifts).is_trivial():
-        raise AssertionError
-    return lifts
-
-
 def from_fan(f: Fan) -> CharacteristicPair:
     """Characteristic pair read off a fan: nerve facets are the maximal
     cones, vector rows are the rays.
@@ -197,23 +156,6 @@ def from_fan(f: Fan) -> CharacteristicPair:
     if nerve.num_vertices != len(f.rays):
         raise ValueError("some rays appear in no maximal cone")
     return CharacteristicPair(nerve, f.dim, IntegerMatrix.from_rows(f.rays))
-
-
-def normalize_rows(p: CharacteristicPair) -> CharacteristicPair:
-    """Divide each row by its gcd, warning when anything changes."""
-    rows = []
-    changed = []
-    for i, row in enumerate(p.lam.entries):
-        g = math.gcd(*row)
-        if g > 1:
-            changed.append(i)
-            rows.append(tuple(x // g for x in row))
-        else:
-            rows.append(row)
-    if changed:
-        warnings.warn(f"divided non-primitive rows {changed} by their gcd")
-        return CharacteristicPair(p.nerve, p.n, IntegerMatrix.from_rows(rows))
-    return p
 
 
 def h_vector(p: CharacteristicPair) -> tuple[int, ...]:

@@ -359,10 +359,6 @@ def f_vector(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(len(simplices(K, k)) for k in range(K.dim + 1))
 
 
-def euler_characteristic(K: SimplicialComplex) -> int:
-    return sum((-1) ** k * fk for k, fk in enumerate(f_vector(K)))
-
-
 def _complex(num_vertices: int, facets) -> SimplicialComplex:
     """The complex with the given facets, without the constructor's checks.
 

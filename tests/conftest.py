@@ -3,17 +3,20 @@ import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cornerkit import homology, quasitoric
+from cornerkit import ghs, homology
+from cornerkit.dualcells import Cochain
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
+import oracles
 from oracles import verify_snf
 
 # modules that look up snf() by name
-SNF_CALLERS = (homology, quasitoric)
+SNF_CALLERS = (homology,)
 
 
 def verify_every_snf(snf):
@@ -51,6 +54,52 @@ def rp2_6():
 def cp2_pair():
     with open(DATA / "cp2_pair.json") as fh:
         return pair_from_obj(json.load(fh))
+
+
+def invariant_factors(M):
+    """The nonzero invariant factors of a SparseMatrix, in divisor-chain
+    order: unit pivots from a sparse column reduction, then snf_diagonal
+    on the (usually empty) leftover block."""
+    return homology._reduce(M)[0]
+
+
+def incidence(D, G, F) -> int:
+    """[D_G : D_F] in the dual complex D, zero unless D_G lies one grade
+    below D_F, that is, unless G has one vertex more than F: the entry of
+    D.delta[d] in row F and column G."""
+    if len(G) != len(F) + 1:
+        return 0
+    d = D.n - len(F)
+    i, j = D.faces[d].index(F), D.faces[d - 1].index(G)
+    return next((x for r, x in D.delta[d].columns[j] if r == i), 0)
+
+
+def zero_cochain(D, degree, group):
+    return Cochain.build(D, degree, group)
+
+
+def indicator_cochain(D, G, gamma, group):
+    """The cochain assigning gamma to the single dual face D_G and zero
+    elsewhere."""
+    return Cochain.build(D, D.n - len(G), group, {G: gamma})
+
+
+def reports_and_oracle_reports(K):
+    """Both checks of K at every m from 0 to dim K + 1, from the library
+    and with the oracle comparisons patched in: purity, the global check
+    and every link decided on its own."""
+    checks = ((ghs.is_ghs, 1), (ghs.is_polyhedral_homology_manifold, 0))
+
+    def reports():
+        return [check(K, m + extra)
+                for m in range(K.dim + 2) for check, extra in checks]
+
+    ours = reports()
+    with mock.patch.multiple(
+            ghs, sphere_homology_defects=oracles.sphere_homology_defects,
+            _purity_failures=oracles.purity_failures,
+            _check_links=oracles.per_link_check):
+        return ours, reports()
 
 
 def random_complex(rng: random.Random, n: int, max_facet: int = 4):

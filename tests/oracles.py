@@ -28,9 +28,7 @@ one, past the nerve's dimension too.
 The dense matrix helpers live here too, since only tests need them:
 the products matmul and matvec, to_dense, the Bareiss determinant, the
 Smith-form postcondition verify_snf (U·A·V = D, |det U| = |det V| = 1,
-divisor chain), and smith_inverse, the inverse by a determinant check,
-dense_snf and then V·U, which the library's one-solve inverse must
-reproduce exactly.
+divisor chain).
 
 The per-candidate nerve and per-facet properness loops run the library's
 finiteness classifier (coxeter.is_finite) on every subset with no memo,
@@ -529,15 +527,6 @@ def verify_snf(A: IntegerMatrix, result: SNFResult) -> bool:
         if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
             return False
     return all(d >= 0 for d in diag)
-
-
-def smith_inverse(A: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a unimodular matrix: its Smith form is the identity, so
-    U·A·V = I gives A⁻¹ = V·U.  ValueError unless det A = ±1."""
-    if determinant(A) not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    res = dense_snf(A)
-    return matmul(res.V, res.U)
 
 
 def _solve_coordinate(snf, A, b: list[int], modulus: int | None):

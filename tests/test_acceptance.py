@@ -25,7 +25,7 @@ from cornerkit.quasitoric import (CharacteristicPair, even_betti_report,
 from cornerkit.simplicial import (LabeledComplex, barycentric_all_two,
                                   boundary_simplex, build_complex, join,
                                   label_all, point_complex, suspension)
-from conftest import random_labeled, shuffle_labeled
+from conftest import incidence, random_labeled, shuffle_labeled
 from oracles import (brute_force_isomorphic, coset_count, determinant,
                      rational_reduced_betti, triangle_group_is_finite,
                      verify_snf)
@@ -203,7 +203,7 @@ def test_criterion_7_obstruction_algebra():
             solved_here = 1
         if cocycle and degree < D3.top_dim:
             for E in D3.faces[degree + 1]:
-                total = sum(D3.incidence(F, E) * c.values[i][1][0]
+                total = sum(incidence(D3, F, E) * c.values[i][1][0]
                             for i, F in enumerate(D3.faces[degree]))
                 good &= total % 2 == 0
         return good, solved_here

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix, INFINITE,
                                coxeter_matrix, coxeter_nerve, is_aspherical,
-                               is_finite, is_proper_labeling, presentation)
+                               is_finite, is_proper_labeling)
 from cornerkit.jsonio import complex_from_obj
 from cornerkit.simplicial import (LabeledComplex, barycentric,
                                   barycentric_all_two, boundary_simplex,
@@ -295,10 +295,3 @@ def test_aspherical_rejects_improper():
     bad = LabeledComplex(TRIANGLE, ((0, 1, 2), (0, 2, 3), (1, 2, 6)))
     with pytest.raises(ValueError):
         is_aspherical(bad)
-
-
-def test_presentation_format():
-    LK = LabeledComplex(build_complex([[0, 1]]), ((0, 1, 3),))
-    assert presentation(LK) == "s0 s1 | s0^2, s1^2, (s0 s1)^3"
-    pent = presentation(label_all(PENTAGON, 2))
-    assert pent.count("(") == 5 and pent.split(" | ")[0] == "s0 s1 s2 s3 s4"

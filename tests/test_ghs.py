@@ -12,7 +12,7 @@ from cornerkit.homology import TRIVIAL_GROUP, Z
 from cornerkit.simplicial import (EMPTY_COMPLEX, barycentric,
                                   boundary_simplex, build_complex, join,
                                   point_complex, suspension)
-import oracles
+from conftest import reports_and_oracle_reports
 from oracles import per_link_check
 
 
@@ -206,24 +206,6 @@ def test_every_witness_differs_from_what_was_expected(case):
         for report in (is_ghs(K, m + 1),
                        is_polyhedral_homology_manifold(K, m)):
             assert all(f.expected != f.actual for f in report.failures), m
-
-
-def reports_and_oracle_reports(K):
-    """Both checks of K at every m from 0 to dim K + 1, from the library
-    and with the oracle comparisons patched in: purity, the global check
-    and every link decided on its own."""
-    def reports():
-        return [check(K, m + extra)
-                for m in range(K.dim + 2)
-                for check, extra in ((is_ghs, 1),
-                                     (is_polyhedral_homology_manifold, 0))]
-
-    ours = reports()
-    with mock.patch.multiple(
-            ghs, sphere_homology_defects=oracles.sphere_homology_defects,
-            _purity_failures=oracles.purity_failures,
-            _check_links=per_link_check):
-        return ours, reports()
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,9 +5,8 @@ import pytest
 
 from cornerkit.ghs import is_ghs
 from cornerkit.homology import FGAbelianGroup, IntegerMatrix
-from cornerkit.quasitoric import (CharacteristicPair, Fan, complete_lifts,
-                                  even_betti_report, from_fan, h1_total_space,
-                                  h_vector, is_characteristic, normalize_rows,
+from cornerkit.quasitoric import (CharacteristicPair, Fan, even_betti_report,
+                                  from_fan, h_vector, is_characteristic,
                                   pi1_orbit_union, unimodular_span)
 from cornerkit.simplicial import (EMPTY_COMPLEX, boundary_simplex,
                                   build_complex, point_complex, suspension)
@@ -99,44 +98,6 @@ def test_pi1_trivial_whenever_characteristic_with_full_facet():
                 assert pi1_orbit_union(pair).is_trivial()
 
 
-def test_h1_total_space():
-    nerve = point_complex(3)
-    ident = IntegerMatrix.identity(3)
-    pair = CharacteristicPair(nerve, 3, ident)
-    assert h1_total_space(pair, ident).is_trivial()
-    det3 = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 3]])
-    pair3 = CharacteristicPair(nerve, 3, det3)
-    assert h1_total_space(pair3, det3) == FGAbelianGroup(0, (3,))
-    with pytest.raises(ValueError):  # lift rows must project onto lambda
-        h1_total_space(pair, IntegerMatrix.from_rows(
-            [[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
-
-
-def test_unimodular_lifts_give_trivial_h1():
-    rng = random.Random(67)
-    found = 0
-    while found < 10:
-        rows = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
-        M = IntegerMatrix.from_rows(rows)
-        if abs(determinant(M)) != 1 or any(not any(r) for r in rows):
-            continue
-        pair = CharacteristicPair(point_complex(3), 3, M)
-        assert h1_total_space(pair, M).is_trivial()
-        found += 1
-
-
-def test_complete_lifts():
-    lifts = complete_lifts(cp2())
-    assert lifts is not None
-    assert abs(determinant(lifts)) == 1
-    for i in range(3):
-        assert lifts.entries[i][:2] == cp2().row(i)
-    # lambda columns that do not span a summand cannot be completed
-    stuck = CharacteristicPair(point_complex(2), 1,
-                               IntegerMatrix.from_rows([[2], [2]]))
-    assert complete_lifts(stuck) is None
-
-
 def test_from_fan_cp2():
     fan = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     pair = from_fan(fan)
@@ -164,17 +125,6 @@ def test_fan_normalizes_rays_with_warning():
         fan = Fan(((2, 0), (0, 1)), ((0,), (1,)))
     assert fan.rays[0] == (1, 0)
     assert any("not primitive" in str(w.message) for w in captured)
-
-
-def test_normalize_rows_helper():
-    bad = CharacteristicPair(TRIANGLE_NERVE, 2,
-                             IntegerMatrix.from_rows([[2, 0], [0, 1], [1, 1]]))
-    assert is_characteristic(bad)[0] is False  # used exactly as given
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        fixed = normalize_rows(bad)
-    assert captured and fixed.row(0) == (1, 0)
-    assert is_characteristic(fixed)[0]
 
 
 def test_h_vector_and_betti_report(cp2_pair):

@@ -20,7 +20,7 @@ from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX,
                                   barycentric, barycentric_all_two,
                                   boundary_simplex, build_complex,
                                   cone,
-                                  euler_characteristic, f_vector, join,
+                                  f_vector, join,
                                   label_all, link, point_complex, simplex,
                                   simplices, suspension)
 from conftest import random_complex, random_labeled
@@ -616,7 +616,8 @@ def test_euler_characteristic_against_betti():
         K = random_complex(rng, rng.randrange(3, 8))
         hom = homology_all(chain_complex(K))
         chi_betti = sum((-1) ** k * g.free_rank for k, g in hom.items())
-        assert euler_characteristic(K) == chi_betti
+        chi = sum((-1) ** k * fk for k, fk in enumerate(f_vector(K)))
+        assert chi == chi_betti
 
 
 def test_labeled_complex_validation():
