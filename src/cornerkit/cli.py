@@ -221,10 +221,7 @@ def cmd_coxeter_nerve(args, hashes: dict) -> int:
 def cmd_equiv(args, hashes: dict) -> int:
     A = load(args.a, hashes)
     B = load(args.b, hashes)
-    if isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex):
-        mapping = None
-    else:
-        mapping = find_isomorphism(A, B)
+    mapping = find_isomorphism(A, B)
     body = {"verdict": mapping is not None,
             "mapping": ([[a, b] for a, b in sorted(mapping.items())]
                         if mapping is not None else None)}

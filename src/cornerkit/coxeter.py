@@ -2,9 +2,14 @@
 
 A labeled complex determines a Coxeter system: one generator per vertex,
 m(s,t) = the edge label when {s,t} is an edge and infinity otherwise.
-Finiteness of a (special sub)group is decided purely by pattern-matching
-the diagram against the classification of finite irreducible Coxeter
-groups; no Gram-matrix arithmetic is involved, so the verdict is exact.
+A Coxeter matrix is stored as its label pattern, the upper triangle
+column by column (_pattern), so its unit diagonal and its symmetry hold
+by construction, and its orders are labels that LabeledComplex has
+already checked.  Finiteness of a (special sub)group is decided purely
+by pattern-matching the diagram against the classification of finite
+irreducible Coxeter groups; no Gram-matrix arithmetic is involved, so
+the verdict is exact.  Inside this module every verdict comes from
+_finite, once per label pattern.
 
 The nerve of the system collects every generator subset spanning a finite
 subgroup.  Equality of that nerve with the input complex is the
@@ -20,7 +25,7 @@ import math
 from .simplicial import (LabeledComplex, SimplicialComplex, _Value, _complex,
                          simplices)  # noqa: F401
 
-INFINITE = 0  # sentinel for m(s,t) = ∞ inside CoxeterMatrix entries
+INFINITE = 0  # sentinel for m(s,t) = ∞ inside a label pattern
 
 
 class BudgetExceeded(RuntimeError):
@@ -34,37 +39,31 @@ class BudgetExceeded(RuntimeError):
 
 
 class CoxeterMatrix(_Value):
-    """Symmetric matrix with 1 on the diagonal; 0 encodes infinity.
+    """The Coxeter matrix of the generators `vertices`, stored as its
+    label pattern: m(0,1), m(0,2), m(1,2), m(0,3), ... in the index order
+    of `vertices`, INFINITE (0) for infinity.  The diagonal is 1 and the
+    matrix symmetric by construction, and no order is checked again.
 
     vertices names the generators, so a matrix restricted to a vertex
     subset still reports verdicts in the original ids.
     """
 
-    _fields = ("vertices", "entries")
+    _fields = ("vertices", "pattern")
 
-    def __init__(self, vertices: tuple[int, ...],
-                 entries: tuple[tuple[int, ...], ...]):
+    def __init__(self, vertices: tuple[int, ...], pattern: tuple[int, ...]):
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "entries", entries)
-        n = len(vertices)
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ValueError("matrix shape does not match generator count")
-        for i in range(n):
-            if entries[i][i] != 1:
-                raise ValueError("diagonal entries must be 1")
-            for j in range(i + 1, n):
-                m = entries[i][j]
-                if m != entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-                if m != INFINITE and m < 2:
-                    raise ValueError(f"off-diagonal order {m} must be >= 2 or ∞")
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
     def order_of(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+        if i == j:
+            return 1
+        if i > j:
+            i, j = j, i
+        return self.pattern[j * (j - 1) // 2 + i]
 
 
 class FinitenessVerdict(_Value):
@@ -82,28 +81,11 @@ class FinitenessVerdict(_Value):
         object.__setattr__(self, "order", order)
 
 
-def coxeter_matrix(LK: LabeledComplex, subset=None) -> CoxeterMatrix:
-    """Coxeter matrix of the system, optionally restricted to a subset."""
-    if subset is None:
-        verts = tuple(range(LK.complex.num_vertices))
-    else:
-        verts = tuple(sorted(subset))
-        for v in verts:
-            if v < 0 or v >= LK.complex.num_vertices:
-                raise ValueError(f"vertex {v} out of range")
-    labels = LK.label_dict()
-    n = len(verts)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1)
-            else:
-                u, v = min(verts[i], verts[j]), max(verts[i], verts[j])
-                row.append(labels.get((u, v), INFINITE))
-        rows.append(tuple(row))
-    return CoxeterMatrix(verts, tuple(rows))
+def coxeter_matrix(LK: LabeledComplex,
+                   verts: tuple[int, ...]) -> CoxeterMatrix:
+    """Coxeter matrix of the special subgroup on verts, a strictly
+    increasing tuple of LK's vertices."""
+    return CoxeterMatrix(verts, _pattern(LK.label_dict(), verts))
 
 
 def _path_type(labels: list[int], n: int) -> tuple[str, int] | None:
@@ -218,7 +200,7 @@ def is_finite(M: CoxeterMatrix) -> FinitenessVerdict:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if M.entries[i][j] != 2:  # ∞ and m >= 3 both connect
+            if M.order_of(i, j) != 2:  # ∞ and m >= 3 both connect
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -243,8 +225,8 @@ def _pattern(labels: dict[tuple[int, int], int],
     """The labels of a sorted vertex subset, column by column: m(v0,v1),
     m(v0,v2), m(v1,v2), m(v0,v3), ..., INFINITE where no edge joins them.
 
-    Equal patterns give equal matrix entries, and finiteness depends on
-    the entries alone.  Rank 0 and rank 1 share the empty pattern; both
+    The pattern is the stored form of CoxeterMatrix, and finiteness
+    depends on it alone.  Rank 0 and rank 1 share the empty pattern; both
     groups are finite.  The pattern of T + (w,) with w above every vertex
     of T is T's pattern followed by m(t, w) for t in T.
     """
@@ -252,12 +234,13 @@ def _pattern(labels: dict[tuple[int, int], int],
                  for j in range(1, len(verts)) for i in range(j))
 
 
-def _finite(LK: LabeledComplex, verts: tuple[int, ...],
-            pattern: tuple[int, ...], memo: dict[tuple[int, ...], bool]) -> bool:
-    """is_finite on the subset verts, decided once per label pattern."""
+def _finite(verts: tuple[int, ...], pattern: tuple[int, ...],
+            memo: dict[tuple[int, ...], bool]) -> bool:
+    """is_finite on the subset verts with this label pattern, decided
+    once per pattern."""
     finite = memo.get(pattern)
     if finite is None:
-        finite = memo[pattern] = is_finite(coxeter_matrix(LK, verts)).finite
+        finite = memo[pattern] = is_finite(CoxeterMatrix(verts, pattern)).finite
     return finite
 
 
@@ -268,15 +251,16 @@ def is_proper_labeling(
     Checking facets suffices: special subgroups of finite Coxeter groups
     are finite, so failure anywhere implies failure at a facet.  On
     failure the witness is a minimal infinite simplex inside the first
-    failing facet.  Facets with the same label pattern share one verdict.
+    failing facet.  Facets, and the subsets the witness search tries,
+    share one verdict per label pattern.
     """
     labels = LK.label_dict()
     memo: dict[tuple[int, ...], bool] = {}
     for f in LK.complex.facets:
-        if not _finite(LK, f, _pattern(labels, f), memo):
+        if not _finite(f, _pattern(labels, f), memo):
             for size in range(2, len(f) + 1):
                 for sub in itertools.combinations(f, size):
-                    if not is_finite(coxeter_matrix(LK, sub)).finite:
+                    if not _finite(sub, _pattern(labels, sub), memo):
                         return False, sub
             raise AssertionError("failing facet with no failing subset")
     return True, None
@@ -326,7 +310,7 @@ def coxeter_nerve(LK: LabeledComplex, max_rank: int | None = None,
                 if tested > budget:
                     raise BudgetExceeded(tested, budget)
                 extended = pattern + tuple(map(below[w].__getitem__, T))
-                if _finite(LK, cand, extended, memo):
+                if _finite(cand, extended, memo):
                     nxt.append((cand, extended, common & up[w]))
                     covered.update(itertools.combinations(cand, len(T)))
         finite_sets.extend(T for T, _, _ in nxt)

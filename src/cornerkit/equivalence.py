@@ -87,12 +87,13 @@ def verify_isomorphism(A, B, mapping: VertexMapping) -> bool:
 def find_isomorphism(A, B) -> VertexMapping | None:
     """A label-preserving simplicial isomorphism A -> B, or None.
 
-    Deterministic given its inputs; any mapping returned has already
-    passed verify_isomorphism.
+    None also when one of A and B is labeled and the other is not: no
+    mapping preserves labels that only one side has.  Deterministic given
+    its inputs; any mapping returned has already passed
+    verify_isomorphism.
     """
-    if isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex):
-        raise TypeError("cannot compare a labeled complex with an unlabeled one")
-    if invariant_fingerprint(A) != invariant_fingerprint(B):
+    if (isinstance(A, LabeledComplex) != isinstance(B, LabeledComplex)
+            or invariant_fingerprint(A) != invariant_fingerprint(B)):
         return None
     KA, adjA, invA = _shared_vertex_data(A)
     KB, adjB, invB = _shared_vertex_data(B)

@@ -394,12 +394,6 @@ class FGAbelianGroup(_Value):
         tor = tuple(c % q for c, q in zip(coords[self.free_rank:], self.torsion))
         return free + tor
 
-    def add(self, x, y) -> tuple[int, ...]:
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
-
-    def neg(self, x) -> tuple[int, ...]:
-        return self.reduce(tuple(-a for a in x))
-
     def is_zero_element(self, x) -> bool:
         return self.reduce(x) == self.zero()
 

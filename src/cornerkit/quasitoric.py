@@ -95,25 +95,16 @@ class Fan(_Value):
         return len(self.rays[0])
 
 
-def unimodular_span(vectors, n: int | None = None) -> bool:
-    """Do k <= n integer vectors span a rank-k direct summand of Zⁿ?
+def unimodular_span(vectors) -> bool:
+    """Do k integer vectors of Zⁿ span a rank-k direct summand?
 
-    Equivalent to the Smith normal form being exactly k ones.
+    Equivalent to the Smith normal form being exactly k ones, so past n
+    vectors, where the diagonal has n entries, the answer is False.  The
+    rows come from a CharacteristicPair or a Fan, which checked their
+    widths and entries.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    if not vecs:
-        return True
-    width = len(vecs[0])
-    if any(len(v) != width for v in vecs):
-        raise ValueError("vectors of mixed dimension")
-    if n is None:
-        n = width
-    elif n != width:
-        raise ValueError(f"vectors live in Z^{width}, not Z^{n}")
-    if len(vecs) > n:
-        raise ValueError(f"{len(vecs)} vectors cannot span a summand of Z^{n}")
-    diag = snf_diagonal(IntegerMatrix.from_rows(vecs))
-    return len(diag) == len(vecs) and all(d == 1 for d in diag)
+    diag = snf_diagonal(IntegerMatrix.from_rows(vectors))
+    return len(diag) == len(vectors) and all(d == 1 for d in diag)
 
 
 def is_characteristic(
@@ -125,9 +116,7 @@ def is_characteristic(
     first failing facet in lexicographic order.
     """
     for f in p.nerve.facets:
-        if len(f) > p.n:
-            return False, f
-        if not unimodular_span([p.row(v) for v in f], p.n):
+        if not unimodular_span([p.row(v) for v in f]):
             return False, f
     return True, None
 
@@ -148,7 +137,7 @@ def from_fan(f: Fan) -> CharacteristicPair:
     certificate used.
     """
     singular = [c for c in f.max_cones
-                if not unimodular_span([f.rays[i] for i in c], f.dim)]
+                if not unimodular_span([f.rays[i] for i in c])]
     if singular:
         raise ValueError("singular cones: " +
                          ", ".join(str(list(c)) for c in singular))

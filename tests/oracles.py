@@ -92,7 +92,7 @@ DATACLASS_TWINS = {
         Cochain: ["degree", "group", "values"],
         GhsFailure: ["simplex", "degree", "expected", "actual"],
         GhsReport: ["verdict", "dimension", "failures", "links_checked"],
-        CoxeterMatrix: ["vertices", "entries"],
+        CoxeterMatrix: ["vertices", "pattern"],
         FinitenessVerdict: ["finite", "components", "order"],
         CharacteristicPair: ["nerve", "n", "lam"],
         Fan: ["rays", "max_cones"],

@@ -98,17 +98,14 @@ def test_criterion_4_coxeter_classification():
             for r in range(q, 13):
                 LK = LabeledComplex(build_complex([[0, 1, 2]]),
                                     ((0, 1, p), (0, 2, q), (1, 2, r)))
-                if is_finite(coxeter_matrix(LK)).finite != \
+                if is_finite(coxeter_matrix(LK, (0, 1, 2))).finite != \
                         triangle_group_is_finite(p, q, r):
                     agree = False
 
     def diagram(n, edges):
-        m = [[2] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = 1
-        for u, v, lab in edges:
-            m[u][v] = m[v][u] = lab
-        return CoxeterMatrix(tuple(range(n)), tuple(tuple(r) for r in m))
+        m = {(min(u, v), max(u, v)): lab for u, v, lab in edges}
+        return CoxeterMatrix(tuple(range(n)), tuple(
+            m.get((i, j), 2) for j in range(1, n) for i in range(j)))
 
     catalog = [
         (diagram(3, [(0, 1, 5), (1, 2, 3)]), 120),            # H3

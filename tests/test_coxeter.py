@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornerkit import coxeter
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix, INFINITE,
                                coxeter_matrix, coxeter_nerve, is_aspherical,
                                is_finite, is_proper_labeling)
@@ -23,12 +24,9 @@ THREE_CYCLE = build_complex([[0, 1], [1, 2], [0, 2]])
 
 
 def diagram(n, edges):
-    m = [[2] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 1
-    for u, v, lab in edges:
-        m[u][v] = m[v][u] = lab
-    return CoxeterMatrix(tuple(range(n)), tuple(tuple(r) for r in m))
+    m = {(min(u, v), max(u, v)): lab for u, v, lab in edges}
+    return CoxeterMatrix(tuple(range(n)), tuple(
+        m.get((i, j), 2) for j in range(1, n) for i in range(j)))
 
 
 def path(labels):
@@ -36,7 +34,7 @@ def path(labels):
 
 
 def test_coxeter_matrix_from_pentagon():
-    M = coxeter_matrix(label_all(PENTAGON, 2))
+    M = coxeter_matrix(label_all(PENTAGON, 2), tuple(range(5)))
     assert M.size == 5
     for i, j in itertools.combinations(range(5), 2):
         expected = 2 if (min(i, j), max(i, j)) in {(0, 1), (1, 2), (2, 3),
@@ -46,11 +44,28 @@ def test_coxeter_matrix_from_pentagon():
 
 def test_coxeter_matrix_single_edge_and_subset():
     LK = LabeledComplex(build_complex([[0, 1]]), ((0, 1, 5),))
-    M = coxeter_matrix(LK)
-    assert M.entries == ((1, 5), (5, 1))
-    sub = coxeter_matrix(label_all(PENTAGON, 2), subset=(0, 2))
+    M = coxeter_matrix(LK, (0, 1))
+    assert M.pattern == (5,)
+    assert [[M.order_of(i, j) for j in range(2)] for i in range(2)] == \
+        [[1, 5], [5, 1]]
+    sub = coxeter_matrix(label_all(PENTAGON, 2), (0, 2))
     assert sub.order_of(0, 1) == INFINITE
     assert sub.vertices == (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.data())
+def test_coxeter_matrix_reads_every_label(seed, n, data):
+    LK = random_labeled(random.Random(seed), n)
+    verts = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    labels = {(u, v): m for u, v, m in LK.labels}
+    M = coxeter_matrix(LK, verts)
+    assert M.vertices == verts
+    for i, a in enumerate(verts):
+        for j, b in enumerate(verts):
+            expected = (1 if a == b else
+                        labels.get((min(a, b), max(a, b)), INFINITE))
+            assert M.order_of(i, j) == expected, (verts, i, j)
 
 
 def test_triangle_classification_matches_angle_oracle():
@@ -58,7 +73,7 @@ def test_triangle_classification_matches_angle_oracle():
         for q in range(p, 13):
             for r in range(q, 13):
                 LK = LabeledComplex(TRIANGLE, ((0, 1, p), (0, 2, q), (1, 2, r)))
-                verdict = is_finite(coxeter_matrix(LK))
+                verdict = is_finite(coxeter_matrix(LK, (0, 1, 2)))
                 assert verdict.finite == triangle_group_is_finite(p, q, r), \
                     (p, q, r)
 
@@ -143,6 +158,36 @@ def test_proper_matches_exhaustive_all_simplices():
             for k in range(LK.complex.dim + 1)
             for s in simplices(LK.complex, k))
         assert facet_only == exhaustive
+
+
+def test_verdicts_come_from_the_label_patterns(monkeypatch):
+    # a proper labeling, and improper ones whose witness search meets
+    # patterns that the facets already decided
+    cases = [barycentric_all_two(boundary_simplex(3)),
+             label_all(boundary_simplex(3), 3),
+             LabeledComplex(TRIANGLE, ((0, 1, 2), (0, 2, 3), (1, 2, 6)))]
+    expected = [(per_facet_proper(LK), per_candidate_nerve(LK))
+                for LK in cases]
+
+    def refuse(*args):
+        raise AssertionError("coxeter_matrix called inside the module")
+
+    patterns = []
+    real_is_finite = coxeter.is_finite
+
+    def counted(M):
+        patterns.append(M.pattern)
+        return real_is_finite(M)
+
+    monkeypatch.setattr(coxeter, "coxeter_matrix", refuse)
+    monkeypatch.setattr(coxeter, "is_finite", counted)
+    for LK, (proper, nerve) in zip(cases, expected):
+        for run, want in ((is_proper_labeling, proper),
+                          (lambda LK: sorted(coxeter_nerve(LK).facets),
+                           nerve)):
+            patterns.clear()
+            assert run(LK) == want
+            assert patterns and len(patterns) == len(set(patterns))
 
 
 def test_barycentric_all_two_always_proper():

@@ -226,7 +226,8 @@ def test_cocycles_closed_under_indicator_adjustment():
         G = D.faces[1][rng.randrange(len(D.faces[1]))]
         adjustment = coboundary(D, indicator_cochain(D, G, (1,), Z2))
         summed = Cochain.build(D, 2, Z2,
-                               {key: Z2.add(v, w) for (key, v), (_, w)
+                               {key: Z2.reduce((v[0] + w[0],))
+                                for (key, v), (_, w)
                                 in zip(c.values, adjustment.values)})
         after, _ = is_cocycle(D, summed)
         assert before == after

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import equivalence
@@ -151,9 +150,9 @@ def test_vertex_data_is_built_once_per_complex(monkeypatch):
     assert [id(X) for X in builds] == [id(A), id(B), id(LA), id(LB)]
 
 
-def test_mixed_labeledness_is_a_type_error():
-    with pytest.raises(TypeError):
-        find_isomorphism(label_all(PENTAGON, 2), PENTAGON)
+def test_mixed_labeledness_finds_no_isomorphism():
+    assert find_isomorphism(label_all(PENTAGON, 2), PENTAGON) is None
+    assert find_isomorphism(PENTAGON, label_all(PENTAGON, 2)) is None
 
 
 def _shuffled(X, rng):

@@ -31,6 +31,10 @@ KEPT = {
     # JSON key "reduced_homology" and by SparseMatrix.is_zero
     "reduced_homology": "acceptance criterion 3 reads H̃_1(RP²) through it",
     "is_zero": "acceptance criterion 7 checks δδ = 0 with Cochain.is_zero",
+    # and these two by locals named order, the "simplex" report key and
+    # GhsFailure.simplex
+    "order": "acceptance criterion 8 reads cokernel(M).order()",
+    "simplex": "the tests build their checked faces with it",
 }
 
 

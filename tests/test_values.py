@@ -27,6 +27,7 @@ complexes = st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3,
     lambda faces: build_complex([[sorted({v for f in faces for v in f})
                                   .index(v) for v in f] for f in faces]))
 labeled = st.builds(label_all, complexes, st.integers(2, 5))
+
 groups = st.lists(st.integers(0, 6), max_size=3).map(
     FGAbelianGroup.from_invariants)
 matrices = st.integers(0, 3).flatmap(lambda cols: st.lists(
@@ -34,6 +35,10 @@ matrices = st.integers(0, 3).flatmap(lambda cols: st.lists(
     max_size=3)).map(IntegerMatrix.from_rows)
 failures = st.builds(GhsFailure, simplices_, st.integers(-1, 3), groups,
                      groups)
+
+
+def whole_matrix(LK):
+    return coxeter_matrix(LK, tuple(range(LK.complex.num_vertices)))
 
 
 @st.composite
@@ -78,8 +83,8 @@ INSTANCES = {
         max_size=2).map(tuple)),
     GhsFailure: failures,
     GhsReport: reports(),
-    CoxeterMatrix: labeled.map(coxeter_matrix),
-    FinitenessVerdict: labeled.map(lambda LK: is_finite(coxeter_matrix(LK))),
+    CoxeterMatrix: labeled.map(whole_matrix),
+    FinitenessVerdict: labeled.map(lambda LK: is_finite(whole_matrix(LK))),
     CharacteristicPair: pairs(),
     Fan: fans(),
 }
