@@ -14,25 +14,39 @@ machine-dependent is serialized.
 Input paths are tried literally first, then against the curated data
 directory (override with the CORNERKIT_DATA environment variable), so
 `-i poincare16.json` works out of the box; `-` reads stdin.
+
+A job starts only what it runs.  One argument table, COMMANDS, declares
+each subcommand's arguments.  It drives build_parser, the argparse
+parser, and _match, which parses a canonical command line without
+importing argparse: the subcommand, its positionals, then declared option
+strings written out in full, each at most once with one value that does
+not start with '-' (or is '-' itself), every required option present.
+Anything else (help, usage errors, abbreviations, --opt=value, -n4) goes
+to argparse unchanged, which alone prints help, usage and errors.  A run
+report hashes its inputs with CPython's _sha256, falling back to hashlib
+where the interpreter lacks it, so a canonical job imports neither
+argparse (nor its gettext and locale) nor OpenSSL.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import jsonio
-from .simplicial import LabeledComplex
+from .simplicial import LabeledComplex, _bind, _forward
 
-# The library names the handlers call, by the module that defines them.
+# The library names the handlers call, by the module they are read from.
 # A job imports only its subcommand's modules: `main` binds their names
 # into this module's globals before the handler runs, and `__getattr__`
 # binds a name on first access from outside.  Both leave a name that is
 # already bound alone, so a wrapper installed here beforehand stays in
 # place.
 LIBRARY = {
+    "constructions": ("barycentric", "barycentric_all_two",
+                      "boundary_simplex", "cone", "join", "suspension"),
     "coxeter": ("coxeter_matrix", "coxeter_nerve", "is_aspherical",
                 "is_finite", "is_proper_labeling"),
     # cli calls no is_cocycle (solve_obstruction checks the cocycle), but
@@ -41,29 +55,12 @@ LIBRARY = {
                   "is_cocycle", "is_resolution_ready", "solve_obstruction"),
     "equivalence": ("find_isomorphism",),
     "ghs": ("is_ghs", "is_polyhedral_homology_manifold"),
+    # reduced_homology_all binds through homology's forward to clearing
     "homology": ("TRIVIAL_GROUP", "reduced_homology_all"),
     "quasitoric": ("even_betti_report", "from_fan", "is_characteristic",
                    "pi1_orbit_union"),
-    "simplicial": ("barycentric", "barycentric_all_two", "boundary_simplex",
-                   "cone", "join", "suspension"),
 }
-
-
-def _bind(module: str) -> None:
-    """Import `module` and bind each of its LIBRARY names not yet bound."""
-    # __import__ returns the package; unlike importlib.import_module it
-    # goes through the import statement's path, which -X importtime reports
-    source = getattr(__import__(f"{__package__}.{module}"), module)
-    for name in LIBRARY[module]:
-        globals().setdefault(name, getattr(source, name))
-
-
-def __getattr__(name: str):
-    for module, names in LIBRARY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), LIBRARY)
 
 
 class CliError(Exception):
@@ -106,8 +103,13 @@ def parse_json(raw: bytes, label: str) -> dict:
 
 
 def content_hash(raw: bytes) -> str:
-    import hashlib  # only a job that writes a JSON run report hashes
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+    # only a job that writes a JSON run report hashes, and CPython's own
+    # _sha256 loads without hashlib's OpenSSL; Python 3.12 renames it
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return "sha256:" + sha256(raw).hexdigest()
 
 
 def load(path: str, hashes: dict, decode=None):
@@ -336,7 +338,7 @@ CONSTRUCT_KINDS = ("boundary-simplex", "cone", "suspension", "join",
 
 
 def cmd_construct(args, hashes: dict) -> int:
-    """argparse has already restricted `args.kind` to CONSTRUCT_KINDS."""
+    """The parse has already restricted `args.kind` to CONSTRUCT_KINDS."""
     kind = args.kind
     if kind == "boundary-simplex":
         if len(args.args) != 1:
@@ -377,106 +379,149 @@ def cmd_construct(args, hashes: dict) -> int:
 
 
 # --- argument parsing -------------------------------------------------------
+# COMMANDS: name -> (help, handler, library module, other defaults,
+# arguments), each argument its flags and add_argument keywords, in the
+# order the help lists them.
+
+INPUT = (("--input", "-i"), {
+    "default": "-", "help": "input file ('-' = stdin; bare names also "
+                            "resolve against the data directory)"})
+DIM = (("--dim", "-n"), {"type": int, "required": True,
+                         "help": "dimension parameter"})
+FORMAT = (("--format",), {"choices": ("json", "text"), "default": "json"})
+BUDGET = {"type": int, "default": 1_000_000}
+
+COMMANDS = {
+    "check-ghs": ("generalized homology sphere test", cmd_check_links, "ghs",
+                  {"check": "is_ghs", "letter": "n"}, (INPUT, DIM, FORMAT)),
+    "check-phm": ("polyhedral homology manifold test", cmd_check_links,
+                  "ghs", {"check": "is_polyhedral_homology_manifold",
+                          "letter": "m"}, (INPUT, DIM, FORMAT)),
+    "check-proper": ("proper Coxeter labeling test", cmd_check_proper,
+                     "coxeter", {}, (INPUT, FORMAT)),
+    "check-aspherical": ("nerve-equality asphericity test",
+                         cmd_check_aspherical, "coxeter", {}, (
+                             INPUT, FORMAT,
+                             (("--budget",), {**BUDGET, "help":
+                                              "clique enumeration cap"}))),
+    "coxeter-nerve": ("emit the finite-subgroup nerve complex",
+                      cmd_coxeter_nerve, "coxeter", {}, (
+                          INPUT, FORMAT,
+                          (("--max-rank",), {"type": int, "default": None}),
+                          (("--budget",), BUDGET))),
+    "equiv": ("label-preserving isomorphism search", cmd_equiv,
+              "equivalence", {}, ((("a",), {"help": "first complex file"}),
+                                  (("b",), {"help": "second complex file"}),
+                                  FORMAT)),
+    "homology": ("reduced integral homology", cmd_homology, "homology", {}, (
+        INPUT, FORMAT, (("--degree",), {"type": int, "default": None}))),
+    "solve-obstruction": ("solve c = δd on the dual-cell complex",
+                          cmd_solve_obstruction, "dualcells", {}, (
+                              DIM, FORMAT,
+                              (("--complex",), {"required": True, "help":
+                                                "nerve complex file"}),
+                              (("--cochain",), {"required": True,
+                                                "help": "cochain file"}),
+                              (("--no-top",), {
+                                  "action": "store_true", "default": False,
+                                  "help":
+                                  "exclude the top cell (model the "
+                                  "boundary only)"}))),
+    "acyclicity": ("homology of the dual-cell complex per degree",
+                   cmd_acyclicity, "dualcells", {}, (
+                       INPUT, DIM, FORMAT,
+                       (("--no-top",), {"action": "store_true",
+                                        "default": False}))),
+    "check-charfun": ("unimodular-span validation of a pair",
+                      cmd_check_charfun, "quasitoric", {}, (INPUT, FORMAT)),
+    "from-fan": ("characteristic pair from fan data", cmd_from_fan,
+                 "quasitoric", {}, (INPUT, FORMAT)),
+    "betti": ("even Betti report from the h-vector", cmd_betti, "quasitoric",
+              {}, (INPUT, FORMAT)),
+    "construct": ("emit a constructed complex", cmd_construct,
+                  "constructions", {}, (
+                      (("kind",), {"choices": CONSTRUCT_KINDS}),
+                      (("args",), {"nargs": "*",
+                                   "help": "kind-specific arguments"}),
+                      INPUT, FORMAT)),
+}
+
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand, or with `command`'s alone when it
-    names one.  A job needs only its own subparser; help, a missing or
-    unknown command and the top-level usage line name them all."""
+    names one.  A job that argparse parses needs only its own subparser;
+    help, a missing or unknown command and the top-level usage line name
+    them all."""
+    import argparse  # only for what _match leaves to it
     parser = argparse.ArgumentParser(
         prog="cornerkit",
         description="Exact checks for sphere-like nerves, Coxeter labelings, "
                     "dual-cell obstruction cochains, and torus characteristic "
                     "data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, func, library, **defaults):
-        """The subparser `name`, or None when another one is asked for."""
-        if command not in (None, name):
-            return None
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help, func, library, defaults, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, library=library, **defaults)
-        return p
-
-    def common(p, needs_input=True, needs_dim=False):
-        if needs_input:
-            p.add_argument("--input", "-i", default="-",
-                           help="input file ('-' = stdin; bare names also "
-                                "resolve against the data directory)")
-        if needs_dim:
-            p.add_argument("--dim", "-n", type=int, required=True,
-                           help="dimension parameter")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    if p := add("check-ghs", "generalized homology sphere test",
-                cmd_check_links, "ghs", check="is_ghs", letter="n"):
-        common(p, needs_dim=True)
-
-    if p := add("check-phm", "polyhedral homology manifold test",
-                cmd_check_links, "ghs",
-                check="is_polyhedral_homology_manifold", letter="m"):
-        common(p, needs_dim=True)
-
-    if p := add("check-proper", "proper Coxeter labeling test",
-                cmd_check_proper, "coxeter"):
-        common(p)
-
-    if p := add("check-aspherical", "nerve-equality asphericity test",
-                cmd_check_aspherical, "coxeter"):
-        common(p)
-        p.add_argument("--budget", type=int, default=1_000_000,
-                       help="clique enumeration cap")
-
-    if p := add("coxeter-nerve", "emit the finite-subgroup nerve complex",
-                cmd_coxeter_nerve, "coxeter"):
-        common(p)
-        p.add_argument("--max-rank", type=int, default=None)
-        p.add_argument("--budget", type=int, default=1_000_000)
-
-    if p := add("equiv", "label-preserving isomorphism search", cmd_equiv,
-                "equivalence"):
-        p.add_argument("a", help="first complex file")
-        p.add_argument("b", help="second complex file")
-        common(p, needs_input=False)
-
-    if p := add("homology", "reduced integral homology", cmd_homology,
-                "homology"):
-        common(p)
-        p.add_argument("--degree", type=int, default=None)
-
-    if p := add("solve-obstruction", "solve c = δd on the dual-cell complex",
-                cmd_solve_obstruction, "dualcells"):
-        common(p, needs_input=False, needs_dim=True)
-        p.add_argument("--complex", required=True, help="nerve complex file")
-        p.add_argument("--cochain", required=True, help="cochain file")
-        p.add_argument("--no-top", action="store_true",
-                       help="exclude the top cell (model the boundary only)")
-
-    if p := add("acyclicity", "homology of the dual-cell complex per degree",
-                cmd_acyclicity, "dualcells"):
-        common(p, needs_dim=True)
-        p.add_argument("--no-top", action="store_true")
-
-    if p := add("check-charfun", "unimodular-span validation of a pair",
-                cmd_check_charfun, "quasitoric"):
-        common(p)
-
-    if p := add("from-fan", "characteristic pair from fan data", cmd_from_fan,
-                "quasitoric"):
-        common(p)
-
-    if p := add("betti", "even Betti report from the h-vector", cmd_betti,
-                "quasitoric"):
-        common(p)
-
-    if p := add("construct", "emit a constructed complex", cmd_construct,
-                "simplicial"):
-        p.add_argument("kind", choices=CONSTRUCT_KINDS)
-        p.add_argument("args", nargs="*", help="kind-specific arguments")
-        common(p)
-
-    if not sub.choices:  # `command` names no subcommand
-        return build_parser()
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
     return parser
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a canonical command line, or None.
+
+    Canonical: the subcommand, its positionals, then declared option
+    strings written out in full, each at most once and each but a flag
+    with one value; every required option is present.  No token after the
+    subcommand starts with '-' unless it is an option string or '-'
+    itself, so argparse could read no value as an option."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, library, defaults, arguments = COMMANDS[argv[0]]
+    found = {"command": argv[0], "func": func, "library": library,
+             **defaults}
+    options, required, seen = {}, set(), set()
+    tokens = argv[1:]
+    try:
+        for flags, keywords in arguments:
+            dest = flags[0].lstrip("-").replace("-", "_")
+            if dest == flags[0] and keywords.get("nargs"):  # "*"
+                n = next((i for i, t in enumerate(tokens) if _dashed(t)),
+                         len(tokens))
+                found[dest], tokens = tokens[:n], tokens[n:]
+            elif dest == flags[0]:  # a positional
+                found[dest] = _value(tokens.pop(0), keywords)
+            else:
+                found[dest] = keywords.get("default")
+                options.update(dict.fromkeys(flags, (dest, keywords)))
+                if keywords.get("required"):
+                    required.add(dest)
+        while tokens:
+            dest, keywords = options[tokens.pop(0)]
+            if dest in seen:
+                return None
+            seen.add(dest)
+            found[dest] = ("action" in keywords
+                           or _value(tokens.pop(0), keywords))
+    except (IndexError, KeyError, ValueError):  # argparse's to parse
+        return None
+    return SimpleNamespace(**found) if required <= seen else None
+
+
+def _dashed(token: str) -> bool:
+    """Could argparse read `token` as an option string?"""
+    return token.startswith("-") and token != "-"
+
+
+def _value(token: str, keywords: dict):
+    """`token` as argparse stores it for the argument that `keywords`
+    declares.  ValueError where argparse could read it as an option
+    string, or where it fails the argument's type or choices."""
+    value = keywords.get("type", str)(token)
+    if _dashed(token) or value not in keywords.get("choices", (value,)):
+        raise ValueError(token)
+    return value
 
 
 def _budget_errors() -> tuple:
@@ -488,15 +533,17 @@ def _budget_errors() -> tuple:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args, extra = build_parser(argv[0] if argv else None) \
-            .parse_known_args(argv)
-        if extra:  # the error's usage line names every subcommand
-            build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code not in (0, None) else 0
-    _bind(args.library)
+    args = _match(argv)
+    if args is None:
+        try:
+            args, extra = build_parser(argv[0] if argv else None) \
+                .parse_known_args(argv)
+            if extra:  # the error's usage line names every subcommand
+                build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors already; normalize other codes
+            return 2 if exc.code not in (0, None) else 0
+    _bind(globals(), args.library, LIBRARY[args.library])
     try:
         return args.func(args, {})
     except (CliError, ValueError, KeyError, *_budget_errors()) as exc:

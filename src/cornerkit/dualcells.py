@@ -20,12 +20,17 @@ reduction serves every coordinate, exact in the free ones and modular in
 the torsion ones.  When the dual complex is
 acyclic (the nerve is a generalized homology sphere) every cocycle of
 positive degree is solvable.
+
+A solve job compiles none of the homology-group code: acyclicity_report
+imports `clearing.homology_all` when it runs, so only `acyclicity` loads
+the clearing reduction.
 """
 
 from __future__ import annotations
 
 from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP,
-                       chain_complex, homology_all, solve_integer, Z)
+                       chain_complex, solve_integer, Z)
+from .jsonio import _document, _int, _int_lists, group_to_obj
 # simplices is not called here, but bench/spans.py wraps it by this name
 from .simplicial import SimplicialComplex, _Value, simplices  # noqa: F401
 
@@ -188,6 +193,7 @@ def acyclicity_report(D: DualComplex) -> dict[int, FGAbelianGroup]:
     coefficients, the free part of the nerve's H_{n-d-1} plus the torsion
     of its H_{n-d-2}, each 0 where the nerve has no faces, from one
     clearing reduction of D.chain."""
+    from .clearing import homology_all  # so a solve job loads no clearing
     H = homology_all(D.chain)
     return {d: FGAbelianGroup(H.get(D.n - d - 1, TRIVIAL_GROUP).free_rank,
                               H.get(D.n - d - 2, TRIVIAL_GROUP).torsion)
@@ -204,3 +210,48 @@ def is_resolution_ready(report: dict[int, FGAbelianGroup]) -> bool:
         elif not group.is_trivial():
             return False
     return True
+
+
+# --- JSON encoding ---------------------------------------------------------
+# The cochain document lives with its type, so only the jobs that read or
+# write cochains compile it; jsonio forwards these names here.
+
+def group_from_obj(obj: dict) -> FGAbelianGroup:
+    _document(obj, '"group"')
+    torsion, = _int_lists([obj.get("torsion", [])], '"torsion"')
+    return FGAbelianGroup(_int(obj.get("rank", 0), '"rank"'), tuple(torsion))
+
+
+def _simplex_key(vertices: tuple[int, ...]) -> str:
+    return " ".join(str(v) for v in vertices)
+
+
+def _parse_simplex_key(key: str) -> tuple[int, ...]:
+    key = key.strip()
+    return tuple(int(tok) for tok in key.split()) if key else ()
+
+
+def cochain_to_obj(c: Cochain) -> dict:
+    return {"degree": c.degree,
+            "group": group_to_obj(c.group),
+            "values": {_simplex_key(k): list(v) for k, v in c.values}}
+
+
+def cochain_from_obj(obj: dict, D: DualComplex) -> Cochain:
+    """The cochain that a document gives on D.  Two keys that name one
+    face, such as "0 10" and " 0  10", are an error: a dict of the faces
+    would keep the later value alone."""
+    _document(obj, "cochain document", "degree", "group", "values")
+    group = group_from_obj(obj["group"])
+    values = _document(obj["values"], '"values"')
+    _int_lists(list(values.values()), '"values"')
+    assignment = {_parse_simplex_key(k): tuple(v) for k, v in values.items()}
+    if len(assignment) != len(values):
+        seen = set()
+        for face in map(_parse_simplex_key, values):
+            if face in seen:
+                break
+            seen.add(face)
+        raise ValueError(f'"values": {len(values) - len(assignment)} keys '
+                         f'repeat a face, first {face}')
+    return Cochain.build(D, _int(obj["degree"], '"degree"'), group, assignment)

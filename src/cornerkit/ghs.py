@@ -17,14 +17,17 @@ Each link shape is decided once per check.  `link` renumbers densely in
 increasing order, so links with equal facet tuples are equal complexes
 with equal homology; the link loop keys its verdicts on (facets, sphere
 dimension), and every simplex whose link has a failing shape still gets
-its own witnesses.
+its own witnesses.  `link` lives here, with the checks that take links;
+it stays importable from `simplicial`, which binds it from here on first
+use.
 """
 
 from __future__ import annotations
 
-from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z, reduced_homology_all
-from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, link,
-                         simplices)
+from .clearing import reduced_homology_all
+from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z
+from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, _complex,
+                         _containing_facets, simplices)
 
 
 class GhsFailure(_Value):
@@ -86,6 +89,30 @@ def _purity_failures(K: SimplicialComplex, m: int) -> list[GhsFailure]:
     by_size = {n: _compare({-1: Z}, m - n) for n in sizes}
     return [GhsFailure(f, deg, exp, act)
             for f in K.facets for deg, exp, act in by_size[len(f)]]
+
+
+def link(K: SimplicialComplex,
+         s: tuple[int, ...]) -> tuple[SimplicialComplex, tuple[int, ...]]:
+    """Link of s in K, densely renumbered.
+
+    Returns (L, vertex_map) where vertex_map[i] is the original id of L's
+    vertex i.  The link of the empty simplex is K itself (identity map);
+    the link of a facet is the empty complex.
+
+    The facets that contain s come from K's star index.  Their residues
+    need no checks: distinct facets that contain s leave distinct
+    residues, none inside another, and the renumbering leaves no gap.
+    """
+    if not s:
+        return K, tuple(range(K.num_vertices))
+    containing = _containing_facets(K, s)
+    if not containing:
+        raise ValueError(f"{s!r} is not a simplex of the complex")
+    star = [K.facets[i] for i in containing]
+    old_ids = sorted(set().union(*star).difference(s))
+    renum = dict(zip(old_ids, range(len(old_ids))))
+    facets = [tuple([renum[v] for v in f if v in renum]) for f in star]
+    return _complex(len(old_ids), facets), tuple(old_ids)
 
 
 def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,

@@ -1,6 +1,6 @@
-"""Exact integer linear algebra: Smith normal form, simplicial chain
-complexes, homology with torsion, solving over a coefficient group,
-cokernels.
+"""Exact integer linear algebra on sparse matrices: simplicial chain
+complexes, the Smith reduction behind every invariant factor, solving
+over a coefficient group, and finitely generated abelian groups.
 
 Everything here runs over Python's arbitrary-precision integers; there is
 no floating point in this module.  Intermediate entries in a Smith
@@ -11,21 +11,23 @@ Homology is always integral.  Torsion is reported in divisor-chain normal
 form (Z/2 ⊕ Z/3 prints as torsion [6]).
 
 Boundary maps are sparse signed columns: a k-simplex has k + 1 faces, so
-a dense grid would be almost all zeros.  Their invariant factors come
-from a sparse column reduction against ±1 pivots followed by a Smith
-reduction of the (usually empty) leftover block.  Homology reduces the
-maps from the top degree down with clearing: each degree skips the
-columns that the unit pivots of the degree above turned into
-boundaries.  chain_complex builds simplicial chain complexes, valid by
-construction, without the checks of the public ChainComplex constructor;
-a dual-cell complex is its nerve's read upside down, so no job runs them.
+a dense grid would be almost all zeros.  chain_complex builds simplicial
+chain complexes, valid by construction, without the checks of the public
+ChainComplex constructor; a dual-cell complex is its nerve's read upside
+down, so no job runs them.
 
-Every Smith reduction here is one replay on sparse rows that carries a
+Every Smith reduction is one replay on sparse rows that carries a
 right-hand side through the row operations and logs the column
-operations: snf carries the identity to get U and replays the log to get
-V, snf_diagonal carries nothing, and a solve over a group carries b, so
-it returns the preimage the transforms give without forming them; one
-pass serves every coordinate of the group.
+operations: a solve over a group carries b, so it returns the preimage
+the transforms of snf give without forming them; one pass serves every
+coordinate of the group.
+
+A solve job runs only what is here.  Homology groups by the clearing
+reduction (homology_all, reduced_homology, reduced_homology_all) live in
+`clearing`, and the dense matrices with their Smith forms (IntegerMatrix,
+SNFResult, snf, snf_diagonal, cokernel) in `smith`.  Those names still
+resolve here through a module `__getattr__` (PEP 562) that imports their
+module on first use and binds them in this module.
 """
 
 from __future__ import annotations
@@ -33,47 +35,8 @@ from __future__ import annotations
 import math
 from itertools import chain, combinations, cycle, repeat
 
-from .simplicial import EMPTY_SIMPLEX, SimplicialComplex, _Value, simplices
-
-
-class IntegerMatrix(_Value):
-    """Dense immutable integer matrix."""
-
-    _fields = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int,
-                 entries: tuple[tuple[int, ...], ...]):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntegerMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             tuple(zip(*self.entries)) if self.rows else
-                             tuple(() for _ in range(self.cols)))
-
-    def tolists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.rows}x{self.cols})"
+from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, _forward,
+                         simplices)
 
 
 class SparseMatrix(_Value):
@@ -111,21 +74,6 @@ class SparseMatrix(_Value):
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols})"
-
-
-class SNFResult(_Value):
-    """U·A·V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
-
-    _fields = ("U", "D", "V")
-
-    def __init__(self, U: IntegerMatrix, D: IntegerMatrix, V: IntegerMatrix):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
-
-    def diagonal(self) -> list[int]:
-        n = min(self.D.rows, self.D.cols)
-        return [self.D.entries[i][i] for i in range(n)]
 
 
 def _replay_pivot(rows: list[dict[int, int]], row_at: list[int],
@@ -242,92 +190,6 @@ def _replay_columns(log, x: list[list[int]]) -> list[list[int]]:
     for j, k, q in reversed(log):
         x[j] = [u - q * v for u, v in zip(x[j], x[k])]
     return x
-
-
-def snf(A: IntegerMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms: U·A·V = D.
-
-    U is the replay's row operations applied to the identity; V is its
-    column permutation followed by the logged column subtractions.
-    """
-    b = IntegerMatrix.identity(A.rows).tolists()
-    diag, row_at, col_pos, log = _replay(SparseMatrix.from_dense(A), b)
-    V = _replay_columns(
-        log, [[int(p == q) for q in range(A.cols)] for p in col_pos])
-    D = [[0] * A.cols for _ in range(A.rows)]
-    for t, d in enumerate(diag):
-        D[t][t] = d
-    return SNFResult(IntegerMatrix.from_rows([b[r] for r in row_at]),
-                     IntegerMatrix(A.rows, A.cols, tuple(map(tuple, D))),
-                     IntegerMatrix.from_rows(V))
-
-
-def snf_diagonal(A: IntegerMatrix) -> list[int]:
-    """Just the invariant factors, min(rows, cols) of them, divisor chain
-    first and zeros last; no transform is carried."""
-    diag = _replay(SparseMatrix.from_dense(A), [[] for _ in range(A.rows)])[0]
-    return diag + [0] * (min(A.rows, A.cols) - len(diag))
-
-
-def _clear(col: dict[int, int], pivot: dict[int, int], i: int) -> None:
-    """col -= col[i]·pivot[i]·pivot, which zeroes col[i]: pivot[i] is ±1,
-    its own inverse."""
-    f = col[i] * pivot[i]
-    for r, x in pivot.items():
-        y = col.get(r, 0) - f * x
-        if y:
-            col[r] = y
-        else:
-            del col[r]
-
-
-def _reduce(M: SparseMatrix, skip=()) -> tuple[list[int], set[int]]:
-    """(the nonzero invariant factors of M, the rows of its unit pivots),
-    with the columns whose indices are in skip left out.
-
-    This is the standard column reduction of persistent homology with
-    both orders reversed: columns are reduced from the last to the first
-    against the pivots found so far, each pivot a column whose first
-    entry is ±1 in a row where no other pivot starts.  Reordered by those
-    rows, the pivots are triangular with a unit diagonal, so each splits
-    off a Smith factor 1.  A column that starts with a non-unit is held
-    back; once the rest is reduced, its entries in pivot rows are
-    cleared, first row first, and snf_diagonal runs on what is left,
-    which on boundary matrices is usually nothing.  (On the top boundary
-    of bary²(poincare16), reducing in the forward orders scans about 17
-    times as many entries.)
-    """
-    pivots: dict[int, dict[int, int]] = {}  # first row -> its column
-    held = []
-    for j in reversed(range(len(M.columns))):
-        entries = M.columns[j]
-        if not entries or j in skip:
-            continue
-        col = dict(entries)
-        first = min(col)
-        while first in pivots:
-            _clear(col, pivots[first], first)
-            if not col:
-                break
-            first = min(col)
-        else:
-            if col[first] in (1, -1):
-                pivots[first] = col
-            else:
-                held.append(col)
-    left = []
-    for col in held:
-        while hit := [i for i in col if i in pivots]:
-            _clear(col, pivots[min(hit)], min(hit))
-        if col:
-            left.append(col)
-    factors = [1] * len(pivots)
-    if left:
-        rows = sorted({i for col in left for i in col})
-        factors += [d for d in snf_diagonal(IntegerMatrix(
-            len(rows), len(left),
-            tuple(tuple(col.get(i, 0) for col in left) for i in rows))) if d]
-    return factors, set(pivots)
 
 
 class FGAbelianGroup(_Value):
@@ -484,47 +346,6 @@ def chain_complex(K: SimplicialComplex, augmented: bool = False) -> ChainComplex
     return C
 
 
-def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
-    """Homology in every degree from the invariant factors of each map.
-
-    The maps are reduced from the top degree down, and ∂_k skips the
-    columns of the unit pivot rows of ∂_{k+1} (clearing, the twist of
-    Chen & Kerber).  This is exact over Z: the unit pivots of
-    ∂_{k+1}·V are boundaries, each with ±1 in its own pivot row and
-    zeros above it, so replacing those basis vectors of C_k by them is a
-    unimodular change of basis, and ∂_k is zero on each.
-    """
-    factors: dict[int, list[int]] = {}
-    cleared: set[int] = set()
-    for k in sorted(C.boundary, reverse=True):
-        factors[k], cleared = _reduce(C.boundary[k],
-                                      cleared if k + 1 in factors else ())
-    out: dict[int, FGAbelianGroup] = {}
-    for k in C.degrees():
-        up = factors.get(k + 1, [])
-        free = len(C.basis[k]) - len(factors.get(k, ())) - len(up)
-        # the factors are a divisor chain already, as the constructor checks
-        out[k] = FGAbelianGroup(free, tuple(d for d in up if d > 1))
-    return out
-
-
-def reduced_homology(K: SimplicialComplex, k: int) -> FGAbelianGroup:
-    """Reduced integral homology H̃_k(K)."""
-    return reduced_homology_all(K).get(k, TRIVIAL_GROUP)
-
-
-def reduced_homology_all(K: SimplicialComplex) -> dict[int, FGAbelianGroup]:
-    """Reduced homology in all degrees -1..dim(K)."""
-    return homology_all(chain_complex(K, augmented=True))
-
-
-def cokernel(A: IntegerMatrix) -> FGAbelianGroup:
-    """Z^rows modulo the span of A's columns."""
-    d = snf_diagonal(A)
-    r = sum(1 for x in d if x)
-    return FGAbelianGroup(A.rows - r, tuple(x for x in d if x > 1))
-
-
 def _divide(d: int, c: int, q: int) -> int | None:
     """A y with d·y = c over Z (q = 0) or mod q, or None: c/d over Z, the
     least residue mod q/gcd(d, q) otherwise."""
@@ -572,3 +393,9 @@ def solve_integer(A: SparseMatrix, b,
     y = (y + [[0] * len(moduli)] * A.cols)[:A.cols]
     x = _replay_columns(log, [y[p] for p in col_pos])
     return [group.reduce(e) for e in x]
+
+
+__getattr__ = _forward(globals(), {
+    "clearing": ("homology_all", "reduced_homology", "reduced_homology_all"),
+    "smith": ("IntegerMatrix", "SNFResult", "cokernel", "snf",
+              "snf_diagonal")})

@@ -9,6 +9,14 @@ read of the raw document but ignored by the constructors.
 
 All dumps are canonical: sorted keys, no whitespace, one trailing
 newline.  parse(print(x)) == x on everything this module emits.
+
+Every job loads this module, so it holds the complex and group codecs
+and the checks that every decoder shares.  The cochain codecs
+(cochain_from_obj, cochain_to_obj, group_from_obj) live with their type
+in `dualcells`, and the pair and fan codecs (pair_from_obj, pair_to_obj,
+fan_from_obj) in `quasitoric`, so a job compiles only the codecs it runs.
+Those names still resolve here through a module `__getattr__` (PEP 562)
+that imports their module on first use and binds them in this module.
 """
 
 from __future__ import annotations
@@ -16,9 +24,8 @@ from __future__ import annotations
 import json
 from itertools import chain, repeat
 
-# The value types of the other modules are imported in the functions that
-# build them, so a job loads only the modules its subcommand runs.
-from .simplicial import LabeledComplex, SimplicialComplex, build_complex
+from .simplicial import (LabeledComplex, SimplicialComplex, _forward,
+                         build_complex)
 
 
 def dumps(obj) -> str:
@@ -80,58 +87,6 @@ def group_to_obj(G: FGAbelianGroup) -> dict:
     return {"rank": G.free_rank, "torsion": list(G.torsion)}
 
 
-def group_from_obj(obj: dict) -> FGAbelianGroup:
-    from .homology import FGAbelianGroup
-    _document(obj, '"group"')
-    torsion, = _int_lists([obj.get("torsion", [])], '"torsion"')
-    return FGAbelianGroup(_int(obj.get("rank", 0), '"rank"'), tuple(torsion))
-
-
-def pair_to_obj(p: CharacteristicPair) -> dict:
-    return {"n": p.n,
-            "lambda": [list(r) for r in p.lam.entries],
-            "nerve": complex_to_obj(p.nerve)}
-
-
-def pair_from_obj(obj: dict) -> CharacteristicPair:
-    from .homology import IntegerMatrix
-    from .quasitoric import CharacteristicPair
-    _document(obj, "characteristic pair document", "n", "lambda", "nerve")
-    nerve = complex_from_obj(obj["nerve"])
-    if isinstance(nerve, LabeledComplex):
-        nerve = nerve.complex
-    return CharacteristicPair(nerve, _int(obj["n"], '"n"'),
-                              IntegerMatrix.from_rows(
-                                  _int_lists(obj["lambda"], '"lambda"')))
-
-
-def fan_from_obj(obj: dict) -> Fan:
-    from .quasitoric import Fan
-    _document(obj, "fan document", "rays", "cones")
-    return Fan(tuple(map(tuple, _int_lists(obj["rays"], '"rays"'))),
-               tuple(map(tuple, _int_lists(obj["cones"], '"cones"'))))
-
-
-def _simplex_key(vertices: tuple[int, ...]) -> str:
-    return " ".join(str(v) for v in vertices)
-
-
-def _parse_simplex_key(key: str) -> tuple[int, ...]:
-    key = key.strip()
-    return tuple(int(tok) for tok in key.split()) if key else ()
-
-
-def cochain_to_obj(c) -> dict:
-    return {"degree": c.degree,
-            "group": group_to_obj(c.group),
-            "values": {_simplex_key(k): list(v) for k, v in c.values}}
-
-
-def cochain_from_obj(obj: dict, D) -> Cochain:
-    from .dualcells import Cochain
-    _document(obj, "cochain document", "degree", "group", "values")
-    group = group_from_obj(obj["group"])
-    values = _document(obj["values"], '"values"')
-    _int_lists(list(values.values()), '"values"')
-    assignment = {_parse_simplex_key(k): tuple(v) for k, v in values.items()}
-    return Cochain.build(D, _int(obj["degree"], '"degree"'), group, assignment)
+__getattr__ = _forward(globals(), {
+    "dualcells": ("cochain_from_obj", "cochain_to_obj", "group_from_obj"),
+    "quasitoric": ("fan_from_obj", "pair_from_obj", "pair_to_obj")})

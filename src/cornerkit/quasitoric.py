@@ -18,10 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 
-from .homology import FGAbelianGroup, IntegerMatrix, cokernel, snf_diagonal
+from . import jsonio
+from .homology import FGAbelianGroup
+from .jsonio import _document, _int, _int_lists
+from .simplicial import (LabeledComplex, SimplicialComplex, _Value,
+                         build_complex, f_vector)
+from .smith import IntegerMatrix, cokernel, snf_diagonal
 # snf is not called here, but bench/spans.py wraps it by this name
-from .homology import snf  # noqa: F401
-from .simplicial import SimplicialComplex, _Value, build_complex, f_vector
+from .smith import snf  # noqa: F401
 
 class CharacteristicPair(_Value):
     """nerve on m vertices, torus rank n >= 1, and an m×n matrix whose row
@@ -178,3 +182,30 @@ def even_betti_report(p: CharacteristicPair) -> tuple[int, ...]:
         raise ValueError(f"pair is not characteristic; offending simplex "
                          f"{list(witness)}")
     return h_vector(p)
+
+
+# --- JSON encoding ---------------------------------------------------------
+# The pair and fan documents live with their types, so only the quasitoric
+# jobs compile them; jsonio forwards these names here.  The complex codecs
+# are looked up on jsonio when called, where bench/spans.py wraps them.
+
+def pair_to_obj(p: CharacteristicPair) -> dict:
+    return {"n": p.n,
+            "lambda": [list(r) for r in p.lam.entries],
+            "nerve": jsonio.complex_to_obj(p.nerve)}
+
+
+def pair_from_obj(obj: dict) -> CharacteristicPair:
+    _document(obj, "characteristic pair document", "n", "lambda", "nerve")
+    nerve = jsonio.complex_from_obj(obj["nerve"])
+    if isinstance(nerve, LabeledComplex):
+        nerve = nerve.complex
+    return CharacteristicPair(nerve, _int(obj["n"], '"n"'),
+                              IntegerMatrix.from_rows(
+                                  _int_lists(obj["lambda"], '"lambda"')))
+
+
+def fan_from_obj(obj: dict) -> Fan:
+    _document(obj, "fan document", "rays", "cones")
+    return Fan(tuple(map(tuple, _int_lists(obj["rays"], '"rays"'))),
+               tuple(map(tuple, _int_lists(obj["cones"], '"cones"'))))

@@ -1,4 +1,4 @@
-"""Finite abstract simplicial complexes and the constructions built on them.
+"""Finite abstract simplicial complexes, their faces and f-vectors.
 
 A face is a plain tuple of vertex ids, strictly increasing: the sorted
 vertex word a simplex tree stores.  That order fixes the orientation
@@ -15,6 +15,12 @@ whose results are valid by construction (links, joins, subdivisions, the
 Coxeter nerve and `build_complex` after pruning) are trusted and go through
 the unchecked `_complex`.  Every complex holds its facets sorted, so `==`
 compares complexes as sets of faces.
+
+Every job loads this module, so it holds only what every job runs.  The
+constructions live in `constructions` and `link` in `ghs`, with the
+checks that take links; their names still resolve here through a module
+`__getattr__` (PEP 562) that imports their module on first use, and
+`_forward` builds such a hook for the other modules that forward names.
 
 All values are immutable after construction and every operation is a pure
 function.  The value classes of every module derive from `_Value`, which
@@ -281,11 +287,6 @@ class LabeledComplex(_Value):
         return f"LabeledComplex({self.complex!r}, labels={list(self.labels)})"
 
 
-def label_all(K: SimplicialComplex, m: int) -> LabeledComplex:
-    """Label every edge of K with the same integer m."""
-    return LabeledComplex(K, tuple((u, v, m) for u, v in simplices(K, 1)))
-
-
 def build_complex(raw_facets) -> SimplicialComplex:
     """Canonicalize a raw facet list into a SimplicialComplex.
 
@@ -344,14 +345,6 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def all_simplices(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """Every nonempty face of K, ordered by (dimension, lex)."""
-    out: list[tuple[int, ...]] = []
-    for k in range(K.dim + 1):
-        out.extend(simplices(K, k))
-    return tuple(out)
-
-
 def f_vector(K: SimplicialComplex) -> tuple[int, ...]:
     """(f0, ..., f_dim); the empty complex has the empty f-vector."""
     if K.is_empty():
@@ -372,84 +365,34 @@ def _complex(num_vertices: int, facets) -> SimplicialComplex:
     return K
 
 
-def link(K: SimplicialComplex,
-         s: tuple[int, ...]) -> tuple[SimplicialComplex, tuple[int, ...]]:
-    """Link of s in K, densely renumbered.
+# --- names bound on first use ----------------------------------------------
 
-    Returns (L, vertex_map) where vertex_map[i] is the original id of L's
-    vertex i.  The link of the empty simplex is K itself (identity map);
-    the link of a facet is the empty complex.
-
-    The facets that contain s come from K's star index.  Their residues
-    need no checks: distinct facets that contain s leave distinct
-    residues, none inside another, and the renumbering leaves no gap.
-    """
-    if not s:
-        return K, tuple(range(K.num_vertices))
-    containing = _containing_facets(K, s)
-    if not containing:
-        raise ValueError(f"{s!r} is not a simplex of the complex")
-    star = [K.facets[i] for i in containing]
-    old_ids = sorted(set().union(*star).difference(s))
-    renum = dict(zip(old_ids, range(len(old_ids))))
-    facets = [tuple([renum[v] for v in f if v in renum]) for f in star]
-    return _complex(len(old_ids), facets), tuple(old_ids)
+def _bind(namespace: dict, module: str, names) -> None:
+    """Import the package's `module` and bind each of `names` from it in
+    `namespace`, a module's globals, where it is not bound yet: a name
+    bound already, such as a wrapper installed beforehand, stays."""
+    # __import__ returns the package; unlike importlib.import_module it
+    # goes through the import statement's path, which -X importtime reports
+    source = getattr(__import__(f"{__package__}.{module}"), module)
+    for name in names:
+        namespace.setdefault(name, getattr(source, name))
 
 
-def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Join K * L; L's vertices are shifted up by K.num_vertices.
-
-    f ∪ g lies in f' ∪ g' only when f lies in f' and g in g', so facets of
-    the factors give incomparable facets of the join."""
-    shift = K.num_vertices
-    facets = [f + tuple(v + shift for v in g)
-              for f in K.facets for g in L.facets]
-    return _complex(K.num_vertices + L.num_vertices, facets)
-
-
-def point_complex(count: int = 1) -> SimplicialComplex:
-    """count isolated vertices; count=2 is S⁰."""
-    if count < 1:
-        raise ValueError("need at least one point")
-    return _complex(count, [(v,) for v in range(count)])
+def _forward(namespace: dict, table: dict):
+    """A module `__getattr__` (PEP 562) for the globals `namespace`: the
+    first access to a name that `table` (module -> names) lists imports
+    that module and binds its names there."""
+    def __getattr__(name: str):
+        for module, names in table.items():
+            if name in names:
+                _bind(namespace, module, names)
+                return namespace[name]
+        raise AttributeError(f"module {namespace['__name__']!r} has no "
+                             f"attribute {name!r}")
+    return __getattr__
 
 
-def cone(K: SimplicialComplex) -> SimplicialComplex:
-    """Cone on K; the apex is the new last vertex."""
-    return join(K, point_complex(1))
-
-
-def suspension(K: SimplicialComplex) -> SimplicialComplex:
-    """Suspension of K; the two apexes are the new last vertices."""
-    return join(K, point_complex(2))
-
-
-def boundary_simplex(n: int) -> SimplicialComplex:
-    """∂Δⁿ: all proper faces of the n-simplex (an (n-1)-sphere)."""
-    if n < 1:
-        raise ValueError("boundary of a simplex needs n >= 1")
-    return _complex(n + 1, itertools.combinations(range(n + 1), n))
-
-
-def barycentric(K: SimplicialComplex) -> SimplicialComplex:
-    """Barycentric subdivision: vertices are the nonempty faces of K,
-    facets are the maximal chains under inclusion.
-
-    Vertex i of the output is all_simplices(K)[i] (dimension-then-lex
-    order), so a chain's ids increase along it.  The full flags of distinct
-    facets are distinct and none contains another.  The result is always a
-    flag complex.
-    """
-    faces = all_simplices(K)
-    index = {f: i for i, f in enumerate(faces)}
-    facets = []
-    for f in K.facets:
-        for order in itertools.permutations(f):
-            facets.append(tuple(index[tuple(sorted(order[:j + 1]))]
-                                for j in range(len(order))))
-    return _complex(len(faces), facets)
-
-
-def barycentric_all_two(K: SimplicialComplex) -> LabeledComplex:
-    """Barycentric subdivision with every edge labeled 2."""
-    return label_all(barycentric(K), 2)
+__getattr__ = _forward(globals(), {"constructions": (
+    "all_simplices", "barycentric", "barycentric_all_two", "boundary_simplex",
+    "cone", "join", "label_all", "point_complex", "suspension"),
+    "ghs": ("link",)})

@@ -9,14 +9,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cornerkit import ghs, homology
+from cornerkit import clearing, ghs, homology, smith
 from cornerkit.dualcells import Cochain
 from cornerkit.jsonio import complex_from_obj, pair_from_obj
 import oracles
 from oracles import verify_snf
 
-# modules that look up snf() by name
-SNF_CALLERS = (homology,)
+# modules that hold snf(): smith defines it, homology forwards it
+SNF_CALLERS = (homology, smith)
 
 
 def verify_every_snf(snf):
@@ -60,7 +60,7 @@ def invariant_factors(M):
     """The nonzero invariant factors of a SparseMatrix, in divisor-chain
     order: unit pivots from a sparse column reduction, then snf_diagonal
     on the (usually empty) leftover block."""
-    return homology._reduce(M)[0]
+    return clearing._reduce(M)[0]
 
 
 def incidence(D, G, F) -> int:

@@ -2,7 +2,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
-import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +367,14 @@ B3 = {"num_vertices": 4, "facets": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
         f"{u} {v}": [1] for u, v in itertools.combinations(range(10, 70), 2)}},
         "1770 values on unknown faces, first [(10, 11), (10, 12), (10, 13), "
         "(10, 14), (10, 15)]", id="unknown-faces"),
+    # keys that name one face: a dict of the faces would keep one value
+    pytest.param(B3, {"degree": 1, "group": {"rank": 1}, "values": {
+        "0 1": [1], " 0  1": [2]}}, '"values": 1 keys repeat a face, first '
+        "(0, 1)", id="repeated-face-spaces"),
+    pytest.param(B3, {"degree": 1, "group": {"rank": 1}, "values": {
+        "0 1": [1], "+0 1": [2], "0 2": [1], "0 +2": [0], "0 02": [3]}},
+        '"values": 3 keys repeat a face, first (0, 1)',
+        id="repeated-face-signs"),
     pytest.param({"facets": [[-1, *range(1000, 1300)]]}, None,
                  "negative vertex id in a facet of 301 vertices, first "
                  "[-1, 1000, 1001, 1002, 1003]", id="negative-id-long-facet"),
@@ -914,6 +923,8 @@ def test_parser_output_is_pinned(capsys, monkeypatch, case):
         == PARSER_DIGESTS[case]
 
 
+# built: the subparsers that argparse builds for the job; a canonical
+# command line (every job of REPORT_CASES) builds none
 @pytest.mark.parametrize("argv,built", [
     *[(argv, 1) for argv, _ in REPORT_CASES.values()],
     (("-h",), len(SUBCOMMANDS)), ((), len(SUBCOMMANDS)),
@@ -933,9 +944,15 @@ def test_a_job_builds_only_its_own_subparser(capsys, tmp_path, monkeypatch,
         return add_parser(self, name, **kwargs)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     run_cli(capsys, *argv)
-    assert len(names) == built
     if built == 1:
+        # a canonical command line is parsed without argparse; written
+        # with --format=json, it goes to argparse, which builds the
+        # subcommand's own subparser alone
+        assert names == []
+        run_cli(capsys, *argv, "--format=json")
         assert names == [argv[0]]
+    else:
+        assert len(names) == built
 
 
 # --- loader fuzzing ---------------------------------------------------------
@@ -1082,34 +1099,41 @@ def test_fuzzed_documents_exit_0_1_or_2_with_a_short_message(case):
 # --- what each subcommand imports ------------------------------------------
 # A job pays for compiling and running every module it imports, so each
 # subcommand loads only its own.  Each case runs in a fresh interpreter.
-# Of the standard modules in WATCHED, a job may import only hashlib, and
-# only when it writes a JSON run report with input hashes (REPORTLESS
-# cases write none).
+# A job imports none of the standard modules in WATCHED: a canonical
+# command line is parsed without argparse (and so without gettext and
+# locale), and a report hashes its inputs with CPython's _sha256.  Only
+# where the interpreter has no _sha256 may a job that writes a JSON run
+# report with input hashes (REPORTLESS cases write none) load hashlib.
 
 STARTUP = {"cli", "jsonio", "simplicial"}
 MODULES_BY_CASE = {
-    "construct-boundary-simplex": STARTUP,
-    "construct-cone": STARTUP,
-    "construct-join": STARTUP,
-    "construct-barycentric-all-2": STARTUP,
+    "construct-boundary-simplex": STARTUP | {"constructions"},
+    "construct-cone": STARTUP | {"constructions"},
+    "construct-join": STARTUP | {"constructions"},
+    "construct-barycentric-all-2": STARTUP | {"constructions"},
     "check-aspherical-pass": STARTUP | {"coxeter"},
     "check-proper-fail": STARTUP | {"coxeter"},
     "coxeter-nerve": STARTUP | {"coxeter"},
     "error-budget": STARTUP | {"coxeter"},
     "equiv-pass": STARTUP | {"equivalence"},
-    "homology": STARTUP | {"homology"},
-    "acyclicity-pass": STARTUP | {"homology", "dualcells"},
+    # the 2-torsion of rp2_6 leaves a block for smith's snf_diagonal
+    "homology": STARTUP | {"homology", "clearing", "smith"},
+    "acyclicity-pass": STARTUP | {"homology", "clearing", "dualcells"},
     "solve-solved": STARTUP | {"homology", "dualcells"},
-    "check-ghs-fail": STARTUP | {"homology", "ghs"},
-    "check-phm-pass": STARTUP | {"homology", "ghs"},
-    "from-fan": STARTUP | {"homology", "quasitoric"},
-    "check-charfun-pass": STARTUP | {"homology", "quasitoric"},
-    "betti-pass": STARTUP | {"homology", "ghs", "quasitoric"},
+    "check-ghs-fail": STARTUP | {"homology", "clearing", "smith", "ghs"},
+    "check-phm-pass": STARTUP | {"homology", "clearing", "ghs"},
+    "from-fan": STARTUP | {"homology", "smith", "quasitoric"},
+    "check-charfun-pass": STARTUP | {"homology", "smith", "quasitoric"},
+    "betti-pass": STARTUP | {"homology", "clearing", "smith", "ghs",
+                             "quasitoric"},
 }
-WATCHED = ("dataclasses", "inspect", "hashlib")
+WATCHED = ("dataclasses", "inspect", "hashlib", "_hashlib", "argparse",
+           "gettext", "locale")
 REPORTLESS = {"construct-boundary-simplex", "construct-cone", "construct-join",
               "construct-barycentric-all-2", "coxeter-nerve", "error-budget",
               "from-fan"}
+HASHLIB = (set() if importlib.util.find_spec("_sha256")
+           else {"hashlib", "_hashlib"})
 LOADED = """
 import contextlib, io, sys
 before = set(sys.modules)  # site hooks may have loaded watched modules
@@ -1135,7 +1159,7 @@ def test_each_subcommand_imports_only_its_modules(tmp_path, case):
     assert int(code) == exit_code
     assert set(loaded) == {f"cornerkit.{m}" for m in MODULES_BY_CASE[case]}
     watched = set(new.split()).intersection(WATCHED)
-    assert watched <= (set() if case in REPORTLESS else {"hashlib"})
+    assert watched <= (set() if case in REPORTLESS else HASHLIB)
 
 
 def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
@@ -1154,6 +1178,157 @@ def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check-ghs", "-i", str(DATA / "rp2_6.json"),
                          "-n", "3")
     assert code == 1 and calls == [3]
+
+
+# Names moved out of the modules that every job, or every solve job,
+# compiles: old module -> (new module, names).  Each stays importable from
+# its old module, which binds it on first use.
+MOVED = {
+    "simplicial": (("constructions", (
+        "all_simplices", "barycentric", "barycentric_all_two",
+        "boundary_simplex", "cone", "join", "label_all", "point_complex",
+        "suspension")), ("ghs", ("link",))),
+    "homology": (("clearing", ("homology_all", "reduced_homology",
+                               "reduced_homology_all")),
+                 ("smith", ("IntegerMatrix", "SNFResult", "cokernel", "snf",
+                            "snf_diagonal"))),
+    "jsonio": (("dualcells", ("cochain_from_obj", "cochain_to_obj",
+                              "group_from_obj")),
+               ("quasitoric", ("fan_from_obj", "pair_from_obj",
+                               "pair_to_obj"))),
+}
+
+
+@pytest.mark.parametrize("old", sorted(MOVED))
+def test_a_moved_name_is_one_object_through_both_modules(old):
+    before = importlib.import_module(f"cornerkit.{old}")
+    for new, names in MOVED[old]:
+        after = importlib.import_module(f"cornerkit.{new}")
+        for name in names:
+            assert getattr(before, name) is getattr(after, name), name
+            assert name in vars(before)  # bound on first use
+    with pytest.raises(AttributeError, match=f"cornerkit.{old}.*no_such_name"):
+        before.no_such_name
+
+
+def test_a_moved_name_imports_its_module_on_first_use():
+    # a fresh interpreter, where nothing has bound the names yet
+    run = subprocess.run([sys.executable, "-c", """
+import sys
+from cornerkit import homology, jsonio, simplicial
+before = set(sys.modules)
+from cornerkit.simplicial import cone, link
+from cornerkit.homology import snf, homology_all
+from cornerkit.jsonio import cochain_from_obj, pair_from_obj
+print(*sorted(m for m in set(sys.modules) - before
+              if m.startswith("cornerkit.")))
+"""], capture_output=True, text=True, check=True, env=dict(
+        os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src")))
+    assert run.stdout.split() == [
+        "cornerkit.clearing", "cornerkit.constructions", "cornerkit.dualcells",
+        "cornerkit.ghs", "cornerkit.quasitoric", "cornerkit.smith"]
+
+
+# --- the start-up layer: parsing and hashing ---------------------------------
+# cli._match parses a canonical command line without argparse, which
+# stays the oracle for what the matcher accepts and the only parser of
+# everything else.
+
+def test_every_pinned_command_line_takes_the_matcher():
+    for argv, _ in PINNED_CASES.values():
+        for line in (list(argv), [*argv, "--format", "text"]):
+            matched = cli._match(line)
+            assert matched is not None, line
+            assert vars(matched) == vars(cli.build_parser().parse_args(line))
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("frobnicate",), ("homology", "-h"),
+    ("homology", "--inp", "b3.json"), ("homology", "--input=b3.json"),
+    ("check-ghs", "-i", "b3.json", "-n4"), ("homology", "-ib3.json"),
+    ("homology", "-i", "a.json", "-i", "b.json"),
+    ("acyclicity", "-n", "3", "--no-top", "--no-top"),
+    ("homology", "-i", "-x"), ("check-ghs", "-n", "-1"),
+    ("homology", "--", "-i", "b3.json"), ("check-ghs", "-i", "b3.json"),
+    ("homology", "--format", "xml"), ("check-ghs", "-n", "three"),
+    ("equiv", "a.json"), ("equiv", "a.json", "b.json", "c.json"),
+    ("homology", "-i", "b3.json", "extra"), ("construct", "frobnicate"),
+    ("construct", "-i", "b3.json", "cone"), ("homology", "--seed", "1"),
+])
+def test_the_matcher_leaves_other_forms_to_argparse(argv):
+    # help, errors, abbreviations, --opt=value, attached values, repeats,
+    # values that start with '-' and positionals out of place
+    assert cli._match(list(argv)) is None
+
+
+def values_for(keywords):
+    """Values for an argument, most of them valid for it."""
+    if keywords.get("type") is int:
+        good = ("3", "0", "007", " 4", "1_0")
+    elif "choices" in keywords:
+        good = tuple(keywords["choices"])
+    else:
+        good = ("b3.json", "-", "", "a b", "x=y")
+    return st.sampled_from(good * 6 + ("-1", "-x", "--", "x", "json", "cone"))
+
+
+# what only argparse parses: abbreviations, --opt=value, attached short
+# values, help, the separator and unknown options
+ARGPARSE_ONLY = ("--inp", "--form", "--no", "--comp", "--co", "--dim=3",
+                 "--format=json", "--input=b3.json", "-n4", "-ib3.json",
+                 "-h", "--", "--seed", "-x")
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's command line: either any of its tokens in any order,
+    or positionals then options with values, some left out, with strays
+    inserted (repeats, positionals after options, argparse-only forms)."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[command][4]
+    options = [(flags, keywords) for flags, keywords in arguments
+               if flags[0].startswith("-")]
+    token = st.one_of(st.sampled_from([f for flags, _ in options
+                                       for f in flags] + list(ARGPARSE_ONLY)),
+                      *[values_for(keywords) for _, keywords in arguments])
+    if draw(st.integers(0, 3)) == 0:
+        return [command, *draw(st.lists(token, max_size=8))]
+    line = [command]
+    for flags, keywords in arguments:
+        if not flags[0].startswith("-"):
+            count = draw(st.integers(0, 3)) if "nargs" in keywords else 1
+            line += draw(st.lists(values_for(keywords), min_size=count,
+                                  max_size=count))
+    for flags, keywords in draw(st.permutations(options)):
+        if draw(st.integers(0, 9)):
+            line.append(draw(st.sampled_from(flags)))
+            if keywords.get("action") != "store_true":
+                line.append(draw(values_for(keywords)))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        line.insert(draw(st.integers(1, len(line))), draw(token))
+    return line
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+def test_a_matched_command_line_parses_as_argparse_parses_it(argv):
+    matched = cli._match(argv)
+    if matched is not None:
+        assert vars(matched) == vars(cli.build_parser().parse_args(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=300))
+def test_content_hash_is_sha256_with_and_without_the_fast_module(raw):
+    expected = "sha256:" + hashlib.sha256(raw).hexdigest()
+    assert cli.content_hash(raw) == expected
+    if importlib.util.find_spec("_sha256"):
+        # the fast path loads no hashlib (and so no OpenSSL)
+        with mock.patch.dict(sys.modules, {"hashlib": None}):
+            assert cli.content_hash(raw) == expected
+    # the fallback where the interpreter has no _sha256
+    with mock.patch.dict(sys.modules, {"_sha256": None}):
+        assert cli.content_hash(raw) == expected
 
 
 # Simplicial chain complexes are valid by construction and skip the
