@@ -10,9 +10,8 @@ boundaries.
 
 Only the jobs that compute homology groups load this module: `homology`,
 `check-ghs`, `check-phm`, `betti` and `acyclicity`; a solve job does
-not.  The names stay importable from `homology`, which binds them from
-here on first use.  The leftover block goes to `homology.snf_diagonal`,
-looked up there at call time, where bench/spans.py wraps it.
+not.  The leftover block goes to `homology.snf_diagonal`, looked up
+there at call time, where bench/spans.py wraps it.
 """
 
 from __future__ import annotations

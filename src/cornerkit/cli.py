@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 from types import SimpleNamespace
 
 from . import jsonio
@@ -45,6 +46,7 @@ from .simplicial import LabeledComplex, _bind, _forward
 # already bound alone, so a wrapper installed here beforehand stays in
 # place.
 LIBRARY = {
+    "clearing": ("TRIVIAL_GROUP", "reduced_homology_all"),
     "constructions": ("barycentric", "barycentric_all_two",
                       "boundary_simplex", "cone", "join", "suspension"),
     "coxeter": ("coxeter_matrix", "coxeter_nerve", "is_aspherical",
@@ -55,8 +57,6 @@ LIBRARY = {
                   "is_cocycle", "is_resolution_ready", "solve_obstruction"),
     "equivalence": ("find_isomorphism",),
     "ghs": ("is_ghs", "is_polyhedral_homology_manifold"),
-    # reduced_homology_all binds through homology's forward to clearing
-    "homology": ("TRIVIAL_GROUP", "reduced_homology_all"),
     "quasitoric": ("even_betti_report", "from_fan", "is_characteristic",
                    "pi1_orbit_union"),
 }
@@ -305,7 +305,15 @@ def cmd_check_charfun(args, hashes: dict) -> int:
 
 
 def cmd_from_fan(args, hashes: dict) -> int:
-    fan = load(args.input, hashes, jsonio.fan_from_obj)
+    # each warning of the load, such as a non-primitive ray's, is one
+    # "warning: <message>" line on stderr, whatever the filters say
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fan = load(args.input, hashes, jsonio.fan_from_obj)
+        finally:
+            for w in caught:
+                print("warning:", w.message, file=sys.stderr)
     try:
         pair = from_fan(fan)
     except ValueError as exc:
@@ -413,7 +421,7 @@ COMMANDS = {
               "equivalence", {}, ((("a",), {"help": "first complex file"}),
                                   (("b",), {"help": "second complex file"}),
                                   FORMAT)),
-    "homology": ("reduced integral homology", cmd_homology, "homology", {}, (
+    "homology": ("reduced integral homology", cmd_homology, "clearing", {}, (
         INPUT, FORMAT, (("--degree",), {"type": int, "default": None}))),
     "solve-obstruction": ("solve c = δd on the dual-cell complex",
                           cmd_solve_obstruction, "dualcells", {}, (

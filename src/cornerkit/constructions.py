@@ -3,8 +3,7 @@ simplices and barycentric subdivisions.
 
 Every result here is valid by construction, so each goes through the
 unchecked `simplicial._complex`.  Only `construct` runs these, and only
-its jobs load this module.  The names stay importable from `simplicial`,
-which binds them from here on first use.  Faces are looked up as
+its jobs load this module.  Faces are looked up as
 `simplicial.simplices` at call time, where bench/spans.py wraps it.
 """
 

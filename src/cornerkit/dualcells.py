@@ -214,7 +214,7 @@ def is_resolution_ready(report: dict[int, FGAbelianGroup]) -> bool:
 
 # --- JSON encoding ---------------------------------------------------------
 # The cochain document lives with its type, so only the jobs that read or
-# write cochains compile it; jsonio forwards these names here.
+# write cochains compile it.
 
 def group_from_obj(obj: dict) -> FGAbelianGroup:
     _document(obj, '"group"')

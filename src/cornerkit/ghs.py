@@ -17,9 +17,7 @@ Each link shape is decided once per check.  `link` renumbers densely in
 increasing order, so links with equal facet tuples are equal complexes
 with equal homology; the link loop keys its verdicts on (facets, sphere
 dimension), and every simplex whose link has a failing shape still gets
-its own witnesses.  `link` lives here, with the checks that take links;
-it stays importable from `simplicial`, which binds it from here on first
-use.
+its own witnesses.  `link` lives here, with the checks that take links.
 """
 
 from __future__ import annotations

@@ -23,11 +23,10 @@ the transforms of snf give without forming them; one pass serves every
 coordinate of the group.
 
 A solve job runs only what is here.  Homology groups by the clearing
-reduction (homology_all, reduced_homology, reduced_homology_all) live in
-`clearing`, and the dense matrices with their Smith forms (IntegerMatrix,
-SNFResult, snf, snf_diagonal, cokernel) in `smith`.  Those names still
-resolve here through a module `__getattr__` (PEP 562) that imports their
-module on first use and binds them in this module.
+reduction live in `clearing`, and the dense matrices with their Smith
+forms in `smith`.  The library calls `homology.snf_diagonal`, where
+bench/spans.py wraps it and snf, so a module `__getattr__` (PEP 562)
+binds both from `smith` on first use.
 """
 
 from __future__ import annotations
@@ -85,6 +84,8 @@ def _replay_pivot(rows: list[dict[int, int]], row_at: list[int],
     best = None
     for i in range(t, len(row_at)):
         row = rows[row_at[i]]
+        if not row:  # an eliminated row offers no pivot
+            continue
         units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
         if units:
             return i, min(units)
@@ -214,36 +215,12 @@ class FGAbelianGroup(_Value):
             if b % a:
                 raise ValueError(f"torsion {list(tor)} violates divisibility chain")
 
-    @classmethod
-    def from_invariants(cls, invariants, free_rank: int = 0) -> "FGAbelianGroup":
-        """Normalize an arbitrary list of cyclic orders (0 meaning Z)."""
-        free = free_rank + sum(1 for d in invariants if d == 0)
-        tor = [abs(d) for d in invariants if abs(d) > 1]
-        # repeatedly replace pairs by (gcd, lcm) until the chain divides
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tor)):
-                for j in range(i + 1, len(tor)):
-                    if tor[j] % tor[i]:
-                        g = math.gcd(tor[i], tor[j])
-                        tor[i], tor[j] = g, tor[i] * tor[j] // g
-                        changed = True
-            tor = [q for q in tor if q > 1]
-        return cls(free, tuple(sorted(tor)))
-
     @property
     def num_coords(self) -> int:
         return self.free_rank + len(self.torsion)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.torsion) if self.torsion else 1
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.num_coords
@@ -395,7 +372,4 @@ def solve_integer(A: SparseMatrix, b,
     return [group.reduce(e) for e in x]
 
 
-__getattr__ = _forward(globals(), {
-    "clearing": ("homology_all", "reduced_homology", "reduced_homology_all"),
-    "smith": ("IntegerMatrix", "SNFResult", "cokernel", "snf",
-              "snf_diagonal")})
+__getattr__ = _forward(globals(), {"smith": ("snf", "snf_diagonal")})

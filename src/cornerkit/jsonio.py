@@ -10,13 +10,12 @@ read of the raw document but ignored by the constructors.
 All dumps are canonical: sorted keys, no whitespace, one trailing
 newline.  parse(print(x)) == x on everything this module emits.
 
-Every job loads this module, so it holds the complex and group codecs
-and the checks that every decoder shares.  The cochain codecs
-(cochain_from_obj, cochain_to_obj, group_from_obj) live with their type
-in `dualcells`, and the pair and fan codecs (pair_from_obj, pair_to_obj,
-fan_from_obj) in `quasitoric`, so a job compiles only the codecs it runs.
-Those names still resolve here through a module `__getattr__` (PEP 562)
-that imports their module on first use and binds them in this module.
+Every job loads this module, so it holds the complex codecs, the group
+encoder and the checks that every decoder shares.  The cochain codecs
+live with their type in `dualcells`, and the pair and fan codecs in
+`quasitoric`, so a job compiles only the codecs it runs.  cli calls the
+five that bench/spans.py wraps as `jsonio.<name>`, which a module
+`__getattr__` (PEP 562) binds from their module on first use.
 """
 
 from __future__ import annotations
@@ -88,5 +87,5 @@ def group_to_obj(G: FGAbelianGroup) -> dict:
 
 
 __getattr__ = _forward(globals(), {
-    "dualcells": ("cochain_from_obj", "cochain_to_obj", "group_from_obj"),
+    "dualcells": ("cochain_from_obj", "cochain_to_obj"),
     "quasitoric": ("fan_from_obj", "pair_from_obj", "pair_to_obj")})

@@ -186,8 +186,8 @@ def even_betti_report(p: CharacteristicPair) -> tuple[int, ...]:
 
 # --- JSON encoding ---------------------------------------------------------
 # The pair and fan documents live with their types, so only the quasitoric
-# jobs compile them; jsonio forwards these names here.  The complex codecs
-# are looked up on jsonio when called, where bench/spans.py wraps them.
+# jobs compile them.  The complex codecs are looked up on jsonio when
+# called, where bench/spans.py wraps them.
 
 def pair_to_obj(p: CharacteristicPair) -> dict:
     return {"n": p.n,

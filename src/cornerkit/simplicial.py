@@ -18,9 +18,9 @@ compares complexes as sets of faces.
 
 Every job loads this module, so it holds only what every job runs.  The
 constructions live in `constructions` and `link` in `ghs`, with the
-checks that take links; their names still resolve here through a module
-`__getattr__` (PEP 562) that imports their module on first use, and
-`_forward` builds such a hook for the other modules that forward names.
+checks that take links.  `_bind` imports a module and binds names from
+it, and `_forward` builds on it the module `__getattr__` (PEP 562)
+through which `cli`, `homology` and `jsonio` bind names on first use.
 
 All values are immutable after construction and every operation is a pure
 function.  The value classes of every module derive from `_Value`, which
@@ -390,9 +390,3 @@ def _forward(namespace: dict, table: dict):
         raise AttributeError(f"module {namespace['__name__']!r} has no "
                              f"attribute {name!r}")
     return __getattr__
-
-
-__getattr__ = _forward(globals(), {"constructions": (
-    "all_simplices", "barycentric", "barycentric_all_two", "boundary_simplex",
-    "cone", "join", "label_all", "point_complex", "suspension"),
-    "ghs": ("link",)})

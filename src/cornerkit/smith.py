@@ -7,9 +7,8 @@ operations to get U and replays the column log to get V, and
 snf_diagonal carries nothing.  Only the jobs that read a dense matrix
 load this module: the `quasitoric` subcommands, and a homology whose
 column reduction leaves a block that is not all unit pivots (see
-`clearing`).  The names stay importable from `homology`, which binds
-them from here on first use.  The library's own calls look
-`snf_diagonal` up through `homology`, where bench/spans.py wraps it.
+`clearing`).  The library's own calls look `snf_diagonal` up through
+`homology`, where bench/spans.py wraps it.
 """
 
 from __future__ import annotations

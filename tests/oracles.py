@@ -17,6 +17,9 @@ library trusted it: each boundary column sorted by row, the result
 through the validating ChainComplex constructor.  homology_all takes
 each map's invariant factors from its own dense_snf and clears no
 column: the reference for the library's reduction with clearing.
+replay is the sparse Smith replay as it was before its pivot search
+skipped the rows that elimination emptied, which must give the same
+pivots, transforms and right-hand sides.
 acyclicity_report is the dual-cell complex's homology as it was computed
 before the library read it as its nerve's cohomology: each coboundary
 transposed into a boundary map, the result through the validating
@@ -28,7 +31,8 @@ one, past the nerve's dimension too.
 The dense matrix helpers live here too, since only tests need them:
 the products matmul and matvec, to_dense, the Bareiss determinant, the
 Smith-form postcondition verify_snf (U·A·V = D, |det U| = |det V| = 1,
-divisor chain).
+divisor chain); and for groups, from_invariants, which normalizes any
+list of cyclic orders to a divisor chain, and group_order.
 
 The per-candidate nerve and per-facet properness loops run the library's
 finiteness classifier (coxeter.is_finite) on every subset with no memo,
@@ -71,12 +75,12 @@ from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
                                FinitenessVerdict, coxeter_matrix, is_finite)
 from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport
-from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                                SNFResult, SparseMatrix, TRIVIAL_GROUP, Z,
-                                simplicial_boundary_matrix)
+from cornerkit.homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
+                                TRIVIAL_GROUP, Z, simplicial_boundary_matrix)
 from cornerkit.quasitoric import CharacteristicPair, Fan
 from cornerkit.simplicial import (LabeledComplex, SimplicialComplex, simplex,
                                   simplices)
+from cornerkit.smith import IntegerMatrix, SNFResult
 
 DATACLASS_TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
@@ -294,6 +298,32 @@ def triangle_group_is_finite(p: int, q: int, r: int) -> bool:
     return Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1
 
 
+def cosine_matrix_is_positive_definite(n: int, pattern) -> bool:
+    """Whether the Coxeter group with this label pattern (m(0,1), m(0,2),
+    m(1,2), m(0,3), ..., INFINITE as 0) on n generators is finite: exactly
+    when its cosine matrix [-cos(π/m_st)], -1 for ∞, is positive definite
+    (Humphreys, "Reflection Groups and Coxeter Groups", §6.4).  Decided by
+    Cholesky in floats, each pivot more than 1e-9, with no call into the
+    classifier."""
+    m = [[1] * n for _ in range(n)]
+    labels = iter(pattern)
+    for j in range(1, n):
+        for i in range(j):
+            m[i][j] = m[j][i] = next(labels)
+    a = [[-1.0 if x == 0 else -math.cos(math.pi / x) for x in row]
+         for row in m]
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = a[j][j] - sum(x * x for x in low[j][:j])
+        if pivot <= 1e-9:
+            return False
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(x * y for x, y in
+                                       zip(low[i][:j], low[j][:j]))) / low[j][j]
+    return True
+
+
 def first_containment(facets) -> tuple[int, int] | None:
     """The first pair (i, j), i != j, in row-major order with facets[i] a
     subset of facets[j], or None: a scan over every ordered pair."""
@@ -397,6 +427,115 @@ def dense_snf(A: IntegerMatrix) -> SNFResult:
         IntegerMatrix.from_rows(v) if cols else IntegerMatrix(0, 0, ()))
 
 
+def _scan_pivot(rows: list[dict[int, int]], row_at: list[int],
+                  col_pos: list[int], t: int) -> tuple[int, int] | None:
+    """The pivot position in the trailing block, read from sparse rows:
+    the first ±1 in row-major position order, else the first entry of
+    least |x|.  Every row position from t on is visited, the rows that
+    elimination emptied included."""
+    best = None
+    for i in range(t, len(row_at)):
+        row = rows[row_at[i]]
+        units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
+        if units:
+            return i, min(units)
+        for j, x in row.items():
+            key = (-x if x < 0 else x, i, col_pos[j])
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1:]
+
+
+def _add_row(rows: list[dict[int, int]], where: list[set[int]],
+             s: int, r: int, f: int) -> None:
+    """Row s += f·row r, keeping where (column -> rows holding it) current."""
+    target = rows[s]
+    for k, x in rows[r].items():
+        y = target.get(k, 0) + f * x
+        if y:
+            if k not in target:
+                where[k].add(s)
+            target[k] = y
+        else:
+            del target[k]
+            where[k].discard(s)
+
+
+def replay(A: SparseMatrix, b: list[list[int]]):
+    """homology._replay as it was before its pivot search skipped the
+    empty rows: the reference for the pivot sequence.
+
+    Smith-reduce A on sparse rows, applying every row operation to b.
+
+    b holds one integer vector per row of A and is updated in place, so
+    afterwards b[row_at[t]] is row t of U·b.  Returns (diag, row_at,
+    col_pos, log): the pivots |D_tt| in order, up to where the trailing
+    block is zero; the row of A at each position; the position of each
+    column of A; and the column subtractions (j, k, q), column k -=
+    q·column j, in the order applied.  With y indexed by position,
+    homology._replay_columns(log, [y[p] for p in col_pos]) is V·y.
+
+    Pivoting is by minimal absolute nonzero entry, the first in
+    row-major position order.  Column swaps only move positions.  Once a
+    row pass has cleaned column t, that column is zero outside row t, so
+    a column subtraction changes the matrix in row t alone.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(A.rows)]
+    for j, col in enumerate(A.columns):
+        for i, x in col:
+            rows[i][j] = x
+    where = [{i for i, _ in col} for col in A.columns]
+    row_at = list(range(A.rows))
+    col_at = list(range(A.cols))  # position -> column
+    col_pos = list(range(A.cols))
+    log = []
+    diag = []
+    for t in range(min(A.rows, A.cols)):
+        at = _scan_pivot(rows, row_at, col_pos, t)
+        if at is None:
+            break
+        while True:
+            i, p = at  # swap the pivot to position (t, t)
+            row_at[t], row_at[i] = row_at[i], row_at[t]
+            j = col_at[p]
+            col_at[t], col_at[p] = j, col_at[t]
+            col_pos[col_at[p]], col_pos[j] = p, t
+            r = row_at[t]
+            pivot_row = rows[r]
+            pivot = pivot_row[j]
+            for s in where[j] - {r}:  # the rows below t, in any order
+                q = rows[s][j] // pivot
+                if q:
+                    _add_row(rows, where, s, r, -q)
+                    b[s] = [u - q * v for u, v in zip(b[s], b[r])]
+            if len(where[j]) == 1:
+                for k, x in list(pivot_row.items()):
+                    q = x // pivot
+                    if k != j and q:
+                        log.append((j, k, q))
+                        if x - q * pivot:
+                            pivot_row[k] = x - q * pivot
+                        else:
+                            del pivot_row[k]
+                            where[k].discard(r)
+                if len(pivot_row) == 1:
+                    # force the pivot to divide every remaining entry; a
+                    # unit always does
+                    offender = None if pivot in (1, -1) else next(
+                        (row_at[i] for i in range(t + 1, A.rows)
+                         if any(x % pivot for x in rows[row_at[i]].values())),
+                        None)
+                    if offender is None:
+                        break
+                    _add_row(rows, where, r, offender, 1)
+                    b[r] = [u + v for u, v in zip(b[r], b[offender])]
+            at = _scan_pivot(rows, row_at, col_pos, t)
+        if pivot < 0:
+            b[r] = [-u for u in b[r]]
+        diag.append(abs(pivot))
+    return diag, row_at, col_pos, log
+
+
 def boundary_matrix(K: SimplicialComplex, k: int) -> SparseMatrix:
     """∂_k of K with each column sorted by row: sign (-1)^i on deleting
     the i-th vertex, looked up in an index of the (k-1)-faces."""
@@ -436,9 +575,32 @@ def homology_all(C: ChainComplex) -> dict[int, FGAbelianGroup]:
     for k in C.degrees():
         up = factors.get(k + 1, [])
         free = len(C.basis[k]) - len(factors.get(k, ())) - len(up)
-        out[k] = FGAbelianGroup.from_invariants([d for d in up if d > 1],
-                                                free)
+        out[k] = from_invariants([d for d in up if d > 1], free)
     return out
+
+
+def group_order(G: FGAbelianGroup) -> int | None:
+    """The order of G, or None when G is infinite."""
+    return None if G.free_rank else math.prod(G.torsion)
+
+
+def from_invariants(invariants, free_rank: int = 0) -> FGAbelianGroup:
+    """The group of an arbitrary list of cyclic orders (0 meaning Z),
+    normalized to a divisor chain."""
+    free = free_rank + sum(1 for d in invariants if d == 0)
+    tor = [abs(d) for d in invariants if abs(d) > 1]
+    # repeatedly replace pairs by (gcd, lcm) until the chain divides
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(tor)):
+            for j in range(i + 1, len(tor)):
+                if tor[j] % tor[i]:
+                    g = math.gcd(tor[i], tor[j])
+                    tor[i], tor[j] = g, tor[i] * tor[j] // g
+                    changed = True
+        tor = [q for q in tor if q > 1]
+    return FGAbelianGroup(free, tuple(sorted(tor)))
 
 
 def acyclicity_report(D) -> dict[int, FGAbelianGroup]:

@@ -1,6 +1,7 @@
 """A census of small complexes: every simplicial complex on 1 to 4
-labelled vertices, plus {∅}, checked against the oracles, and every
-small labeling of them against the Coxeter oracles.
+labelled vertices, plus {∅}, checked against the oracles; every small
+labeling of them against the Coxeter oracles; and every small label
+pattern against the cosine-matrix test of finiteness.
 
 A complex on the vertices 0..n-1 is an antichain of nonempty subsets
 that covers them, its facets; there are 1, 2, 9 and 114 of them for
@@ -12,10 +13,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from cornerkit import ghs
-from cornerkit.coxeter import coxeter_nerve, is_proper_labeling
+from cornerkit import ghs, homology
+from cornerkit.clearing import reduced_homology_all
+from cornerkit.coxeter import (INFINITE, CoxeterMatrix, coxeter_nerve,
+                               is_finite, is_proper_labeling)
 from cornerkit.dualcells import acyclicity_report, dual_complex
-from cornerkit.homology import reduced_homology_all
 from cornerkit.simplicial import (EMPTY_COMPLEX, LabeledComplex,
                                   build_complex, simplices)
 import oracles
@@ -82,6 +84,17 @@ def test_census_acyclicity_matches_the_per_grade_build():
                 assert ours == reference, (K, n, include_top)
 
 
+def test_census_coboundary_replays_take_the_pivots_of_the_full_row_scan():
+    for K in [EMPTY_COMPLEX] + CENSUS:
+        for n in range(K.dim + 1, K.dim + 3):
+            for A in dual_complex(K, n).delta.values():
+                b = [[i % 5 - 2, i % 3] for i in range(A.rows)]
+                ours, reference = [list(v) for v in b], [list(v) for v in b]
+                assert homology._replay(A, ours) == \
+                    oracles.replay(A, reference), (K, n)
+                assert ours == reference, (K, n)
+
+
 def up_to_isomorphism(complexes):
     """One complex of each isomorphism class, the first in the list: two
     complexes are isomorphic when some vertex permutation carries the
@@ -125,3 +138,17 @@ def test_census_coxeter_properness_and_nerve_match_the_per_subset_tests():
                 oracles.per_candidate_nerve(LK), LK
             count += 1
     assert count == 348 + 5476
+
+
+def test_the_classifier_agrees_with_the_cosine_matrix_on_four_generators():
+    # the classifier against an oracle that does not call it: labels ∞ and
+    # 2..6 on every pair of 1 to 4 generators
+    count = 0
+    for n in range(1, 5):
+        for pattern in product((INFINITE, 2, 3, 4, 5, 6),
+                               repeat=n * (n - 1) // 2):
+            M = CoxeterMatrix(tuple(range(n)), pattern)
+            assert is_finite(M).finite == \
+                oracles.cosine_matrix_is_positive_definite(n, pattern), pattern
+            count += 1
+    assert count == 1 + 6 + 6 ** 3 + 6 ** 6

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -18,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import cornerkit.cli as cli
 from cornerkit.cli import main
-from cornerkit.dualcells import Cochain, coboundary, dual_complex
+from cornerkit.constructions import suspension
+from cornerkit.dualcells import (Cochain, coboundary, cochain_to_obj,
+                                 dual_complex)
 from cornerkit.homology import FGAbelianGroup
-from cornerkit.jsonio import (cochain_to_obj, complex_from_obj,
-                              complex_to_obj, dumps, pair_from_obj)
-from cornerkit.simplicial import suspension
+from cornerkit.jsonio import complex_from_obj, complex_to_obj, dumps
+from cornerkit.quasitoric import pair_from_obj
 
 DATA = Path(__file__).parent.parent / "src" / "cornerkit" / "data"
 
@@ -264,6 +266,24 @@ def test_from_fan_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "from-fan", "-i", str(singular))
     assert code == 1
     assert "singular" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("filters", ["", "error"])
+def test_from_fan_writes_a_non_primitive_ray_as_one_warning_line(tmp_path,
+                                                                 filters):
+    # the same bytes under any warning filter, and no source path in them
+    fan = tmp_path / "fan.json"
+    fan.write_text(dumps({"rays": [[2, 0], [0, 1], [-1, 0], [0, -1]],
+                          "cones": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+    env = dict(os.environ, PYTHONWARNINGS=filters,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "cornerkit", "from-fan", "-i",
+                          str(fan)], capture_output=True, text=True, env=env)
+    assert run.returncode == 0
+    assert run.stderr == ("warning: ray 0 = [2, 0] is not primitive; "
+                          "dividing by gcd 2\n")
+    assert pair_from_obj(json.loads(run.stdout)).lam.entries == (
+        (1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def test_emitted_json_round_trips(capsys):
@@ -1180,20 +1200,12 @@ def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
     assert code == 1 and calls == [3]
 
 
-# Names moved out of the modules that every job, or every solve job,
-# compiles: old module -> (new module, names).  Each stays importable from
-# its old module, which binds it on first use.
+# Names that moved out of the modules that every job, or every solve job,
+# compiles, and that bench/spans.py still wraps on the old module: old
+# module -> (new module, names).  The old module binds each on first use.
 MOVED = {
-    "simplicial": (("constructions", (
-        "all_simplices", "barycentric", "barycentric_all_two",
-        "boundary_simplex", "cone", "join", "label_all", "point_complex",
-        "suspension")), ("ghs", ("link",))),
-    "homology": (("clearing", ("homology_all", "reduced_homology",
-                               "reduced_homology_all")),
-                 ("smith", ("IntegerMatrix", "SNFResult", "cokernel", "snf",
-                            "snf_diagonal"))),
-    "jsonio": (("dualcells", ("cochain_from_obj", "cochain_to_obj",
-                              "group_from_obj")),
+    "homology": (("smith", ("snf", "snf_diagonal")),),
+    "jsonio": (("dualcells", ("cochain_from_obj", "cochain_to_obj")),
                ("quasitoric", ("fan_from_obj", "pair_from_obj",
                                "pair_to_obj"))),
 }
@@ -1215,18 +1227,33 @@ def test_a_moved_name_imports_its_module_on_first_use():
     # a fresh interpreter, where nothing has bound the names yet
     run = subprocess.run([sys.executable, "-c", """
 import sys
-from cornerkit import homology, jsonio, simplicial
+from cornerkit import homology, jsonio
 before = set(sys.modules)
-from cornerkit.simplicial import cone, link
-from cornerkit.homology import snf, homology_all
+from cornerkit.homology import snf
 from cornerkit.jsonio import cochain_from_obj, pair_from_obj
 print(*sorted(m for m in set(sys.modules) - before
               if m.startswith("cornerkit.")))
 """], capture_output=True, text=True, check=True, env=dict(
         os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src")))
     assert run.stdout.split() == [
-        "cornerkit.clearing", "cornerkit.constructions", "cornerkit.dualcells",
-        "cornerkit.ghs", "cornerkit.quasitoric", "cornerkit.smith"]
+        "cornerkit.dualcells", "cornerkit.quasitoric", "cornerkit.smith"]
+
+
+def test_every_forwarded_name_is_one_the_benchmark_wraps_there(monkeypatch):
+    # a forward table keeps a name on a second module only for a wrapper
+    # that bench/spans.py installs there; a module without a __getattr__
+    # forwards nothing
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    with spans.Tracer() as tracer:
+        patched = {(owner, attr) for owner, attr, _ in tracer._patched}
+    for name in ("simplicial", "homology", "jsonio"):
+        module = importlib.import_module(f"cornerkit.{name}")
+        hook = vars(module).get("__getattr__")
+        table = inspect.getclosurevars(hook).nonlocals["table"] if hook else {}
+        for names in table.values():
+            for attr in names:
+                assert (module, attr) in patched, f"{name}.{attr}"
 
 
 # --- the start-up layer: parsing and hashing ---------------------------------

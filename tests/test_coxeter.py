@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import coxeter
+from cornerkit.constructions import (barycentric, barycentric_all_two,
+                                     boundary_simplex, label_all,
+                                     point_complex, suspension)
 from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix, INFINITE,
                                coxeter_matrix, coxeter_nerve, is_aspherical,
                                is_finite, is_proper_labeling)
 from cornerkit.jsonio import complex_from_obj
-from cornerkit.simplicial import (LabeledComplex, barycentric,
-                                  barycentric_all_two, boundary_simplex,
-                                  build_complex, label_all, point_complex,
-                                  simplices, suspension)
+from cornerkit.simplicial import LabeledComplex, build_complex, simplices
 from conftest import DATA, random_labeled
 from oracles import (maximal_cliques, per_candidate_nerve, per_facet_proper,
                      triangle_group_is_finite)

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import dualcells
+from cornerkit.constructions import boundary_simplex, point_complex
 from cornerkit.dualcells import (Cochain, NotACocycle, acyclicity_report,
                                  coboundary, dual_complex, is_cocycle,
                                  is_resolution_ready, solve_obstruction)
 from cornerkit.homology import FGAbelianGroup, Z, solve_integer
 from cornerkit.jsonio import complex_from_obj
-from cornerkit.simplicial import boundary_simplex, build_complex, point_complex
+from cornerkit.simplicial import build_complex
 import oracles
 from conftest import (incidence, indicator_cochain, random_complex,
                       zero_cochain)
@@ -281,7 +282,7 @@ from cornerkit import dualcells
 from cornerkit.dualcells import (Cochain, coboundary, dual_complex,
                                  solve_obstruction)
 from cornerkit.homology import Z
-from cornerkit.simplicial import boundary_simplex
+from cornerkit.constructions import boundary_simplex
 D = dual_complex(boundary_simplex(3), 3)
 c = coboundary(D, Cochain.build(D, 1, Z, {D.faces[1][0]: (1,)}))
 dualcells.solve_integer = lambda A, b, group: [group.zero()] * A.cols
@@ -408,7 +409,7 @@ def test_sparse_solve_matches_the_reference_on_every_dual_grade(
 
 
 def test_cochain_json_round_trip():
-    from cornerkit.jsonio import cochain_from_obj, cochain_to_obj
+    from cornerkit.dualcells import cochain_from_obj, cochain_to_obj
     D = dual_complex(boundary_simplex(3), 3)
     rng = random.Random(37)
     group = FGAbelianGroup(1, (2,))

@@ -9,12 +9,12 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import equivalence
+from cornerkit.constructions import boundary_simplex, join, label_all
 from cornerkit.equivalence import (_search, _static_order, _vertex_data,
                                    find_isomorphism, invariant_fingerprint,
                                    verify_isomorphism)
 from cornerkit.jsonio import complex_to_obj, dumps
-from cornerkit.simplicial import (LabeledComplex, boundary_simplex,
-                                  build_complex, join, label_all)
+from cornerkit.simplicial import LabeledComplex, build_complex
 from conftest import (random_complex, random_labeled, shuffle_labeled,
                       shuffled_copy)
 from oracles import (brute_force_isomorphic, full_map_search, min_order,

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import ghs
+from cornerkit.constructions import (barycentric, boundary_simplex, join,
+                                     point_complex, suspension)
 from cornerkit.ghs import (is_ghs, is_polyhedral_homology_manifold,
                            sphere_homology_defects)
 from cornerkit.homology import TRIVIAL_GROUP, Z
-from cornerkit.simplicial import (EMPTY_COMPLEX, barycentric,
-                                  boundary_simplex, build_complex, join,
-                                  point_complex, suspension)
+from cornerkit.simplicial import EMPTY_COMPLEX, build_complex
 from conftest import reports_and_oracle_reports
 from oracles import per_link_check
 
@@ -132,7 +132,8 @@ TORUS = build_complex(
 def test_seven_vertex_torus_is_manifold_but_not_sphere():
     K = TORUS
     from cornerkit.simplicial import f_vector
-    from cornerkit.homology import FGAbelianGroup, reduced_homology_all
+    from cornerkit.clearing import reduced_homology_all
+    from cornerkit.homology import FGAbelianGroup
     assert f_vector(K) == (7, 21, 14)
     assert is_polyhedral_homology_manifold(K, 2).verdict
     report = is_ghs(K, 3)

@@ -8,21 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cornerkit import simplicial
+from cornerkit.clearing import reduced_homology
+from cornerkit.constructions import (all_simplices, barycentric,
+                                     barycentric_all_two, boundary_simplex,
+                                     cone, join, label_all, point_complex,
+                                     suspension)
 from cornerkit.coxeter import coxeter_nerve, is_proper_labeling
 from cornerkit.dualcells import (Cochain, NotACocycle, coboundary,
                                  dual_complex, is_cocycle, solve_obstruction)
-from cornerkit.ghs import is_ghs, is_polyhedral_homology_manifold
-from cornerkit.homology import IntegerMatrix, Z, reduced_homology
+from cornerkit.ghs import is_ghs, is_polyhedral_homology_manifold, link
+from cornerkit.homology import Z
 from cornerkit.quasitoric import CharacteristicPair, is_characteristic
 from cornerkit.simplicial import (EMPTY_COMPLEX, EMPTY_SIMPLEX,
                                   LabeledComplex, SimplicialComplex,
-                                  all_simplices,
-                                  barycentric, barycentric_all_two,
-                                  boundary_simplex, build_complex,
-                                  cone,
-                                  f_vector, join,
-                                  label_all, link, point_complex, simplex,
-                                  simplices, suspension)
+                                  build_complex, f_vector, simplex, simplices)
+from cornerkit.smith import IntegerMatrix
 from conftest import random_complex, random_labeled
 from oracles import (count_chains, faces_of, first_containment,
                      maximal_cliques, maximal_faces, per_label_check,
@@ -610,7 +610,8 @@ def test_poincare_f_vector(poincare16):
 
 
 def test_euler_characteristic_against_betti():
-    from cornerkit.homology import chain_complex, homology_all
+    from cornerkit.clearing import homology_all
+    from cornerkit.homology import chain_complex
     rng = random.Random(9)
     for _ in range(12):
         K = random_complex(rng, rng.randrange(3, 8))

@@ -25,15 +25,12 @@ SPANS = ROOT / "bench" / "spans.py"
 KEPT = {
     "snf": "acceptance criterion 3 checks U·A·V = D with the transforms",
     "cokernel": "acceptance criterion 8, through pi1_orbit_union",
-    "from_invariants": "oracles.homology_all builds its groups with it",
     "diagonal": "the tests of snf read SNFResult.diagonal",
     # these two are matched anyway, but only by coincidence: by cli's
     # JSON key "reduced_homology" and by SparseMatrix.is_zero
     "reduced_homology": "acceptance criterion 3 reads H̃_1(RP²) through it",
     "is_zero": "acceptance criterion 7 checks δδ = 0 with Cochain.is_zero",
-    # and these two by locals named order, the "simplex" report key and
-    # GhsFailure.simplex
-    "order": "acceptance criterion 8 reads cokernel(M).order()",
+    # and this one by the "simplex" report key and GhsFailure.simplex
     "simplex": "the tests build their checked faces with it",
 }
 

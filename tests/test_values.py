@@ -10,16 +10,18 @@ import inspect
 
 from hypothesis import given, settings, strategies as st
 
+from cornerkit.constructions import label_all
 from cornerkit.coxeter import (CoxeterMatrix, FinitenessVerdict,
                                coxeter_matrix, is_finite)
 from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport
-from cornerkit.homology import (ChainComplex, FGAbelianGroup, IntegerMatrix,
-                                SNFResult, SparseMatrix, chain_complex)
+from cornerkit.homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
+                                chain_complex)
 from cornerkit.quasitoric import CharacteristicPair, Fan
 from cornerkit.simplicial import (LabeledComplex, SimplicialComplex,
-                                  build_complex, label_all, simplex)
-from oracles import DATACLASS_TWINS
+                                  build_complex, simplex)
+from cornerkit.smith import IntegerMatrix, SNFResult
+from oracles import DATACLASS_TWINS, from_invariants
 
 simplices_ = st.lists(st.integers(0, 4), max_size=3, unique=True).map(simplex)
 complexes = st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3,
@@ -28,8 +30,7 @@ complexes = st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3,
                                   .index(v) for v in f] for f in faces]))
 labeled = st.builds(label_all, complexes, st.integers(2, 5))
 
-groups = st.lists(st.integers(0, 6), max_size=3).map(
-    FGAbelianGroup.from_invariants)
+groups = st.lists(st.integers(0, 6), max_size=3).map(from_invariants)
 matrices = st.integers(0, 3).flatmap(lambda cols: st.lists(
     st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
     max_size=3)).map(IntegerMatrix.from_rows)
