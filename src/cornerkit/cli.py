@@ -67,6 +67,19 @@ class CliError(Exception):
     """Anything that should terminate with exit code 2."""
 
 
+class OutputError(Exception):
+    """stdout refused a write, with this strerror.  What it holds is lost:
+    `__main__.run` reports it as one line and exit 2 without flushing
+    stdout again."""
+
+
+def write_output(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputError(exc.strerror) from exc
+
+
 def data_dir() -> str:
     override = os.environ.get("CORNERKIT_DATA")
     if override:
@@ -147,12 +160,12 @@ def write_report(args, hashes: dict, parameters: dict, body: dict,
     exit code of `verdict`."""
     if args.format == "json":
         inputs = {label: content_hash(raw) for label, raw in hashes.items()}
-        sys.stdout.write(jsonio.dumps({"command": args.command,
-                                       "inputs": inputs,
-                                       "parameters": parameters, **body}))
+        write_output(jsonio.dumps({"command": args.command,
+                                   "inputs": inputs,
+                                   "parameters": parameters, **body}))
     else:
         for line in lines:
-            sys.stdout.write(line + "\n")
+            write_output(line + "\n")
     return 0 if verdict else 1
 
 
@@ -216,7 +229,7 @@ def cmd_check_aspherical(args, hashes: dict) -> int:
 def cmd_coxeter_nerve(args, hashes: dict) -> int:
     LK = load_labeled(args.input, hashes)
     nerve = coxeter_nerve(LK, max_rank=args.max_rank, budget=args.budget)
-    sys.stdout.write(jsonio.dumps(jsonio.complex_to_obj(nerve)))
+    write_output(jsonio.dumps(jsonio.complex_to_obj(nerve)))
     return 0
 
 
@@ -305,15 +318,20 @@ def cmd_check_charfun(args, hashes: dict) -> int:
 
 
 def cmd_from_fan(args, hashes: dict) -> int:
-    # each warning of the load, such as a non-primitive ray's, is one
-    # "warning: <message>" line on stderr, whatever the filters say
+    # the load warns once per non-primitive ray: the first five warnings
+    # are "warning: <message>" lines on stderr, whatever the filters say,
+    # and one more line counts the rest, as an input error names at most
+    # five items
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             fan = load(args.input, hashes, jsonio.fan_from_obj)
         finally:
-            for w in caught:
+            for w in caught[:5]:
                 print("warning:", w.message, file=sys.stderr)
+            if len(caught) > 5:
+                print(f"warning: {len(caught) - 5} more rays are not "
+                      f"primitive", file=sys.stderr)
     try:
         pair = from_fan(fan)
     except ValueError as exc:
@@ -321,7 +339,7 @@ def cmd_from_fan(args, hashes: dict) -> int:
             raise
         body = {"verdict": False, "error": str(exc)}
         return write_report(args, hashes, {}, body, [f"FAIL: {exc}"], False)
-    sys.stdout.write(jsonio.dumps(jsonio.pair_to_obj(pair)))
+    write_output(jsonio.dumps(jsonio.pair_to_obj(pair)))
     return 0
 
 
@@ -382,7 +400,7 @@ def cmd_construct(args, hashes: dict) -> int:
             out = jsonio.complex_to_obj(barycentric(K))
         else:
             out = jsonio.labeled_to_obj(barycentric_all_two(K))
-    sys.stdout.write(jsonio.dumps(out))
+    write_output(jsonio.dumps(out))
     return 0
 
 
@@ -557,7 +575,3 @@ def main(argv=None) -> int:
     except (CliError, ValueError, KeyError, *_budget_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -50,12 +50,6 @@ class SparseMatrix(_Value):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "columns", columns)
 
-    @classmethod
-    def from_dense(cls, A: IntegerMatrix) -> "SparseMatrix":
-        return cls(A.rows, A.cols, tuple(
-            tuple((i, x) for i, x in enumerate(A.column(j)) if x)
-            for j in range(A.cols)))
-
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

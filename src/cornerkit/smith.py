@@ -1,5 +1,6 @@
-"""Dense integer matrices and their Smith normal forms: U·A·V = D with
-the transforms, the invariant factors alone, and cokernels.
+"""Dense integer matrices, their sparse form and their Smith normal
+forms: U·A·V = D with the transforms, the invariant factors alone, and
+cokernels.
 
 Each Smith form is one run of the sparse reduction `homology._replay` on
 the matrix's nonzero entries: snf carries the identity through the row
@@ -54,6 +55,11 @@ class IntegerMatrix(_Value):
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
+    def to_sparse(self) -> SparseMatrix:
+        return SparseMatrix(self.rows, self.cols, tuple(
+            tuple((i, x) for i, x in enumerate(self.column(j)) if x)
+            for j in range(self.cols)))
+
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
@@ -80,7 +86,7 @@ def snf(A: IntegerMatrix) -> SNFResult:
     column permutation followed by the logged column subtractions.
     """
     b = IntegerMatrix.identity(A.rows).tolists()
-    diag, row_at, col_pos, log = _replay(SparseMatrix.from_dense(A), b)
+    diag, row_at, col_pos, log = _replay(A.to_sparse(), b)
     V = _replay_columns(
         log, [[int(p == q) for q in range(A.cols)] for p in col_pos])
     D = [[0] * A.cols for _ in range(A.rows)]
@@ -94,7 +100,7 @@ def snf(A: IntegerMatrix) -> SNFResult:
 def snf_diagonal(A: IntegerMatrix) -> list[int]:
     """Just the invariant factors, min(rows, cols) of them, divisor chain
     first and zeros last; no transform is carried."""
-    diag = _replay(SparseMatrix.from_dense(A), [[] for _ in range(A.rows)])[0]
+    diag = _replay(A.to_sparse(), [[] for _ in range(A.rows)])[0]
     return diag + [0] * (min(A.rows, A.cols) - len(diag))
 
 

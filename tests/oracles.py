@@ -607,7 +607,7 @@ def acyclicity_report(D) -> dict[int, FGAbelianGroup]:
     """Homology of the dual-cell complex D in every grade, from its own
     boundary maps, the transposes of D.delta, checked and reduced one by
     one."""
-    boundary = {d: SparseMatrix.from_dense(to_dense(M).transpose())
+    boundary = {d: to_dense(M).transpose().to_sparse()
                 for d, M in D.delta.items()}
     return homology_all(ChainComplex(boundary, dict(D.faces)))
 

@@ -1,6 +1,7 @@
 """A census of small complexes: every simplicial complex on 1 to 4
-labelled vertices, plus {∅}, checked against the oracles; every small
-labeling of them against the Coxeter oracles; and every small label
+labelled vertices, plus {∅}, checked against the oracles, and every
+ordered pair of them against the brute-force isomorphism test; every
+small labeling of them against the Coxeter oracles; and every small label
 pattern against the cosine-matrix test of finiteness.
 
 A complex on the vertices 0..n-1 is an antichain of nonempty subsets
@@ -9,6 +10,7 @@ n = 1..4.  The random strategies reach the edge cases late or never; the
 census reaches every small one by construction.
 """
 
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -18,6 +20,7 @@ from cornerkit.clearing import reduced_homology_all
 from cornerkit.coxeter import (INFINITE, CoxeterMatrix, coxeter_nerve,
                                is_finite, is_proper_labeling)
 from cornerkit.dualcells import acyclicity_report, dual_complex
+from cornerkit.equivalence import find_isomorphism, verify_isomorphism
 from cornerkit.simplicial import (EMPTY_COMPLEX, LabeledComplex,
                                   build_complex, simplices)
 import oracles
@@ -152,3 +155,59 @@ def test_the_classifier_agrees_with_the_cosine_matrix_on_four_generators():
                 oracles.cosine_matrix_is_positive_definite(n, pattern), pattern
             count += 1
     assert count == 1 + 6 + 6 ** 3 + 6 ** 6
+
+
+def test_census_isomorphism_search_matches_brute_force():
+    # every ordered pair: the search finds a mapping exactly when some
+    # vertex bijection carries facets onto facets, and every mapping it
+    # returns passes the independent check
+    found = 0
+    for A in [EMPTY_COMPLEX] + CENSUS:
+        for B in [EMPTY_COMPLEX] + CENSUS:
+            mapping = find_isomorphism(A, B)
+            reference = oracles.brute_force_isomorphic(A.facets, B.facets)
+            assert (mapping is None) == (reference is None), (A, B)
+            if mapping is not None:
+                assert verify_isomorphism(A, B, mapping), (A, B, mapping)
+                found += 1
+    # {∅} with itself, and each census complex with every member of its
+    # isomorphism class
+    assert found == 991
+
+
+def forest_patterns(n: int, labels):
+    """Every label pattern on n generators whose bonds (the pairs not
+    labeled 2) form a forest, each bond labeled from labels."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for chosen in product((False, True), repeat=len(pairs)):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+        for (i, j), bond in zip(pairs, chosen):
+            if bond:
+                ri, rj = find(i), find(j)
+                if ri == rj:  # a cycle
+                    break
+                parent[ri] = rj
+        else:
+            for bonds in product(labels, repeat=sum(chosen)):
+                it = iter(bonds)
+                yield tuple(next(it) if bond else 2 for bond in chosen)
+
+
+def test_the_classifier_agrees_with_the_cosine_matrix_on_five_generators():
+    # every finite type of rank 5 is a forest of bonds labeled 3 to 6 (A5,
+    # B5, D5 and the products of smaller types), so the forests cover
+    # them all; a seeded sample reaches ∞ labels and cycles
+    rng = random.Random(5)
+    forests = list(forest_patterns(5, (3, 4, 5, 6)))
+    sample = [tuple(rng.choice((INFINITE, 2, 3, 4, 5, 6)) for _ in range(10))
+              for _ in range(5000)]
+    assert len(forests) == 39801
+    for pattern in forests + sample:
+        M = CoxeterMatrix(tuple(range(5)), pattern)
+        assert is_finite(M).finite == \
+            oracles.cosine_matrix_is_positive_definite(5, pattern), pattern

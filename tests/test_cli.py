@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import inspect
@@ -284,6 +285,27 @@ def test_from_fan_writes_a_non_primitive_ray_as_one_warning_line(tmp_path,
                           "dividing by gcd 2\n")
     assert pair_from_obj(json.loads(run.stdout)).lam.entries == (
         (1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@pytest.mark.parametrize("filters", ["", "error"])
+def test_from_fan_counts_the_non_primitive_rays_past_the_fifth(tmp_path,
+                                                                filters):
+    # a smooth complete fan of 300 rays, each doubled: five warning lines,
+    # byte for byte as before, then one that counts the other 295
+    rays = [[1, k] for k in range(297)] + [[0, 1], [-1, 0], [0, -1]]
+    fan = tmp_path / "fan.json"
+    fan.write_text(dumps({"rays": [[2 * x, 2 * y] for x, y in rays],
+                          "cones": [[i, (i + 1) % 300] for i in range(300)]}))
+    env = dict(os.environ, PYTHONWARNINGS=filters,
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "cornerkit", "from-fan", "-i",
+                          str(fan)], capture_output=True, text=True, env=env)
+    assert run.returncode == 0
+    assert run.stderr.splitlines() == [
+        *(f"warning: ray {i} = [2, {2 * i}] is not primitive; dividing by "
+          f"gcd 2" for i in range(5)),
+        "warning: 295 more rays are not primitive"]
+    assert len(run.stderr.encode()) < 1024
 
 
 def test_emitted_json_round_trips(capsys):
@@ -1388,3 +1410,123 @@ def test_the_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# --- the process entry -------------------------------------------------------
+# `python -m cornerkit` and the console script run a job through
+# cornerkit.__main__.run: main, a flush of stdout and stderr, the exit
+# hooks, then os._exit with main's code and no interpreter teardown.
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_every_pinned_report_is_the_same_through_the_process_entry(tmp_path,
+                                                                   case):
+    argv, exit_code = PINNED_CASES[case]
+    digests = []
+    for fmt in ("json", "text"):
+        run = run_module(tmp_path, *argv, "--format", fmt, timeout=60)
+        assert run.returncode == exit_code
+        digests.append(hashlib.sha256(json.dumps(
+            [run.returncode, run.stdout, run.stderr]).encode()).hexdigest())
+    assert digests == REPORT_DIGESTS[case]
+
+
+def module_env(unbuffered: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# a short output, and one past the stdout buffer that fails inside main
+WRITES = [("construct", "boundary-simplex", "2"),
+          ("construct", "barycentric", "-i", "poincare16.json")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", WRITES)
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_write_to_a_full_device_exits_2_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "cornerkit", *argv],
+                             stdout=full, stderr=subprocess.PIPE,
+                             env=module_env(unbuffered), timeout=60)
+    assert (run.returncode, run.stderr.decode()) == (
+        2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv", WRITES)
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_write_to_a_closed_pipe_exits_2_with_one_line(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # closed before the job starts: every write fails
+    try:
+        run = subprocess.run([sys.executable, "-m", "cornerkit", *argv],
+                             stdout=write, stderr=subprocess.PIPE,
+                             env=module_env(unbuffered), timeout=60)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr.decode()) == (
+        2, f"error: cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+
+def test_an_error_with_stdout_closed_exits_2_with_its_line():
+    # with fd 1 closed, sys.stdout is None: nothing to write or flush
+    run = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m cornerkit construct boundary-simplex x '
+         '>&-', sys.executable], stderr=subprocess.PIPE,
+        env=module_env(False), timeout=60)
+    assert (run.returncode, run.stderr) == (2, b"error: not an integer: 'x'\n")
+
+
+def test_run_flushes_then_runs_the_exit_hooks_then_leaves(monkeypatch):
+    entry = importlib.import_module("cornerkit.__main__")
+    steps = []
+
+    class Left(Exception):
+        pass
+
+    def leave(code):
+        steps.append(("_exit", code))
+        raise Left
+
+    monkeypatch.setattr(entry, "main", lambda: steps.append("main") or 1)
+    for name in ("stdout", "stderr"):
+        monkeypatch.setattr(sys, name, mock.Mock(
+            flush=lambda name=name: steps.append(f"flush {name}")))
+    monkeypatch.setattr(entry.atexit, "_run_exitfuncs",
+                        lambda: steps.append("hooks"))
+    monkeypatch.setattr(entry.os, "_exit", leave)
+    with pytest.raises(Left):
+        entry.run()
+    assert steps == ["main", "flush stdout", "flush stderr", "hooks",
+                     ("_exit", 1)]
+
+
+def test_the_exit_hooks_still_run(tmp_path):
+    # a sitecustomize on PYTHONPATH registers a hook, as a site hook or a
+    # coverage run does
+    site, mark = tmp_path / "site", tmp_path / "hook-ran"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        f"import atexit, pathlib\n"
+        f"atexit.register(pathlib.Path({str(mark)!r}).write_text, 'ran')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(site), SRC]))
+    run = subprocess.run([sys.executable, "-m", "cornerkit", "construct",
+                          "boundary-simplex", "1"], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, '{"facets":[[0],[1]],"num_vertices":2}\n', "")
+    assert mark.read_text() == "ran"
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"cornerkit": "cornerkit.__main__:run"}
+    module, _, name = scripts["cornerkit"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -12,9 +12,8 @@ from cornerkit.constructions import (barycentric, boundary_simplex, cone,
                                      join, point_complex, suspension)
 from cornerkit.dualcells import (Cochain, acyclicity_report, coboundary,
                                  dual_complex, solve_obstruction)
-from cornerkit.homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
-                                TRIVIAL_GROUP, Z, chain_complex,
-                                solve_integer)
+from cornerkit.homology import (ChainComplex, FGAbelianGroup, TRIVIAL_GROUP,
+                                Z, chain_complex, solve_integer)
 from cornerkit.jsonio import complex_from_obj
 from cornerkit.simplicial import build_complex, f_vector
 from cornerkit.smith import (IntegerMatrix, SNFResult, cokernel, snf,
@@ -115,14 +114,14 @@ def test_boundary_squares_to_zero():
 
 
 def test_chain_complex_rejects_nonzero_composite():
-    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
+    one = IntegerMatrix.identity(1).to_sparse()
     with pytest.raises(ValueError, match="∂∘∂ != 0"):
         ChainComplex({1: one, 2: one}, {0: ("a",), 1: ("b",), 2: ("c",)})
 
 
 def test_public_constructor_messages_are_pinned():
-    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
-    row = SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, -1]]))
+    one = IntegerMatrix.identity(1).to_sparse()
+    row = IntegerMatrix.from_rows([[1, -1]]).to_sparse()
     with pytest.raises(ValueError) as shape:
         ChainComplex({1: row}, {0: ("a",), 1: ("b",)})
     assert str(shape.value) == \
@@ -201,8 +200,8 @@ def test_only_unit_pivots_clear():
     # ∂_2 = (2, 1)^T starts with a non-unit, so row 0 is no pivot; were
     # column 0 of ∂_1 = (1, -2) skipped, H_0 would read Z/2
     C = ChainComplex(
-        {1: SparseMatrix.from_dense(IntegerMatrix.from_rows([[1, -2]])),
-         2: SparseMatrix.from_dense(IntegerMatrix.from_rows([[2], [1]]))},
+        {1: IntegerMatrix.from_rows([[1, -2]]).to_sparse(),
+         2: IntegerMatrix.from_rows([[2], [1]]).to_sparse()},
         {0: ("p",), 1: ("a", "b"), 2: ("t",)})
     assert homology_all(C) == oracles.homology_all(C) == {
         0: TRIVIAL_GROUP, 1: TRIVIAL_GROUP, 2: TRIVIAL_GROUP}
@@ -231,7 +230,7 @@ def test_only_the_public_constructor_checks(monkeypatch):
     d = Cochain.build(D, 1, Z, {f: (1,) for f in D.faces[1]})
     assert solve_obstruction(D, coboundary(D, d)) is not None
     assert calls == []
-    one = SparseMatrix.from_dense(IntegerMatrix.identity(1))
+    one = IntegerMatrix.identity(1).to_sparse()
     ChainComplex({1: one}, {0: ("a",), 1: ("b",)})
     assert len(calls) == 1
 
@@ -275,7 +274,7 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(torsion_matrices(), sparse_matrices()))
 def test_sparse_invariants_match_dense_snf(A):
-    assert invariant_factors(SparseMatrix.from_dense(A)) == \
+    assert invariant_factors(A.to_sparse()) == \
         [d for d in snf_diagonal(A) if d]
 
 
@@ -316,7 +315,7 @@ def replay_cases(draw):
     b = draw(st.lists(st.lists(st.integers(-5, 5), min_size=width,
                                max_size=width), min_size=r, max_size=r))
     A = IntegerMatrix(r, c, tuple(map(tuple, rows)))
-    return SparseMatrix.from_dense(A), b
+    return A.to_sparse(), b
 
 
 @settings(max_examples=400, deadline=None)
@@ -331,13 +330,13 @@ def test_the_replay_takes_the_pivots_of_the_full_row_scan(case):
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), sparse_matrices())
 def test_sparse_matrix_ops_match_dense(A, B):
-    S = SparseMatrix.from_dense(A)
+    S = A.to_sparse()
     assert to_dense(S) == A
     assert all(next((x for r, x in S.columns[j] if r == i), 0) ==
                A.entries[i][j]
                for i in range(A.rows) for j in range(A.cols))
     if A.cols == B.rows:
-        product = S.mul(SparseMatrix.from_dense(B))
+        product = S.mul(B.to_sparse())
         assert to_dense(product) == matmul(A, B)
         assert product.is_zero() == (not any(map(any, matmul(A, B).entries)))
 
@@ -346,7 +345,7 @@ def test_sparse_matrix_ops_match_dense(A, B):
 @given(torsion_matrices(square=True, factors=(1, 2, 3, 4)))
 def test_sparse_invariants_multiply_to_the_coset_count(A):
     import math
-    assert math.prod(invariant_factors(SparseMatrix.from_dense(A))) == \
+    assert math.prod(invariant_factors(A.to_sparse())) == \
         coset_count(A.tolists())
 
 
@@ -427,9 +426,9 @@ def test_cokernel_order_equals_det():
 
 
 def test_solve_integer_examples():
-    I3 = SparseMatrix.from_dense(IntegerMatrix.identity(3))
+    I3 = IntegerMatrix.identity(3).to_sparse()
     assert solve_integer(I3, [(5,), (-2,), (7,)], Z) == [(5,), (-2,), (7,)]
-    two = SparseMatrix.from_dense(IntegerMatrix.from_rows([[2]]))
+    two = IntegerMatrix.from_rows([[2]]).to_sparse()
     assert solve_integer(two, [(3,)], Z) is None
     assert solve_integer(two, [(3,)], FGAbelianGroup(0, (5,))) == [(4,)]
 
@@ -440,7 +439,7 @@ def test_solve_integer_verified_and_box_checked():
         r, c = rng.randrange(1, 4), rng.randrange(1, 4)
         A = rand_matrix(rng, r, c, -4, 4)
         b = [rng.randrange(-6, 7) for _ in range(r)]
-        x = solve_integer(SparseMatrix.from_dense(A), [(v,) for v in b], Z)
+        x = solve_integer(A.to_sparse(), [(v,) for v in b], Z)
         if x is not None:
             assert matvec(A, [e for e, in x]) == b
         else:
@@ -459,7 +458,7 @@ def test_solve_mod_matches_exhaustive():
         r, c = rng.randrange(1, 3), rng.randrange(1, 3)
         A = rand_matrix(rng, r, c, -3, 3)
         b = [rng.randrange(q) for _ in range(r)]
-        x = solve_integer(SparseMatrix.from_dense(A), [(v,) for v in b],
+        x = solve_integer(A.to_sparse(), [(v,) for v in b],
                           FGAbelianGroup(0, (q,)))
         brute = [cand for cand in itertools.product(range(q), repeat=c)
                  if all(v % q == w % q
@@ -512,7 +511,7 @@ def solve_cases(draw):
 @given(solve_cases())
 def test_solve_integer_matches_the_per_coordinate_reference(case):
     A, b, group, solvable = case
-    x = solve_integer(SparseMatrix.from_dense(A), b, group)
+    x = solve_integer(A.to_sparse(), b, group)
     assert x == per_coordinate_solve(dense_snf, A, b, group)
     if solvable:
         assert x is not None
@@ -543,7 +542,7 @@ def incidence_solve_cases(draw):
 @given(incidence_solve_cases())
 def test_sparse_solve_matches_the_reference_on_incidence_like_matrices(case):
     A, b, group = case
-    assert solve_integer(SparseMatrix.from_dense(A), b, group) == \
+    assert solve_integer(A.to_sparse(), b, group) == \
         per_coordinate_solve(dense_snf, A, b, group)
 
 
@@ -551,7 +550,7 @@ def test_solve_over_the_trivial_group_needs_no_snf(monkeypatch):
     import cornerkit.homology as homology_module
     monkeypatch.setattr(homology_module, "snf", None)
     A = IntegerMatrix.from_rows([[2, 0], [0, 0], [1, 3]])
-    assert solve_integer(SparseMatrix.from_dense(A), [(), (), ()],
+    assert solve_integer(A.to_sparse(), [(), (), ()],
                          TRIVIAL_GROUP) == [(), ()]
 
 

@@ -75,7 +75,7 @@ INSTANCES = {
     SimplicialComplex: complexes,
     LabeledComplex: labeled,
     IntegerMatrix: matrices,
-    SparseMatrix: matrices.map(SparseMatrix.from_dense),
+    SparseMatrix: matrices.map(IntegerMatrix.to_sparse),
     SNFResult: st.builds(SNFResult, matrices, matrices, matrices),
     FGAbelianGroup: groups,
     ChainComplex: st.builds(chain_complex, complexes, st.booleans()),
