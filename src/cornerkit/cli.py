@@ -2,10 +2,12 @@
 
 Subcommands wrap the library operations one-to-one and share a uniform
 exit contract: 0 for an affirmative verdict, 1 for a negative verdict
-(with a witness in the report), 2 for errors (bad JSON, validation
-failures, arity mistakes).  Construction commands emit bare complex/pair
-JSON on stdout so they compose through pipes; check commands emit a run
-report keyed by command name, input content hashes, and parameters.
+(with a witness in the report), 2 for errors: bad JSON, arity mistakes,
+output that cannot be written, and every ValueError the library raises
+on an input, validation failures and budgets included.  Construction
+commands emit bare complex/pair JSON on stdout so they compose through
+pipes; check commands emit a run report keyed by command name, input
+content hashes, and parameters.
 
 Reports are byte-identical across runs on identical inputs: keys are
 sorted, collections are canonically ordered, and nothing time- or
@@ -18,14 +20,15 @@ directory (override with the CORNERKIT_DATA environment variable), so
 A job starts only what it runs.  One argument table, COMMANDS, declares
 each subcommand's arguments.  It drives build_parser, the argparse
 parser, and _match, which parses a canonical command line without
-importing argparse: the subcommand, its positionals, then declared option
-strings written out in full, each at most once with one value that does
-not start with '-' (or is '-' itself), every required option present.
-Anything else (help, usage errors, abbreviations, --opt=value, -n4) goes
-to argparse unchanged, which alone prints help, usage and errors.  A run
-report hashes its inputs with CPython's _sha256, falling back to hashlib
-where the interpreter lacks it, so a canonical job imports neither
-argparse (nor its gettext and locale) nor OpenSSL.
+importing argparse: the subcommand, its positionals, then declared
+option strings written out in full, each at most once with one value
+that does not start with '-' (or is '-' itself), every required option
+present.  Anything else (help, usage errors, abbreviations, --opt=value,
+-n4) goes to argparse unchanged, which alone prints help, usage and
+errors (on stdout through write_output, like a report).  A run report
+hashes its inputs with CPython's _sha256, falling back to hashlib where
+the interpreter lacks it, so a canonical job imports neither argparse
+(nor its gettext and locale) nor OpenSSL.
 """
 
 from __future__ import annotations
@@ -479,7 +482,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     help, a missing or unknown command and the top-level usage line name
     them all."""
     import argparse  # only for what _match leaves to it
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):  # argparse drops an OSError
+        def _print_message(self, message, file=None):
+            if file is sys.stdout is not None:
+                write_output(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="cornerkit",
         description="Exact checks for sphere-like nerves, Coxeter labelings, "
                     "dual-cell obstruction cochains, and torus characteristic "
@@ -550,13 +561,6 @@ def _value(token: str, keywords: dict):
     return value
 
 
-def _budget_errors() -> tuple:
-    """coxeter's budget error, which only a job that loaded coxeter can
-    raise."""
-    coxeter = sys.modules.get(f"{__package__}.coxeter")
-    return (coxeter.BudgetExceeded,) if coxeter else ()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _match(argv)
@@ -572,6 +576,6 @@ def main(argv=None) -> int:
     _bind(globals(), args.library, LIBRARY[args.library])
     try:
         return args.func(args, {})
-    except (CliError, ValueError, KeyError, *_budget_errors()) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

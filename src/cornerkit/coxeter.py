@@ -28,8 +28,8 @@ from .simplicial import (LabeledComplex, SimplicialComplex, _Value, _complex,
 INFINITE = 0  # sentinel for m(s,t) = ∞ inside a label pattern
 
 
-class BudgetExceeded(RuntimeError):
-    """Clique enumeration exceeded the configured budget."""
+class BudgetExceeded(ValueError):
+    """Clique enumeration exceeded the configured budget: an input error."""
 
     def __init__(self, count: int, budget: int):
         super().__init__(f"clique enumeration exceeded budget "
@@ -133,7 +133,7 @@ def _branch_type(arms: list[int], n: int) -> tuple[str, int] | None:
     return None
 
 
-def _walk(adj: dict[int, list[tuple[int, int]]], prev: int | None,
+def _walk(adj: list[list[tuple[int, int]]], prev: int | None,
           cur: int) -> list[int]:
     """The edge labels of the walk that leaves prev through cur and ends
     at a leaf; each vertex after cur has one way on, as on a path or an
@@ -147,25 +147,16 @@ def _walk(adj: dict[int, list[tuple[int, int]]], prev: int | None,
         labels.append(nxt[0][1])
 
 
-def _classify_component(M: CoxeterMatrix, comp: list[int]) -> tuple[str, int | None]:
-    """Finite-type tag and order for one connected diagram component
-    (indices into M); returns ("infinite", None) outside the catalog."""
+def _classify_component(adj: list[list[tuple[int, int]]],
+                        comp: list[int]) -> tuple[str, int | None]:
+    """Finite-type tag and order for one connected diagram component, a
+    sorted index list whose bonds adj lists; ("infinite", None) if none."""
     n = len(comp)
     if n == 1:
         return "A1", 2
-    edges = []
-    for i, j in itertools.combinations(comp, 2):
-        m = M.order_of(i, j)
-        if m == INFINITE:
-            return "infinite", None
-        if m >= 3:
-            edges.append((i, j, m))
-    if len(edges) != n - 1:
-        return "infinite", None  # a connected diagram that is not a tree
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-    for i, j, m in edges:
-        adj[i].append((j, m))
-        adj[j].append((i, m))
+    labels = [m for v in comp for _, m in adj[v]]  # each bond twice
+    if INFINITE in labels or len(labels) != 2 * (n - 1):
+        return "infinite", None  # an ∞ bond, or a diagram that is no tree
     degrees = sorted((len(adj[v]) for v in comp), reverse=True)
     if degrees[0] >= 4 or (degrees[0] == 3 and degrees[1] == 3):
         return "infinite", None
@@ -174,7 +165,7 @@ def _classify_component(M: CoxeterMatrix, comp: list[int]) -> tuple[str, int | N
         result = _path_type(_walk(adj, None, end), n)
         return result if result else ("infinite", None)
     # exactly one branch vertex; D/E types are simply laced
-    if any(m != 3 for _, _, m in edges):
+    if any(m != 3 for m in labels):
         return "infinite", None
     center = next(v for v in comp if len(adj[v]) == 3)
     arms = [1 + len(_walk(adj, center, start)) for start, _ in adj[center]]
@@ -185,33 +176,35 @@ def _classify_component(M: CoxeterMatrix, comp: list[int]) -> tuple[str, int | N
 def is_finite(M: CoxeterMatrix) -> FinitenessVerdict:
     """Decide finiteness via the classification of finite Coxeter groups.
 
-    The diagram has an edge wherever m >= 3 or m = ∞; m = 2 disconnects.
+    One scan of the pattern lists the diagram's bonds, m >= 3 or m = ∞
+    (m = 2 disconnects); components are walked from their least vertex.
     Any ∞ label, cycle, high-degree vertex, or label pattern outside the
     catalog makes the component (hence the group) infinite.
     """
     n = M.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if M.order_of(i, j) != 2:  # ∞ and m >= 3 both connect
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            m = M.order_of(i, j)
+            if m != 2:  # ∞ and m >= 3 both bond
+                adj[i].append((j, m))
+                adj[j].append((i, m))
+    seen = [False] * n
     results = []
     finite = True
     order = 1
-    for comp in sorted(comps.values()):
-        tag, comp_order = _classify_component(M, comp)
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # reaches what is appended as it runs
+            for w, _ in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        tag, comp_order = _classify_component(adj, comp)
         results.append((tuple(M.vertices[i] for i in comp), tag))
         if comp_order is None:
             finite = False

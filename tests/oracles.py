@@ -39,6 +39,15 @@ finiteness classifier (coxeter.is_finite) on every subset with no memo,
 and the full-map search checks each candidate against every mapped
 vertex in a quadratic min-based order: the slow forms that the library's
 pattern memo and neighbour-only search must reproduce exactly.
+union_find_is_finite is the classifier as it was written before it read
+the diagram's bonds in one scan: a union-find over every pair for the
+components, and each component's pairs scanned again for its bonds.  It
+shares the path and branch typing (_path_type, _branch_type, _walk)
+with the library, so it pins the components, bond checks and orders,
+not the catalog.  positive_root_count pins the catalog: it counts the
+positive roots of a component by reflecting the simple roots in floats,
+with no call into the classifier, and the rank and that count name a
+finite type.
 recursive_search is the neighbour-only search as it was written before
 it kept its path on an explicit stack: one recursion level per vertex,
 which exhausts Python's recursion limit on large complexes.  In the
@@ -71,8 +80,9 @@ import types
 from collections import deque
 from fractions import Fraction
 
-from cornerkit.coxeter import (BudgetExceeded, CoxeterMatrix,
-                               FinitenessVerdict, coxeter_matrix, is_finite)
+from cornerkit.coxeter import (INFINITE, BudgetExceeded, CoxeterMatrix,
+                               FinitenessVerdict, _branch_type, _path_type,
+                               _walk, coxeter_matrix, is_finite)
 from cornerkit.dualcells import Cochain
 from cornerkit.ghs import GhsFailure, GhsReport
 from cornerkit.homology import (ChainComplex, FGAbelianGroup, SparseMatrix,
@@ -322,6 +332,115 @@ def cosine_matrix_is_positive_definite(n: int, pattern) -> bool:
             low[i][j] = (a[i][j] - sum(x * y for x, y in
                                        zip(low[i][:j], low[j][:j]))) / low[j][j]
     return True
+
+
+def _union_find_component(M: CoxeterMatrix, comp: list[int]):
+    """union_find_is_finite's tag and order for one connected component:
+    every pair scanned again, the adjacency rebuilt from the bonds."""
+    n = len(comp)
+    if n == 1:
+        return "A1", 2
+    edges = []
+    for i, j in itertools.combinations(comp, 2):
+        m = M.order_of(i, j)
+        if m == INFINITE:
+            return "infinite", None
+        if m >= 3:
+            edges.append((i, j, m))
+    if len(edges) != n - 1:
+        return "infinite", None  # a connected diagram that is not a tree
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
+    for i, j, m in edges:
+        adj[i].append((j, m))
+        adj[j].append((i, m))
+    degrees = sorted((len(adj[v]) for v in comp), reverse=True)
+    if degrees[0] >= 4 or (degrees[0] == 3 and degrees[1] == 3):
+        return "infinite", None
+    if degrees[0] <= 2:
+        end = next(v for v in comp if len(adj[v]) == 1)
+        result = _path_type(_walk(adj, None, end), n)
+        return result if result else ("infinite", None)
+    # exactly one branch vertex; D/E types are simply laced
+    if any(m != 3 for _, _, m in edges):
+        return "infinite", None
+    center = next(v for v in comp if len(adj[v]) == 3)
+    arms = [1 + len(_walk(adj, center, start)) for start, _ in adj[center]]
+    result = _branch_type(sorted(arms, reverse=True), n)
+    return result if result else ("infinite", None)
+
+
+def union_find_is_finite(M: CoxeterMatrix) -> FinitenessVerdict:
+    """coxeter.is_finite as it was written with a union-find over every
+    pair (m != 2 joins two generators), the components in the order of
+    their least vertex, each classified by _union_find_component."""
+    n = M.size
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if M.order_of(i, j) != 2:  # ∞ and m >= 3 both connect
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    results = []
+    finite = True
+    order = 1
+    for comp in sorted(comps.values()):
+        tag, comp_order = _union_find_component(M, comp)
+        results.append((tuple(M.vertices[i] for i in comp), tag))
+        if comp_order is None:
+            finite = False
+        else:
+            order *= comp_order
+    return FinitenessVerdict(finite, tuple(results), order if finite else None)
+
+
+def positive_root_count(pattern, component, cap: int) -> int | None:
+    """The number of positive roots of the Coxeter group on the generators
+    `component` (indices into this label pattern), or None once it passes
+    `cap`.  The simple roots e_i span a space with the bilinear form
+    B(e_i, e_j) = -cos(π/m_ij), -1 for ∞; the reflection s_i(v) = v -
+    2B(e_i, v)e_i permutes the positive roots other than e_i, and from
+    the simple roots these reflections reach every positive root
+    (Humphreys, "Reflection Groups and Coxeter Groups", §5.4).  Roots are
+    float coordinates, rounded to 6 places for set membership; nothing
+    here calls the classifier."""
+    k = len(component)
+
+    def label(a, b):
+        if a == b:
+            return 1
+        a, b = min(a, b), max(a, b)
+        return pattern[b * (b - 1) // 2 + a]
+
+    form = [[-1.0 if m == INFINITE else -math.cos(math.pi / m)
+             for m in (label(a, b) for b in component)] for a in component]
+    simple = [tuple(float(i == j) for j in range(k)) for i in range(k)]
+    seen = set(simple)
+    queue = deque(simple)
+    while queue:
+        root = queue.popleft()
+        for i in range(k):
+            if root == simple[i]:
+                continue
+            step = 2 * sum(x * y for x, y in zip(form[i], root))
+            image = root[:i] + (root[i] - step,) + root[i + 1:]
+            key = tuple(round(x, 6) for x in image)
+            if key not in seen:
+                if len(seen) == cap:
+                    return None
+                seen.add(key)
+                queue.append(image)
+    return len(seen)
 
 
 def first_containment(facets) -> tuple[int, int] | None:

@@ -2,7 +2,9 @@
 labelled vertices, plus {∅}, checked against the oracles, and every
 ordered pair of them against the brute-force isomorphism test; every
 small labeling of them against the Coxeter oracles; and every small label
-pattern against the cosine-matrix test of finiteness.
+pattern against the cosine-matrix test of finiteness, against the
+classifier's union-find reference, and, component by component, against
+the type that its count of positive roots names.
 
 A complex on the vertices 0..n-1 is an antichain of nonempty subsets
 that covers them, its facets; there are 1, 2, 9 and 114 of them for
@@ -10,15 +12,17 @@ n = 1..4.  The random strategies reach the edge cases late or never; the
 census reaches every small one by construction.
 """
 
+import math
 import random
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
 
 from cornerkit import ghs, homology
 from cornerkit.clearing import reduced_homology_all
-from cornerkit.coxeter import (INFINITE, CoxeterMatrix, coxeter_nerve,
-                               is_finite, is_proper_labeling)
+from cornerkit.coxeter import (INFINITE, CoxeterMatrix, FinitenessVerdict,
+                               coxeter_nerve, is_finite, is_proper_labeling)
 from cornerkit.dualcells import acyclicity_report, dual_complex
 from cornerkit.equivalence import find_isomorphism, verify_isomorphism
 from cornerkit.simplicial import (EMPTY_COMPLEX, LabeledComplex,
@@ -211,3 +215,68 @@ def test_the_classifier_agrees_with_the_cosine_matrix_on_five_generators():
         M = CoxeterMatrix(tuple(range(5)), pattern)
         assert is_finite(M).finite == \
             oracles.cosine_matrix_is_positive_definite(5, pattern), pattern
+
+
+@cache
+def classifier_census() -> list[tuple[CoxeterMatrix, FinitenessVerdict]]:
+    """(matrix, is_finite verdict) for the label patterns of the two
+    classifier tests above, each decided once for the two tests below:
+    every pattern over ∞ and 2..6 on 1 to 4 generators, the 39,801
+    five-generator forests with bonds labeled 3 to 6, and the same 5,000
+    seeded five-generator patterns."""
+    rng = random.Random(5)
+    small = [CoxeterMatrix(tuple(range(n)), pattern) for n in range(1, 5)
+             for pattern in product((INFINITE, 2, 3, 4, 5, 6),
+                                    repeat=n * (n - 1) // 2)]
+    forests = [CoxeterMatrix(tuple(range(5)), pattern)
+               for pattern in forest_patterns(5, (3, 4, 5, 6))]
+    sample = [CoxeterMatrix(tuple(range(5)), tuple(
+        rng.choice((INFINITE, 2, 3, 4, 5, 6)) for _ in range(10)))
+        for _ in range(5000)]
+    return [(M, is_finite(M)) for M in small + forests + sample]
+
+
+def test_the_classifier_matches_its_union_find_reference():
+    # components, their order and tags, and the group order
+    census = classifier_census()
+    assert len(census) == 1 + 6 + 6 ** 3 + 6 ** 6 + 39801 + 5000
+    for M, verdict in census:
+        assert verdict == oracles.union_find_is_finite(M), M.pattern
+
+
+# (rank, number of positive roots): (tag, |W|) of every finite irreducible
+# Coxeter group of rank 5 or less; no two share a key
+ROOT_COUNT_TYPES = {
+    **{(r, r * (r + 1) // 2): (f"A{r}", math.factorial(r + 1))
+       for r in range(1, 6)},
+    **{(r, r * r): (f"B{r}", 2 ** r * math.factorial(r)) for r in range(2, 6)},
+    **{(r, r * (r - 1)): (f"D{r}", 2 ** (r - 1) * math.factorial(r))
+       for r in (4, 5)},
+    (4, 24): ("F4", 1152), (3, 15): ("H3", 120), (4, 60): ("H4", 14400),
+    **{(2, m): (f"I2({m})", 2 * m) for m in (5, 6)},
+}
+
+
+def test_each_finite_component_has_the_type_its_roots_name():
+    # the tag and order against an oracle that does not call the
+    # classifier; infinite components are the cosine-matrix test's
+    assert len(ROOT_COUNT_TYPES) == 5 + 4 + 2 + 3 + 2
+    by_pattern = {}  # a component's own label pattern: its type
+    for M, verdict in classifier_census():
+        order = 1
+        for comp, tag in verdict.components:
+            if tag == "infinite":
+                continue
+            own = tuple(M.order_of(a, b)
+                        for j, b in enumerate(comp) for a in comp[:j])
+            if own not in by_pattern:
+                count = oracles.positive_root_count(M.pattern, comp, 200)
+                assert (len(comp), count) in ROOT_COUNT_TYPES, \
+                    (M.pattern, comp, count)
+                by_pattern[own] = ROOT_COUNT_TYPES[len(comp), count]
+            expected, group_order = by_pattern[own]
+            assert tag == expected, (M.pattern, comp)
+            order *= group_order
+        assert verdict.order == (order if verdict.finite else None), \
+            M.pattern
+    assert len(by_pattern) == 336

@@ -1441,9 +1441,11 @@ def module_env(unbuffered: bool) -> dict:
     return env
 
 
-# a short output, and one past the stdout buffer that fails inside main
+# a short output, one past the stdout buffer that fails inside main, and
+# help, which argparse writes
 WRITES = [("construct", "boundary-simplex", "2"),
-          ("construct", "barycentric", "-i", "poincare16.json")]
+          ("construct", "barycentric", "-i", "poincare16.json"),
+          ("-h",), ("check-ghs", "-h")]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
