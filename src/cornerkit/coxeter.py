@@ -149,8 +149,8 @@ def _walk(adj: list[list[tuple[int, int]]], prev: int | None,
 
 def _classify_component(adj: list[list[tuple[int, int]]],
                         comp: list[int]) -> tuple[str, int | None]:
-    """Finite-type tag and order for one connected diagram component, a
-    sorted index list whose bonds adj lists; ("infinite", None) if none."""
+    """Finite-type tag and order of one connected diagram component, a
+    sorted index list whose bonds adj lists, or ("infinite", None)."""
     n = len(comp)
     if n == 1:
         return "A1", 2
