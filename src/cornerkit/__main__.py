@@ -2,17 +2,18 @@
 script both call `run`.
 
 A job is one short process, and its caller waits for the whole of it.
-Once `cli.main` has written the report, CPython would still finalize the
-interpreter: tear down every module, run collector passes and free every
-object, which takes milliseconds per job and changes nothing anyone sees.
-So `run` flushes the output, runs the registered exit hooks (site hooks
-and coverage rely on theirs) and leaves by `os._exit`.  An exception
-that escapes `main` still takes the interpreter's normal traceback and
-exit.  A write or final flush of stdout that fails is reported as one
-line and exit 2; stdout is not written again.
+Collector passes and CPython's finalization (tear down every module, free
+every object) take milliseconds per job and change nothing anyone sees.
+So `run` turns the cyclic collector off, runs `cli.main`, flushes the
+output, runs the registered exit hooks (site hooks and coverage rely on
+theirs) and leaves by `os._exit`.  An exception that escapes `main`
+still takes the interpreter's normal traceback and exit.  A write or
+final flush of stdout that fails is reported as one line and exit 2;
+stdout is not written again.
 """
 
 import atexit
+import gc
 import os
 import sys
 
@@ -22,6 +23,7 @@ from .cli import OutputError, main
 def run():
     """Run one job and end the process with its exit code; never
     returns."""
+    gc.disable()  # a job's tuples, dicts and sets of ints hold no cycles
     try:
         code = main()
         if sys.stdout is not None:

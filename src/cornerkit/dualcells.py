@@ -17,9 +17,10 @@ Cochains take values in a caller-supplied finitely generated abelian
 group, one coordinate per summand.  Solving δd = c is one solve over
 that group on the sparse rows of δ: a single replay of the Smith
 reduction serves every coordinate, exact in the free ones and modular in
-the torsion ones.  When the dual complex is
-acyclic (the nerve is a generalized homology sphere) every cocycle of
-positive degree is solvable.
+the torsion ones.  When the dual complex is acyclic (the nerve is a
+generalized homology sphere) every cocycle of positive degree is
+solvable.  A value is reduced once, where a cochain is built (see
+Cochain), and the checks read it as it is.
 
 A solve job compiles none of the homology-group code: acyclicity_report
 imports `clearing.homology_all` when it runs, so only `acyclicity` loads
@@ -88,7 +89,10 @@ def dual_complex(N: SimplicialComplex, n: int,
 
 
 class Cochain(_Value):
-    """Degree-k cochain: one group element per k-dimensional dual face."""
+    """Degree-k cochain: one group element per k-dimensional dual face,
+    stored as given.  build, coboundary and solve_obstruction give one
+    reduced value per face in D.faces order, as is_zero and the checks
+    need."""
 
     _fields = ("degree", "group", "values")
 
@@ -119,14 +123,14 @@ class Cochain(_Value):
         return cls(degree, group, tuple(values))
 
     def is_zero(self) -> bool:
-        return all(self.group.is_zero_element(c) for _, c in self.values)
+        return not any(any(c) for _, c in self.values)
 
 
 def coboundary(D: DualComplex, d: Cochain) -> Cochain:
     """(δd)(F) = Σ [G:F]·d(G) over the boundary faces G of F.
 
-    The sums run over the integer coordinates; Cochain.build reduces
-    each value once in the group."""
+    The sums run over the integer coordinates, and each is reduced once
+    in the group."""
     k = d.degree + 1
     if k not in D.faces:
         raise ValueError(f"coboundary degree {k} out of range 0..{D.top_dim}")
@@ -138,7 +142,8 @@ def coboundary(D: DualComplex, d: Cochain) -> Cochain:
             if x:
                 for i, coeff in col:
                     acc[i] += coeff * x
-    return Cochain.build(D, k, d.group, dict(zip(D.faces[k], zip(*out))))
+    sums = map(d.group.reduce, zip(*out)) if out else [()] * len(D.faces[k])
+    return Cochain(k, d.group, tuple(zip(D.faces[k], sums)))
 
 
 def is_cocycle(D: DualComplex,
@@ -151,9 +156,8 @@ def is_cocycle(D: DualComplex,
     """
     if c.degree >= D.top_dim:
         return True, None
-    dc = coboundary(D, c)
-    for key, coords in dc.values:
-        if not dc.group.is_zero_element(coords):
+    for key, coords in coboundary(D, c).values:
+        if any(coords):
             return False, key
     return True, None
 
@@ -172,18 +176,14 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
         raise NotACocycle(witness)
     if c.degree < 1:
         raise ValueError("obstruction solving needs degree >= 1")
-    group = c.group
     # δ: rows k-faces, cols (k-1)-faces; the solve replays the Smith
     # reduction's pivot order on its sparse rows, which fixes the preimage
     x = solve_integer(D.delta[c.degree], [coords for _, coords in c.values],
-                      group)
+                      c.group)
     if x is None:
         return None
-    d = Cochain.build(D, c.degree - 1, group, {
-        G: e for G, e in zip(D.faces[c.degree - 1], x)})
-    check = coboundary(D, d)
-    if not all(group.reduce(a[1]) == group.reduce(b[1])
-               for a, b in zip(check.values, c.values)):
+    d = Cochain(c.degree - 1, c.group, tuple(zip(D.faces[c.degree - 1], x)))
+    if coboundary(D, d).values != c.values:
         raise AssertionError("solver postcondition")
     return d
 

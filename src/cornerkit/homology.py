@@ -227,9 +227,6 @@ class FGAbelianGroup(_Value):
         tor = tuple(c % q for c, q in zip(coords[self.free_rank:], self.torsion))
         return free + tor
 
-    def is_zero_element(self, x) -> bool:
-        return self.reduce(x) == self.zero()
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{q}" for q in self.torsion]
         return " + ".join(parts) if parts else "0"

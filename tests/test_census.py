@@ -147,20 +147,6 @@ def test_census_coxeter_properness_and_nerve_match_the_per_subset_tests():
     assert count == 348 + 5476
 
 
-def test_the_classifier_agrees_with_the_cosine_matrix_on_four_generators():
-    # the classifier against an oracle that does not call it: labels ∞ and
-    # 2..6 on every pair of 1 to 4 generators
-    count = 0
-    for n in range(1, 5):
-        for pattern in product((INFINITE, 2, 3, 4, 5, 6),
-                               repeat=n * (n - 1) // 2):
-            M = CoxeterMatrix(tuple(range(n)), pattern)
-            assert is_finite(M).finite == \
-                oracles.cosine_matrix_is_positive_definite(n, pattern), pattern
-            count += 1
-    assert count == 1 + 6 + 6 ** 3 + 6 ** 6
-
-
 def test_census_isomorphism_search_matches_brute_force():
     # every ordered pair: the search finds a mapping exactly when some
     # vertex bijection carries facets onto facets, and every mapping it
@@ -202,38 +188,46 @@ def forest_patterns(n: int, labels):
                 yield tuple(next(it) if bond else 2 for bond in chosen)
 
 
-def test_the_classifier_agrees_with_the_cosine_matrix_on_five_generators():
-    # every finite type of rank 5 is a forest of bonds labeled 3 to 6 (A5,
-    # B5, D5 and the products of smaller types), so the forests cover
-    # them all; a seeded sample reaches ∞ labels and cycles
-    rng = random.Random(5)
-    forests = list(forest_patterns(5, (3, 4, 5, 6)))
-    sample = [tuple(rng.choice((INFINITE, 2, 3, 4, 5, 6)) for _ in range(10))
-              for _ in range(5000)]
-    assert len(forests) == 39801
-    for pattern in forests + sample:
-        M = CoxeterMatrix(tuple(range(5)), pattern)
-        assert is_finite(M).finite == \
-            oracles.cosine_matrix_is_positive_definite(5, pattern), pattern
-
-
 @cache
 def classifier_census() -> list[tuple[CoxeterMatrix, FinitenessVerdict]]:
-    """(matrix, is_finite verdict) for the label patterns of the two
-    classifier tests above, each decided once for the two tests below:
-    every pattern over ∞ and 2..6 on 1 to 4 generators, the 39,801
-    five-generator forests with bonds labeled 3 to 6, and the same 5,000
-    seeded five-generator patterns."""
+    """(matrix, is_finite verdict) of every label pattern that the
+    classifier tests below read, each decided once: every pattern over ∞
+    and 2..6 on 1 to 4 generators, the 39,801 five-generator forests with
+    bonds labeled 3 to 6, and 5,000 seeded five-generator patterns."""
     rng = random.Random(5)
     small = [CoxeterMatrix(tuple(range(n)), pattern) for n in range(1, 5)
              for pattern in product((INFINITE, 2, 3, 4, 5, 6),
                                     repeat=n * (n - 1) // 2)]
     forests = [CoxeterMatrix(tuple(range(5)), pattern)
                for pattern in forest_patterns(5, (3, 4, 5, 6))]
+    assert len(forests) == 39801
     sample = [CoxeterMatrix(tuple(range(5)), tuple(
         rng.choice((INFINITE, 2, 3, 4, 5, 6)) for _ in range(10)))
         for _ in range(5000)]
     return [(M, is_finite(M)) for M in small + forests + sample]
+
+
+def assert_the_cosine_matrix_agrees(generators, count):
+    """The census verdicts on `generators` generators against an oracle
+    that does not call the classifier."""
+    census = [(M, verdict) for M, verdict in classifier_census()
+              if len(M.vertices) in generators]
+    assert len(census) == count
+    for M, verdict in census:
+        assert verdict.finite == oracles.cosine_matrix_is_positive_definite(
+            len(M.vertices), M.pattern), M.pattern
+
+
+def test_the_classifier_agrees_with_the_cosine_matrix_on_four_generators():
+    # labels ∞ and 2..6 on every pair of 1 to 4 generators
+    assert_the_cosine_matrix_agrees((1, 2, 3, 4), 1 + 6 + 6 ** 3 + 6 ** 6)
+
+
+def test_the_classifier_agrees_with_the_cosine_matrix_on_five_generators():
+    # every finite type of rank 5 is a forest of bonds labeled 3 to 6 (A5,
+    # B5, D5 and the products of smaller types), so the 39,801 forests
+    # cover them all; the 5,000 seeded patterns reach ∞ labels and cycles
+    assert_the_cosine_matrix_agrees((5,), 39801 + 5000)
 
 
 def test_the_classifier_matches_its_union_find_reference():

@@ -1380,6 +1380,26 @@ def test_content_hash_is_sha256_with_and_without_the_fast_module(raw):
         assert cli.content_hash(raw) == expected
 
 
+def test_a_pinned_report_is_the_same_through_the_hashlib_fallback(
+        capsys, tmp_path, monkeypatch):
+    # an interpreter without _sha256 (Python 3.12 renames it) hashes each
+    # input through hashlib, into the same report
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("CORNERKIT_DATA", str(report_inputs(tmp_path)))
+    monkeypatch.chdir(cwd)
+    sha256, hashed = hashlib.sha256, []
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda raw: hashed.append(raw) or sha256(raw))
+    argv, exit_code = REPORT_CASES["solve-solved"]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == exit_code
+    assert len(hashed) == 2  # the complex and the cochain
+    assert sha256(json.dumps([code, out, err]).encode()).hexdigest() == \
+        REPORT_DIGESTS["solve-solved"][0]
+
+
 # Simplicial chain complexes are valid by construction and skip the
 # public constructor's checks, and dual complexes are read through their
 # nerves' ones, so no job runs the checks.
@@ -1414,8 +1434,9 @@ def test_the_package_has_no_assert_statements():
 
 # --- the process entry -------------------------------------------------------
 # `python -m cornerkit` and the console script run a job through
-# cornerkit.__main__.run: main, a flush of stdout and stderr, the exit
-# hooks, then os._exit with main's code and no interpreter teardown.
+# cornerkit.__main__.run: the cyclic collector off, main, a flush of stdout
+# and stderr, the exit hooks, then os._exit with main's code and no
+# interpreter teardown.
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -1495,6 +1516,8 @@ def test_run_flushes_then_runs_the_exit_hooks_then_leaves(monkeypatch):
         steps.append(("_exit", code))
         raise Left
 
+    # the recorded stub also keeps the test process's collector on
+    monkeypatch.setattr(entry.gc, "disable", lambda: steps.append("gc off"))
     monkeypatch.setattr(entry, "main", lambda: steps.append("main") or 1)
     for name in ("stdout", "stderr"):
         monkeypatch.setattr(sys, name, mock.Mock(
@@ -1504,8 +1527,8 @@ def test_run_flushes_then_runs_the_exit_hooks_then_leaves(monkeypatch):
     monkeypatch.setattr(entry.os, "_exit", leave)
     with pytest.raises(Left):
         entry.run()
-    assert steps == ["main", "flush stdout", "flush stderr", "hooks",
-                     ("_exit", 1)]
+    assert steps == ["gc off", "main", "flush stdout", "flush stderr",
+                     "hooks", ("_exit", 1)]
 
 
 def test_the_exit_hooks_still_run(tmp_path):

@@ -188,6 +188,96 @@ def test_cocycle_detection_with_witness():
                            if v != (0,))
 
 
+
+# Cochain.build reduces each value once and the checks read it as it is:
+# assignments with 6, -1 and 12 in Z/6, or a free coordinate beside a Z/2
+# one, check as an explicit reduction of every sum says
+Z6 = FGAbelianGroup(0, (6,))
+Z_Z2 = FGAbelianGroup(1, (2,))
+UNREDUCED = {Z6: ((0,), (6,), (-1,), (12,), (1,), (5,)),
+             Z_Z2: ((0, 0), (0, 2), (1, -1), (-1, 3), (0, 1), (2, 0))}
+
+
+def dense_sums(D, degree, raw, num_coords):
+    """δ of the raw values on grade degree - 1 over the integers, from
+    the dense incidence and without any reduction."""
+    return [tuple(sum(a * x[c] for a, x in zip(row, raw))
+                  for c in range(num_coords))
+            for row in to_dense(D.delta[degree]).entries]
+
+
+def reduced_cocycle_check(D, degree, group, raw):
+    if degree >= D.top_dim:
+        return True, None
+    for F, value in zip(D.faces[degree + 1],
+                        dense_sums(D, degree + 1, raw, group.num_coords)):
+        if group.reduce(value) != group.zero():
+            return False, F
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unreduced_assignments_check_as_their_explicit_reductions(rp2_6,
+                                                                  data):
+    N = data.draw(st.sampled_from((boundary_simplex(3), rp2_6)))
+    D = dual_complex(N, N.dim + 1)
+    degree = data.draw(st.integers(0, D.top_dim))
+    group = data.draw(st.sampled_from((Z6, Z_Z2)))
+    values = st.sampled_from(UNREDUCED[group])
+
+    def draw_values(faces):
+        return data.draw(st.lists(values, min_size=len(faces),
+                                  max_size=len(faces)))
+    if degree and data.draw(st.booleans()):
+        # a cocycle: the integer coboundary of raw values, unreduced
+        raw = dense_sums(D, degree, draw_values(D.faces[degree - 1]),
+                         group.num_coords)
+    else:
+        raw = draw_values(D.faces[degree])
+    c = Cochain.build(D, degree, group, dict(zip(D.faces[degree], raw)))
+    assert is_cocycle(D, c) == reduced_cocycle_check(D, degree, group, raw)
+    assert c.is_zero() == all(group.reduce(x) == group.zero() for x in raw)
+
+
+def test_multiples_of_the_moduli_build_the_zero_cochain():
+    D = dual_complex(boundary_simplex(3), 3)
+    for group, zeros in ((Z6, ((6,), (12,), (-6,))),
+                         (Z_Z2, ((0, 2), (0, -2), (0, 4)))):
+        c = Cochain.build(D, 1, group, dict(zip(D.faces[1],
+                                                itertools.cycle(zeros))))
+        assert c == Cochain.build(D, 1, group)
+        assert c.is_zero() and is_cocycle(D, c) == (True, None)
+
+
+
+def test_the_trivial_group_gives_every_face_its_empty_value():
+    # no coordinate to sum, yet δ of a cochain still has a value on
+    # every face above it, and the solve a preimage on every face below
+    trivial = FGAbelianGroup(0, ())
+    D = dual_complex(boundary_simplex(3), 3)
+    for k in (1, 2):
+        c = Cochain.build(D, k, trivial)
+        assert coboundary(D, c) == Cochain.build(D, k + 1, trivial)
+        assert is_cocycle(D, c) == (True, None) and c.is_zero()
+        assert solve_obstruction(D, c) == Cochain.build(D, k - 1, trivial)
+
+@pytest.mark.parametrize("unit", [(1, 0), (0, 1)], ids=["free", "torsion"])
+def test_a_wrong_preimage_fails_the_solver_postcondition(monkeypatch, unit):
+    # the true preimage with one value moved by a unit in one coordinate
+    group = FGAbelianGroup(1, (4,))
+    D = dual_complex(boundary_simplex(3), 3)
+    c = coboundary(D, indicator_cochain(D, D.faces[1][0], (2, 3), group))
+    assert solve_obstruction(D, c) is not None
+
+    def wrong(A, b, group):
+        x = solve_integer(A, b, group)
+        x[0] = group.reduce([u + v for u, v in zip(x[0], unit)])
+        return x
+    monkeypatch.setattr(dualcells, "solve_integer", wrong)
+    with pytest.raises(AssertionError, match="^solver postcondition$"):
+        solve_obstruction(D, c)
+
 def test_exhaustive_z2_solving_on_tetrahedron_dual():
     D = dual_complex(boundary_simplex(3), 3)
     for degree in (1, 2, 3):
