@@ -29,8 +29,9 @@ the clearing reduction.
 
 from __future__ import annotations
 
+from .elimination import solve_integer
 from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP,
-                       chain_complex, solve_integer, Z)
+                       chain_complex, Z)
 from .jsonio import _document, _int, _int_lists, group_to_obj
 # simplices is not called here, but bench/spans.py wraps it by this name
 from .simplicial import SimplicialComplex, _Value, simplices  # noqa: F401

@@ -18,9 +18,17 @@ increasing order, so links with equal facet tuples are equal complexes
 with equal homology; the link loop keys its verdicts on (facets, sphere
 dimension), and every simplex whose link has a failing shape still gets
 its own witnesses.  `link` lives here, with the checks that take links.
+In a pure complex the links of dimension 1 or less, those of the faces
+of codimension 1 and 2, are read from the residues that one pass over
+the facets collects; `link` builds only the larger ones.  Those small
+links are graphs, whose homology `clearing` reads off by counting, as it
+does for a link of dimension 2 that is a strongly connected
+pseudo-surface, as each one in a homology manifold is.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .clearing import reduced_homology_all
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z
@@ -106,37 +114,65 @@ def link(K: SimplicialComplex,
     containing = _containing_facets(K, s)
     if not containing:
         raise ValueError(f"{s!r} is not a simplex of the complex")
-    star = [K.facets[i] for i in containing]
-    old_ids = sorted(set().union(*star).difference(s))
-    renum = dict(zip(old_ids, range(len(old_ids))))
-    facets = [tuple([renum[v] for v in f if v in renum]) for f in star]
+    old_ids, facets = _renumbered(
+        [tuple([v for v in K.facets[i] if v not in s]) for i in containing])
     return _complex(len(old_ids), facets), tuple(old_ids)
 
 
+def _renumbered(star):
+    """(the vertex ids of star, ascending; the facets of the link whose
+    facets, before renumbering, are star, sorted), where star lists the
+    residues f - s of the facets f that contain s."""
+    old_ids = sorted(set().union(*star))
+    get = dict(zip(old_ids, range(len(old_ids)))).__getitem__
+    return old_ids, tuple(sorted([tuple(map(get, r)) for r in star]))
+
+
+def _residues(K: SimplicialComplex, k: int) -> dict:
+    """{s: the residues f - s of the facets f that contain s} for every
+    k-face s of a pure K, from one pass over its facets.  In a facet's
+    vertex order the complement of each (k+1)-subset is the matching
+    subset of the other size taken in reverse order."""
+    out: dict = {}
+    for f in K.facets:
+        rest = list(combinations(f, len(f) - k - 1))
+        for s, r in zip(combinations(f, k + 1), reversed(rest)):
+            out.setdefault(s, []).append(r)
+    return out
+
+
 def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
-                  memo: dict):
+                  memo: dict, star=None):
     """sphere_homology_defects of the link of s, which must look like
     S^{m - dim s - 1}, looked up in memo by link shape and computed only
-    on a miss."""
-    L, _ = link(K, s)
-    key = (L.facets, m - len(s))
+    on a miss.  When star, the residues that `_residues` gives s, is
+    passed, the link is read from it and `link` is not called."""
+    facets = link(K, s)[0].facets if star is None else _renumbered(star)[1]
+    key = (facets, m - len(s))
     defects = memo.get(key)
     if defects is None:
+        L = _complex(len(set().union(*facets)), facets)
         defects = memo[key] = sphere_homology_defects(L, key[1])
     return defects
 
 
 def _check_links(K: SimplicialComplex, m: int) -> tuple[list[GhsFailure], int]:
     """Link homology of every k-simplex, 0 <= k < m (facet links are
-    empty by maximality once purity holds, so k = m is vacuous)."""
+    empty by maximality once purity holds, so k = m is vacuous).
+
+    In a pure K the link of a k-simplex has dimension dim K - k - 1; the
+    links of dimension 1 or less are read from the star's residues, and
+    only the larger ones are built by `link`."""
     failures: list[GhsFailure] = []
     checked = 0
     memo: dict = {}
+    pure = len(set(map(len, K.facets))) == 1
     for k in range(0, m):
+        stars = _residues(K, k) if pure and k >= K.dim - 2 else {}
         for s in simplices(K, k):
             checked += 1
-            failures.extend(GhsFailure(s, deg, exp, act)
-                            for deg, exp, act in _link_defects(K, s, m, memo))
+            failures.extend(GhsFailure(s, deg, exp, act) for deg, exp, act
+                            in _link_defects(K, s, m, memo, stars.get(s)))
     return failures, checked
 
 

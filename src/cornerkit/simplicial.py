@@ -301,20 +301,19 @@ def build_complex(raw_facets) -> SimplicialComplex:
     raw = list(raw_facets)
     if not raw:
         raise ValueError("empty facet list")
-    sets = []
-    for f in raw:
-        fs = frozenset(f)
-        if any(v < 0 for v in fs):
-            raise ValueError(f"negative vertex id in a facet of {len(fs)} "
-                             f"vertices, first {sorted(fs)[:5]}")
-        sets.append(fs)
-    sets = list(set(sets))
+    # distinct facets in order of first occurrence; pruning keeps the union
+    sets = list(dict.fromkeys(map(frozenset, raw)))
+    used = set().union(*sets)
+    if min(used, default=0) < 0:
+        # the first facet with one, as a scan of the facets in turn meets it
+        fs = next(fs for fs in sets if min(fs, default=0) < 0)
+        raise ValueError(f"negative vertex id in a facet of {len(fs)} "
+                         f"vertices, first {sorted(fs)[:5]}")
     top = max(map(len, sets))
-    if any(len(f) < top for f in sets):
+    if min(map(len, sets)) < top:
         sets = [f for f, j in zip(sets, _containers(sets)) if j is None]
-    maximal = [tuple(sorted(f)) for f in sets]
-    used = set().union(*maximal)
-    if not all(isinstance(v, int) for v in used):
+    maximal = list(map(tuple, map(sorted, sets)))
+    if not all(map(isinstance, used, itertools.repeat(int))):
         # the first one a scan of the facets in turn meets
         v = next(v for f in maximal for v in f if not isinstance(v, int))
         raise ValueError(f"vertex ids must be non-negative integers, "
@@ -338,11 +337,8 @@ def simplices(K: SimplicialComplex, k: int) -> tuple[tuple[int, ...], ...]:
         return tuple((v,) for v in range(K.num_vertices))
     if k == K.dim:
         return tuple(f for f in K.facets if len(f) == k + 1)
-    found: set[tuple[int, ...]] = set()
-    for f in K.facets:
-        if len(f) > k:
-            found.update(itertools.combinations(f, k + 1))
-    return tuple(sorted(found))
+    return tuple(sorted(set(itertools.chain.from_iterable(map(
+        itertools.combinations, K.facets, itertools.repeat(k + 1))))))
 
 
 def f_vector(K: SimplicialComplex) -> tuple[int, ...]:

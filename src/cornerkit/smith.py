@@ -2,9 +2,9 @@
 forms: U·A·V = D with the transforms, the invariant factors alone, and
 cokernels.
 
-Each Smith form is one run of the sparse reduction `homology._replay` on
-the matrix's nonzero entries: snf carries the identity through the row
-operations to get U and replays the column log to get V, and
+Each Smith form is one run of the sparse reduction `elimination._replay`
+on the matrix's nonzero entries: snf carries the identity through the
+row operations to get U and replays the column log to get V, and
 snf_diagonal carries nothing.  Only the jobs that read a dense matrix
 load this module: the `quasitoric` subcommands, and a homology whose
 column reduction leaves a block that is not all unit pivots (see
@@ -15,7 +15,8 @@ column reduction leaves a block that is not all unit pivots (see
 from __future__ import annotations
 
 from . import homology
-from .homology import FGAbelianGroup, SparseMatrix, _replay, _replay_columns
+from .elimination import _replay, _replay_columns
+from .homology import FGAbelianGroup, SparseMatrix
 from .simplicial import _Value
 
 

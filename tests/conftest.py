@@ -13,6 +13,7 @@ from cornerkit import clearing, ghs, homology, smith
 from cornerkit.dualcells import Cochain
 from cornerkit.jsonio import complex_from_obj
 from cornerkit.quasitoric import pair_from_obj
+from cornerkit.simplicial import build_complex
 import oracles
 from oracles import verify_snf
 
@@ -103,9 +104,14 @@ def reports_and_oracle_reports(K):
         return ours, reports()
 
 
+# Császár torus: complete 1-skeleton on 7 vertices, 14 triangles
+TORUS = build_complex(
+    [sorted({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    + [sorted({i % 7, (i + 2) % 7, (i + 3) % 7}) for i in range(7)])
+
+
 def random_complex(rng: random.Random, n: int, max_facet: int = 4):
     """A valid complex using exactly the vertices 0..n-1."""
-    from cornerkit.simplicial import build_complex
     while True:
         facets = []
         for _ in range(rng.randrange(2, 2 * n + 1)):
@@ -121,7 +127,6 @@ def random_complex(rng: random.Random, n: int, max_facet: int = 4):
 
 def shuffled_copy(K, rng: random.Random):
     """Same complex with vertices renamed by a random permutation."""
-    from cornerkit.simplicial import build_complex
     perm = list(range(K.num_vertices))
     rng.shuffle(perm)
     return build_complex([[perm[v] for v in f]
@@ -136,7 +141,7 @@ def random_labeled(rng: random.Random, n: int, labels=(2, 3, 4, 5)):
 
 
 def shuffle_labeled(LK, rng: random.Random):
-    from cornerkit.simplicial import LabeledComplex, build_complex
+    from cornerkit.simplicial import LabeledComplex
     perm = list(range(LK.complex.num_vertices))
     rng.shuffle(perm)
     K = build_complex([[perm[v] for v in f]

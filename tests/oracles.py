@@ -581,7 +581,7 @@ def _add_row(rows: list[dict[int, int]], where: list[set[int]],
 
 
 def replay(A: SparseMatrix, b: list[list[int]]):
-    """homology._replay as it was before its pivot search skipped the
+    """elimination._replay as it was before its pivot search skipped the
     empty rows: the reference for the pivot sequence.
 
     Smith-reduce A on sparse rows, applying every row operation to b.
@@ -592,7 +592,7 @@ def replay(A: SparseMatrix, b: list[list[int]]):
     block is zero; the row of A at each position; the position of each
     column of A; and the column subtractions (j, k, q), column k -=
     q·column j, in the order applied.  With y indexed by position,
-    homology._replay_columns(log, [y[p] for p in col_pos]) is V·y.
+    elimination._replay_columns(log, [y[p] for p in col_pos]) is V·y.
 
     Pivoting is by minimal absolute nonzero entry, the first in
     row-major position order.  Column swaps only move positions.  Once a

@@ -11,7 +11,7 @@ from cornerkit.ghs import (is_ghs, is_polyhedral_homology_manifold,
                            sphere_homology_defects)
 from cornerkit.homology import TRIVIAL_GROUP, Z
 from cornerkit.simplicial import EMPTY_COMPLEX, build_complex
-from conftest import reports_and_oracle_reports
+from conftest import TORUS, reports_and_oracle_reports
 from oracles import per_link_check
 
 
@@ -121,12 +121,6 @@ def test_bad_arguments():
         is_polyhedral_homology_manifold(boundary_simplex(2), -1)
     with pytest.raises(ValueError):
         is_ghs(EMPTY_COMPLEX, 1)
-
-
-# Császár torus: complete 1-skeleton on 7 vertices, 14 triangles
-TORUS = build_complex(
-    [sorted({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
-    + [sorted({i % 7, (i + 2) % 7, (i + 3) % 7}) for i in range(7)])
 
 
 def test_seven_vertex_torus_is_manifold_but_not_sphere():
