@@ -18,12 +18,10 @@ increasing order, so links with equal facet tuples are equal complexes
 with equal homology; the link loop keys its verdicts on (facets, sphere
 dimension), and every simplex whose link has a failing shape still gets
 its own witnesses.  `link` lives here, with the checks that take links.
-In a pure complex the links of dimension 1 or less, those of the faces
-of codimension 1 and 2, are read from the residues that one pass over
-the facets collects; `link` builds only the larger ones.  Those small
-links are graphs, whose homology `clearing` reads off by counting, as it
-does for a link of dimension 2 that is a strongly connected
-pseudo-surface, as each one in a homology manifold is.
+The link loop does not call `link`: the links of all k-faces are read
+from the residues that one pass over the facets collects.  In a
+3-manifold every link is a graph or a strongly connected
+pseudo-surface, whose homology `clearing` reads off by counting.
 """
 
 from __future__ import annotations
@@ -32,8 +30,9 @@ from itertools import combinations
 
 from .clearing import reduced_homology_all
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z
+# simplices is not called here, but bench/spans.py wraps it by this name
 from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, _complex,
-                         _containing_facets, simplices)
+                         _containing_facets, simplices)  # noqa: F401
 
 
 class GhsFailure(_Value):
@@ -130,24 +129,25 @@ def _renumbered(star):
 
 def _residues(K: SimplicialComplex, k: int) -> dict:
     """{s: the residues f - s of the facets f that contain s} for every
-    k-face s of a pure K, from one pass over its facets.  In a facet's
-    vertex order the complement of each (k+1)-subset is the matching
-    subset of the other size taken in reverse order."""
+    k-face s of K, from one pass over its facets; they are the facets of
+    the link of s, before renumbering.  In a facet's vertex order the
+    complement of each (k+1)-subset is the matching subset of the other
+    size taken in reverse order."""
     out: dict = {}
     for f in K.facets:
-        rest = list(combinations(f, len(f) - k - 1))
-        for s, r in zip(combinations(f, k + 1), reversed(rest)):
-            out.setdefault(s, []).append(r)
+        if len(f) > k:
+            rest = list(combinations(f, len(f) - k - 1))
+            for s, r in zip(combinations(f, k + 1), reversed(rest)):
+                out.setdefault(s, []).append(r)
     return out
 
 
 def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
-                  memo: dict, star=None):
+                  memo: dict, star: list):
     """sphere_homology_defects of the link of s, which must look like
     S^{m - dim s - 1}, looked up in memo by link shape and computed only
-    on a miss.  When star, the residues that `_residues` gives s, is
-    passed, the link is read from it and `link` is not called."""
-    facets = link(K, s)[0].facets if star is None else _renumbered(star)[1]
+    on a miss.  star is the residues that `_residues` gives s."""
+    facets = _renumbered(star)[1]
     key = (facets, m - len(s))
     defects = memo.get(key)
     if defects is None:
@@ -159,20 +159,17 @@ def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
 def _check_links(K: SimplicialComplex, m: int) -> tuple[list[GhsFailure], int]:
     """Link homology of every k-simplex, 0 <= k < m (facet links are
     empty by maximality once purity holds, so k = m is vacuous).
-
-    In a pure K the link of a k-simplex has dimension dim K - k - 1; the
-    links of dimension 1 or less are read from the star's residues, and
-    only the larger ones are built by `link`."""
+    Each k-simplex's link is read from the residues of its star."""
     failures: list[GhsFailure] = []
     checked = 0
     memo: dict = {}
-    pure = len(set(map(len, K.facets))) == 1
     for k in range(0, m):
-        stars = _residues(K, k) if pure and k >= K.dim - 2 else {}
-        for s in simplices(K, k):
+        stars = _residues(K, k)
+        for s in sorted(stars):
             checked += 1
             failures.extend(GhsFailure(s, deg, exp, act) for deg, exp, act
-                            in _link_defects(K, s, m, memo, stars.get(s)))
+                            in _link_defects(K, s, m, memo, stars[s]))
+        del stars  # free this k's residues before the next k's are built
     return failures, checked
 
 
