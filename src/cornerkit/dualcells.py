@@ -24,17 +24,20 @@ Cochain), and the checks read it as it is.
 
 A solve job compiles none of the homology-group code: acyclicity_report
 imports `clearing.homology_all` when it runs, so only `acyclicity` loads
-the clearing reduction.
+the clearing reduction.  Likewise only a solve loads `elimination`:
+solve_obstruction binds `solve_integer` when it runs, and a module
+`__getattr__` (PEP 562) binds it on first access from outside, where
+bench/spans.py wraps it.
 """
 
 from __future__ import annotations
 
-from .elimination import solve_integer
 from .homology import (FGAbelianGroup, SparseMatrix, TRIVIAL_GROUP,
                        chain_complex, Z)
 from .jsonio import _document, _int, _int_lists, group_to_obj
 # simplices is not called here, but bench/spans.py wraps it by this name
-from .simplicial import SimplicialComplex, _Value, simplices  # noqa: F401
+from .simplicial import (SimplicialComplex, _Value, _bind, _forward,
+                         simplices)  # noqa: F401
 
 
 class NotACocycle(ValueError):
@@ -179,6 +182,7 @@ def solve_obstruction(D: DualComplex, c: Cochain) -> Cochain | None:
         raise ValueError("obstruction solving needs degree >= 1")
     # δ: rows k-faces, cols (k-1)-faces; the solve replays the Smith
     # reduction's pivot order on its sparse rows, which fixes the preimage
+    _bind(globals(), "elimination", ("solve_integer",))
     x = solve_integer(D.delta[c.degree], [coords for _, coords in c.values],
                       c.group)
     if x is None:
@@ -256,3 +260,6 @@ def cochain_from_obj(obj: dict, D: DualComplex) -> Cochain:
         raise ValueError(f'"values": {len(values) - len(assignment)} keys '
                          f'repeat a face, first {face}')
     return Cochain.build(D, _int(obj["degree"], '"degree"'), group, assignment)
+
+
+__getattr__ = _forward(globals(), {"elimination": ("solve_integer",)})

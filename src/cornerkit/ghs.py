@@ -17,11 +17,11 @@ Each link shape is decided once per check.  `link` renumbers densely in
 increasing order, so links with equal facet tuples are equal complexes
 with equal homology; the link loop keys its verdicts on (facets, sphere
 dimension), and every simplex whose link has a failing shape still gets
-its own witnesses.  `link` lives here, with the checks that take links.
-The link loop does not call `link`: the links of all k-faces are read
-from the residues that one pass over the facets collects.  In a
-3-manifold every link is a graph or a strongly connected
-pseudo-surface, whose homology `clearing` reads off by counting.
+its own witnesses.  The links of all k-faces are read from the residues
+that one pass over the facets collects, and `link` reads one link from
+the same pass.  In a 3-manifold every link is a graph or a strongly
+connected pseudo-surface, whose homology `clearing` reads off by
+counting.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .clearing import reduced_homology_all
 from .homology import FGAbelianGroup, TRIVIAL_GROUP, Z
 # simplices is not called here, but bench/spans.py wraps it by this name
 from .simplicial import (EMPTY_SIMPLEX, SimplicialComplex, _Value, _complex,
-                         _containing_facets, simplices)  # noqa: F401
+                         simplices)  # noqa: F401
 
 
 class GhsFailure(_Value):
@@ -104,17 +104,17 @@ def link(K: SimplicialComplex,
     vertex i.  The link of the empty simplex is K itself (identity map);
     the link of a facet is the empty complex.
 
-    The facets that contain s come from K's star index.  Their residues
-    need no checks: distinct facets that contain s leave distinct
-    residues, none inside another, and the renumbering leaves no gap.
+    The facets of L are the residues that the link loop's pass,
+    `_residues`, collects for s, so L needs no checks.  No check calls
+    `link`: the name stays for the tests and for bench/spans.py, which
+    wraps it, until the next benchmark version drops that patch.
     """
     if not s:
         return K, tuple(range(K.num_vertices))
-    containing = _containing_facets(K, s)
-    if not containing:
+    star = _residues(K, len(s) - 1).get(s)
+    if star is None:
         raise ValueError(f"{s!r} is not a simplex of the complex")
-    old_ids, facets = _renumbered(
-        [tuple([v for v in K.facets[i] if v not in s]) for i in containing])
+    old_ids, facets = _renumbered(star)
     return _complex(len(old_ids), facets), tuple(old_ids)
 
 
@@ -142,13 +142,13 @@ def _residues(K: SimplicialComplex, k: int) -> dict:
     return out
 
 
-def _link_defects(K: SimplicialComplex, s: tuple[int, ...], m: int,
-                  memo: dict, star: list):
-    """sphere_homology_defects of the link of s, which must look like
-    S^{m - dim s - 1}, looked up in memo by link shape and computed only
-    on a miss.  star is the residues that `_residues` gives s."""
+def _link_defects(star: list, d: int, memo: dict):
+    """sphere_homology_defects of the link whose facets, before
+    renumbering, are star, the residues that `_residues` gives a simplex,
+    against S^d: looked up in memo by link shape and computed only on a
+    miss."""
     facets = _renumbered(star)[1]
-    key = (facets, m - len(s))
+    key = (facets, d)
     defects = memo.get(key)
     if defects is None:
         L = _complex(len(set().union(*facets)), facets)
@@ -168,7 +168,7 @@ def _check_links(K: SimplicialComplex, m: int) -> tuple[list[GhsFailure], int]:
         for s in sorted(stars):
             checked += 1
             failures.extend(GhsFailure(s, deg, exp, act) for deg, exp, act
-                            in _link_defects(K, s, m, memo, stars[s]))
+                            in _link_defects(stars[s], m - len(s), memo))
         del stars  # free this k's residues before the next k's are built
     return failures, checked
 

@@ -17,20 +17,20 @@ the unchecked `_complex`.  Every complex holds its facets sorted, so `==`
 compares complexes as sets of faces.
 
 Every job loads this module, so it holds only what every job runs.  The
-constructions live in `constructions` and `link` in `ghs`, with the
-checks that take links.  `_bind` imports a module and binds names from
-it, and `_forward` builds on it the module `__getattr__` (PEP 562)
-through which `cli`, `homology` and `jsonio` bind names on first use.
+constructions live in `constructions` and links in `ghs`, which reads
+them from one pass over the facets.  `_bind` imports a module and binds
+names from it, and `_forward` builds on it the module `__getattr__`
+(PEP 562) through which `cli`, `dualcells`, `homology` and `jsonio` bind
+names on first use.
 
 All values are immutable after construction and every operation is a pure
 function.  The value classes of every module derive from `_Value`, which
 gives them ==, hash and repr over their fields and forbids assignment, as
 frozen dataclasses would, without importing `dataclasses` (and with it
-`inspect`) into every job.  A complex computes its hash and derived
-tables, such as its vertex-to-facet star index, the first time they are
-needed and keeps them outside its fields, so equality and repr never see
-them.  Concurrent reads stay safe: two threads that both build a table
-store equal ones.
+`inspect`) into every job.  A complex computes its hash the first time it
+is needed and keeps it outside its fields, as `_cached` keeps any table
+derived from a value, so equality and repr never see it.  Concurrent
+reads stay safe: two threads that both build a table store equal ones.
 """
 
 from __future__ import annotations
@@ -144,9 +144,6 @@ class SimplicialComplex(_Value):
     def is_empty(self) -> bool:
         return self.num_vertices == 0
 
-    def __contains__(self, s: tuple[int, ...]) -> bool:
-        return not s or bool(_containing_facets(self, s))
-
     def __hash__(self):
         return _cached(self, "_hash", lambda K: hash((K.num_vertices, K.facets)))
 
@@ -180,31 +177,6 @@ def _cached(obj, name: str, build):
     return table
 
 
-def _stars(faces) -> dict[int, set[int]]:
-    """{v: indices of the faces (collections of vertex ids) that hold v}."""
-    at: dict[int, set[int]] = {}
-    for i, f in enumerate(faces):
-        for v in f:
-            at.setdefault(v, set()).add(i)
-    return at
-
-
-def _star_index(K: SimplicialComplex) -> dict[int, set[int]]:
-    return _stars(K.facets)
-
-
-def _containing_facets(K: SimplicialComplex, vertices) -> set[int]:
-    """Indices of the facets of K that contain every one of the (at least
-    one) given vertex ids: the intersection of their stars, smallest
-    first.  Empty when the ids span no face, an id out of range included."""
-    at = _cached(K, "_star_index", _star_index)
-    try:
-        stars = sorted((at[v] for v in vertices), key=len)
-    except KeyError:
-        return set()
-    return stars[0].intersection(*stars[1:])
-
-
 def _containers(faces) -> list[int | None]:
     """For each face (a collection of vertex ids), the least index of
     another face in the list that contains it, or None.
@@ -214,7 +186,10 @@ def _containers(faces) -> list[int | None]:
     faces at each of its vertices, taken smallest set first, so a face
     costs the size of its rarest vertex's star, not the length of the list.
     """
-    at = _stars(faces)
+    at: dict[int, set[int]] = {}  # vertex id -> indices of its faces
+    for i, f in enumerate(faces):
+        for v in f:
+            at.setdefault(v, set()).add(i)
     out: list[int | None] = []
     for i, f in enumerate(faces):
         if not f:  # contained in every other face; the least of them is 0 or 1
@@ -294,9 +269,8 @@ def build_complex(raw_facets) -> SimplicialComplex:
     max id + 1.  Rejects, in this order, an empty facet list, negative ids,
     non-integer ids and vertex-id gaps (an id in range that occurs in no
     facet).  Once the sets are distinct, none lies in another of the same
-    size, so a pure input (one facet size) skips the containment test and
-    builds no star index.  What is left after pruning is valid, so it is
-    not checked again.
+    size, so a pure input (one facet size) skips the containment test.
+    What is left after pruning is valid, so it is not checked again.
     """
     raw = list(raw_facets)
     if not raw:

@@ -54,7 +54,7 @@ which exhausts Python's recursion limit on large complexes.  In the
 same way scan_link finds a link's facets by scanning every facet and
 builds it through the validating constructor, and per_link_check decides
 every link on its own with sphere_homology_defects: the references for
-the star-index link and the per-shape link memo.
+the links read from the residue pass and the per-shape link memo.
 
 sphere_homology_defects and purity_failures are the ghs comparisons as
 they were written before the library sent every check through one

@@ -1175,8 +1175,7 @@ MODULES_BY_CASE = {
     # the 2-torsion of its suspension leaves a block for smith's snf_diagonal
     "homology-torsion-block": STARTUP | {"homology", "clearing", "smith",
                                          "elimination"},
-    "acyclicity-pass": STARTUP | {"homology", "clearing", "dualcells",
-                                  "elimination"},
+    "acyclicity-pass": STARTUP | {"homology", "clearing", "dualcells"},
     "solve-solved": STARTUP | {"homology", "dualcells", "elimination"},
     "check-ghs-fail": STARTUP | {"homology", "clearing", "ghs"},
     "check-phm-pass": STARTUP | {"homology", "clearing", "ghs"},
@@ -1239,10 +1238,12 @@ def test_library_names_resolve_to_their_modules(capsys, monkeypatch):
     assert code == 1 and calls == [3]
 
 
-# Names that moved out of the modules that every job, or every solve job,
-# compiles, and that bench/spans.py still wraps on the old module: old
-# module -> (new module, names).  The old module binds each on first use.
+# Names that moved out of the modules that every job, every solve job or
+# every acyclicity job compiles, and that bench/spans.py still wraps on
+# the old module: old module -> (new module, names).  The old module
+# binds each on first use.
 MOVED = {
+    "dualcells": (("elimination", ("solve_integer",)),),
     "homology": (("smith", ("snf", "snf_diagonal")),
                  ("elimination", ("solve_integer",))),
     "jsonio": (("dualcells", ("cochain_from_obj", "cochain_to_obj")),
@@ -1291,7 +1292,7 @@ def test_every_forwarded_name_is_one_the_benchmark_wraps_there(monkeypatch):
     spans = importlib.import_module("spans")
     with spans.Tracer() as tracer:
         patched = {(owner, attr) for owner, attr, _ in tracer._patched}
-    for name in ("simplicial", "homology", "jsonio"):
+    for name in ("simplicial", "homology", "jsonio", "dualcells"):
         module = importlib.import_module(f"cornerkit.{name}")
         hook = vars(module).get("__getattr__")
         table = inspect.getclosurevars(hook).nonlocals["table"] if hook else {}

@@ -93,6 +93,25 @@ def test_each_named_surface_is_counted_to_its_groups(name):
         oracles.chain_complex(K, augmented=True))
 
 
+@pytest.mark.parametrize("name", ["rp2_6", "klein"])
+def test_the_reduction_catches_the_z2_mutant(name, monkeypatch):
+    # the Z/2 mutant of the closed form, `() if orientable else (2,)` →
+    # `()`: a non-orientable surface loses the torsion of its H_1, and
+    # the comparison with the reduction must report it
+    counted = clearing._pseudo_surface_homology
+
+    def mutant(K):
+        hom = counted(K)
+        hom[1] = FGAbelianGroup(hom[1].free_rank)
+        return hom
+
+    monkeypatch.setattr(clearing, "_pseudo_surface_homology", mutant)
+    K, h1, _ = SURFACES[name]
+    hom = reduced_homology_all(K)
+    assert h1.torsion == (2,) and hom[1] == FGAbelianGroup(h1.free_rank)
+    assert list(hom.items()) != list(by_reduction(K).items())
+
+
 def test_the_named_surfaces_have_their_face_counts():
     assert f_vector(RP2_6) == (6, 15, 10)
     assert f_vector(TORUS) == (7, 21, 14)

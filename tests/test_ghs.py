@@ -226,6 +226,25 @@ def test_fixed_reports_equal_the_oracle_comparisons(name, poincare16, rp2_6):
         assert ours == reference
 
 
+@pytest.mark.parametrize("name", ["poincare16", "rp2_6", "pinched"])
+def test_no_check_calls_link(name, poincare16, rp2_6, monkeypatch):
+    # the checks read every link from the link loop's residue pass, so
+    # ghs.link, which bench/spans.py wraps, times no part of a check
+    K = {"poincare16": poincare16, "rp2_6": rp2_6,
+         "pinched": build_complex([[0, 1, 2], [0, 3, 4]])}[name]
+
+    def no_link(_, s):
+        raise AssertionError(f"a check asked ghs.link for {s!r}")
+
+    monkeypatch.setattr(ghs, "link", no_link)
+    verdicts = {"poincare16": (True, True), "rp2_6": (False, True),
+                "pinched": (False, False)}[name]
+    assert (is_ghs(K, K.dim + 1).verdict,
+            is_polyhedral_homology_manifold(K, K.dim).verdict) == verdicts
+    ours, reference = reports_and_oracle_reports(K)
+    assert ours == reference
+
+
 def test_bary_poincare_decides_each_link_shape_once(poincare16, monkeypatch):
     B = barycentric(poincare16)
     runs = [0]
